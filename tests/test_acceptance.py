@@ -4,6 +4,7 @@ One test per shipped guarantee, each holding to its stated tolerance
 (exact equality everywhere) and runtime budget.  Run with -v to get a
 single pass/fail line per criterion.
 """
+import hashlib
 import itertools
 import json
 import random
@@ -41,6 +42,8 @@ B = Line("rho", BAD, GRID_INT)
 U = Line("rho", UGLY, GRID_INT)
 
 SWEEP_SIZE = 6608
+C8_ROWS_SHA256 = "492053f31c04e3ddd28407e8370e3a122f01cff76030eafbdecf90cdc964fca3"
+C8_SUMMARY_SHA256 = "15f85ef16bd3b0ca30b8eb465836e91062c842c289c2f7b5f57d77ebc025a122"
 
 
 def seg(b, e, ln=G, side=None):
@@ -241,6 +244,10 @@ def test_c8_dataset_run_completes_cleanly(tmp_path):
     assert elapsed < 300.0
     assert summary["count"] == 100_000
     assert summary["emax_violations"] == 0
+    # Recorded on the Segment-based step loop: every row and the summary
+    # must stay byte-identical.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == C8_ROWS_SHA256
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == C8_SUMMARY_SHA256
     rate = summary["first_start_agreement"]
     print(
         f"C8 PASS: 100000-row corpus in {elapsed:.0f}s, zero top-end "

@@ -1,0 +1,81 @@
+"""Differential oracle: sha256 digests of seeded outputs, recorded before
+the step loop moved from Segment objects to int pairs.
+
+Any change to one byte of a dual, a step, an initial sequence or the
+``check`` report changes a digest.  The digests were recorded on the
+Segment-based implementation and must not be edited to make a test pass.
+"""
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+from azdual.segments import BAD, GOOD, GRID_HALF, GRID_INT, UGLY, Line
+from azdual.langdata import LanglandsData, transfer
+from azdual.ad_core import ad_data, ad_initial_sequence, ad_step
+from azdual.cli import main, render_output
+from azdual.verify import enumerate_data
+
+LINES = [
+    Line("g", GOOD, GRID_INT),
+    Line("gh", GOOD, GRID_HALF),
+    Line("b", BAD, GRID_INT),
+    Line("bh", BAD, GRID_HALF),
+    Line("u", UGLY, GRID_INT),
+]
+
+# (N, km, kphi, count, seed) for the sampled draws over LINES.
+DRAWS = ((5, 5, 3, 1500, 11), (10, 10, 6, 150, 12))
+
+DUALS_SHA256 = "df24e294ff4fcc25e0785dd3706daf67ea29af5d5b6db6c441397b049612d675"
+STEPS_SHA256 = "71ee26c90f59c54d7b0a6e3e9df9d6279d51c7dae504197db216a88674cbf172"
+CHECK_SHA256 = "1205cc97d63b33bfce3303a7543ce29f003925c6773f3647ca8f6bda41562b05"
+
+
+def _samples():
+    out = []
+    for n, km, kphi, count, seed in DRAWS:
+        out.extend(enumerate_data(n, km, kphi, LINES, mode="sampled",
+                                  count=count, seed=seed))
+    return out
+
+
+def _merged(d1, d2):
+    return LanglandsData(d1.n + d2.n, d1.phi + d2.phi,
+                         eta_minus=d1.eta_minus | d2.eta_minus)
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for text in lines:
+        h.update(text.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def test_dual_outputs_are_byte_identical():
+    data = _samples()
+    multi = [_merged(a, b) for a, b in zip(data[::2], data[1::2])
+             if a.lines() != b.lines()]
+    assert len(multi) > 100
+    assert _digest(render_output(ad_data(d)) for d in data + multi) == DUALS_SHA256
+
+
+def test_steps_and_initial_sequences_are_byte_identical():
+    lines = []
+    for d in _samples():
+        s = transfer(d)
+        if not s.m:
+            continue
+        piece, rest = ad_step(s)
+        lines.append(render_output(piece) + render_output(rest))
+        lines.append(repr(ad_initial_sequence(s)))
+    assert _digest(lines) == STEPS_SHA256
+
+
+def test_check_report_is_byte_identical():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["check", "--max-coeff", "1"])
+    assert code == 0
+    assert json.loads(buf.getvalue())["pass"] is True
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == CHECK_SHA256
