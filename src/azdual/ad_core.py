@@ -7,6 +7,12 @@ the chain copies and their dual copies.  Iterating per line until nothing is
 left computes the dual; conjugating by the data transfer computes the dual
 of parameter data.
 
+The step loop runs on plain ints, one line at a time.  A line is a counter
+``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on ugly lines), its
+centered values signed -1 are a set of such pairs, and a good line's labeled
+section is a sorted list of ``(pair, label, copies)`` groups.  ``Segment``
+objects are read once when a line is entered and built once when it is left.
+
 Good lines run on the labeled section with sign bookkeeping; bad lines run
 on plain copies with a multiplicity guard forbidding a copy and its own dual
 from chaining simultaneously; ugly lines run the GL chain on the primary
@@ -20,22 +26,16 @@ from .segments import (
     BAD,
     GOOD,
     GRID_INT,
-    UGLY,
     DomainError,
-    HalfInt,
     InvariantError,
     Line,
-    Segment,
-    seg_dual,
-    seg_sort_key,
-    seg_trunc,
+    _cached_segment,
 )
 from .langdata import (
     LabeledSeg,
     LanglandsData,
     Multisegment,
     SignedSymMultisegment,
-    from_counter,
     require_valid,
     transfer,
     untransfer,
@@ -62,61 +62,18 @@ class InitialSequence:
     eps0: int
 
 
-def _c2(d: Segment) -> int:
-    return d.b.twice + d.e.twice
+def _degree(cnt) -> int:
+    return sum(((v[1] - v[0]) // 2 + 1) * k for v, k in cnt.items())
 
 
-def _labeled_dual_t(d: Segment, lab: int):
-    dd = seg_dual(d)
-    c2 = _c2(d)
-    if c2 != 0:
-        return (dd, 1 if c2 < 0 else -1)
-    return (dd, 0 if lab == 0 else 1)
+def _dual(v):
+    """The key of [-e, -b]; flips the side on ugly lines."""
+    return (-v[1], -v[0]) if len(v) == 2 else (-v[1], -v[0], 1 - v[2])
 
 
-def _desc_key_t(item):
-    d, lab = item
-    b2, e2 = d.b.twice, d.e.twice
-    tail = (-e2, 0) if lab == 0 else (-b2, e2)
-    return (-lab,) + tail
-
-
-def _section_entries(cnt):
-    """Labeled copies of one line's counter, canonical descending order."""
-    entries = []
-    for d, mult in cnt.items():
-        c2 = _c2(d)
-        if c2 > 0:
-            entries.extend([(d, 1)] * mult)
-        elif c2 < 0:
-            entries.extend([(d, -1)] * mult)
-        else:
-            h = mult // 2
-            entries.extend([(d, -1)] * h)
-            entries.extend([(d, 1)] * h)
-            if mult % 2:
-                entries.append((d, 0))
-    entries.sort(key=_desc_key_t)
-    return entries
-
-
-def _plain_entries(cnt):
-    entries = []
-    for d, mult in cnt.items():
-        entries.extend([d] * mult)
-    entries.sort(
-        key=lambda d: (-d.b.twice, d.e.twice, d.side if d.side is not None else -1)
-    )
-    return entries
-
-
-def _sign_parity(cnt, minus) -> int:
-    flips = sum(cnt.get(d, 0) for d in minus)
-    return -1 if flips % 2 else 1
-
-
-def _add(cnt, d, k=1):
-    cnt[d] = cnt.get(d, 0) + k
+def _parity(cnt, minus) -> int:
+    """0 when the product of the signs, with multiplicity, is +1; else 1."""
+    return sum(cnt.get(v, 0) for v in minus) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,274 +81,232 @@ def _add(cnt, d, k=1):
 # ---------------------------------------------------------------------------
 
 
-def _good_step(cnt, minus, ln: Line):
-    same_type = ln.grid == GRID_INT
+def _section(cnt):
+    """The labeled copies of a good line as (sort key, pair, label, copies),
+    in canonical descending order: label +1, then 0, then -1; descending
+    beginning and ascending end inside +1 and -1, descending end inside 0.
+    A centered value of multiplicity m gives m // 2 copies labeled -1 and
+    +1 each, and one labeled 0 when m is odd."""
+    groups = []
+    for pair, k in cnt.items():
+        b2, e2 = pair
+        c2 = b2 + e2
+        if c2 > 0:
+            groups.append(((-1, -b2, e2), pair, 1, k))
+        elif c2 < 0:
+            groups.append(((1, -b2, e2), pair, -1, k))
+        else:
+            if k > 1:
+                groups.append(((1, -b2, e2), pair, -1, k // 2))
+                groups.append(((-1, -b2, e2), pair, 1, k // 2))
+            if k % 2:
+                groups.append(((0, -e2, 0), pair, 0, 1))
+    groups.sort()
+    return groups
 
-    def eps(v):
-        return -1 if v in minus else 1
 
-    labeled = _section_entries(cnt)
-    emax2 = max(d.e.twice for d, _ in labeled)
+def _in_section(cnt, pair, lab) -> bool:
+    """Whether the labeled section of ``cnt`` has a copy of (pair, lab)."""
+    k = cnt.get(pair, 0)
+    c2 = pair[0] + pair[1]
+    if c2:
+        return k > 0 and lab == (1 if c2 > 0 else -1)
+    return k % 2 == 1 if lab == 0 else k > 1
 
+
+def _labeled_dual(pair, lab):
+    b2, e2 = pair
+    c2 = b2 + e2
+    if c2:
+        return (-e2, -b2), (1 if c2 < 0 else -1)
+    return pair, (0 if lab == 0 else 1)
+
+
+def _good_step(cnt, minus, same_type):
+    section = _section(cnt)
+
+    # The chain: one copy per end, top end first, each later in the
+    # enumeration than the one before; consecutive centered copies must
+    # carry opposite signs.  Only the first copy of a group can be picked.
     chain = []
-    target = emax2
-    start = 0
+    target = max(e2 for _, e2 in cnt)
     prev = None
     terminal = False
-    while not terminal:
-        found = None
-        for p in range(start, len(labeled)):
-            d, lab = labeled[p]
-            if d.e.twice != target:
-                continue
-            if (
-                prev is not None
-                and _c2(d) == 0
-                and _c2(prev[0]) == 0
-                and eps(d) != -eps(prev[0])
-            ):
-                continue
-            found = p
-            break
-        if found is None:
-            break
-        chain.append(found)
-        prev = labeled[found]
-        start = found + 1
+    for _, pair, lab, _ in section:
+        b2, e2 = pair
+        if e2 != target:
+            continue
+        if (
+            prev is not None
+            and b2 + e2 == 0
+            and prev[0] + prev[1] == 0
+            and (pair in minus) == (prev in minus)
+        ):
+            continue
+        chain.append((pair, lab))
+        prev = pair
         target -= 2
-        d, lab = prev
         if same_type:
-            terminal = d.b.twice == 0 and d.e.twice == 0 and lab >= 0
+            terminal = pair == (0, 0) and lab >= 0
         else:
-            terminal = (d.b.twice == 1 and d.e.twice == 1) or (
-                d.b.twice == -1 and d.e.twice == 1 and lab >= 0 and eps(d) == -1
+            terminal = pair == (1, 1) or (
+                pair == (-1, 1) and lab >= 0 and pair in minus
             )
+        if terminal:
+            break
 
     eps0 = -1 if terminal else 1
-    e1 = labeled[chain[0]][0].e.twice
-    el = labeled[chain[-1]][0].e.twice
-
-    m1_cnt: dict = {}
-    m1_minus = set()
+    e1 = chain[0][0][1]
+    el = chain[-1][0][1]
     if terminal:
-        top = Segment(ln, HalfInt.from_twice(-e1), HalfInt.from_twice(e1))
-        m1_cnt[top] = 1
-        n0 = sum(mult for v, mult in cnt.items() if _c2(v) == 0)
+        top = (-e1, e1)
+        m1_cnt = {top: 1}
+        n0 = sum(k for (b2, e2), k in cnt.items() if b2 + e2 == 0)
         if same_type:
-            zero = Segment(ln, HalfInt.from_twice(0), HalfInt.from_twice(0))
-            s1 = (-1 if (n0 + 1) % 2 else 1) * eps(zero)
+            s1 = (1 if n0 % 2 else -1) * (-1 if (0, 0) in minus else 1)
         else:
             s1 = -1 if n0 % 2 else 1
-        if s1 == -1:
-            m1_minus.add(top)
+        m1_minus = {top} if s1 == -1 else set()
     else:
         if e1 + el == 0:
             raise InvariantError("open chain produced a centered initial pair")
-        lo = Segment(ln, HalfInt.from_twice(el), HalfInt.from_twice(e1))
-        m1_cnt[lo] = 1
-        _add(m1_cnt, seg_dual(lo))
+        m1_cnt = {(el, e1): 1, (-e1, -el): 1}
+        m1_minus = set()
 
-    last_d, last_lab = labeled[chain[-1]]
-    if (last_d.b.twice == 0 and last_d.e.twice == 0 and last_lab == 1) or (
-        last_d.b.twice == 1 and last_d.e.twice == 1
-    ):
-        for j, p in enumerate(chain):
-            d = labeled[p][0]
-            want = emax2 - 2 * j
-            if d.b.twice != want or d.e.twice != want:
+    last, last_lab = chain[-1]
+    if (last == (0, 0) and last_lab == 1) or last == (1, 1):
+        for j, (pair, _) in enumerate(chain):
+            if pair != (e1 - 2 * j, e1 - 2 * j):
                 raise InvariantError("chain into the corner is not a staircase")
 
-    idx = tuple(chain)
-    idx_dual = []
-    for p in chain:
-        dual_entry = _labeled_dual_t(*labeled[p])
-        try:
-            q = labeled.index(dual_entry)
-        except ValueError:
-            raise InvariantError(f"dual copy {dual_entry} missing from the section")
-        idx_dual.append(q)
-    idx_dual = tuple(idx_dual)
+    # The first copy of each chain group loses its end (bit 1), the first
+    # copy of each dual group its beginning (bit 2); a copy can be both.
+    cut = dict.fromkeys(chain, 1)
+    for entry in chain:
+        dual_entry = _labeled_dual(*entry)
+        if not _in_section(cnt, *dual_entry):
+            raise InvariantError(
+                f"dual copy (2b, 2e, label) = {dual_entry} missing from the section"
+            )
+        cut[dual_entry] = cut.get(dual_entry, 0) | 2
 
-    in_i = set(idx)
-    in_ip = set(idx_dual)
+    new_cnt = dict(cnt)
+    shortened = {}
+    for entry, bits in cut.items():
+        pair = entry[0]
+        b2 = pair[0] + (2 if bits & 2 else 0)
+        e2 = pair[1] - (2 if bits & 1 else 0)
+        k = new_cnt.pop(pair) - 1
+        if k:
+            new_cnt[pair] = k
+        t = (b2, e2) if b2 <= e2 else None
+        if t is not None:
+            new_cnt[t] = new_cnt.get(t, 0) + 1
+        shortened[entry] = t
 
-    def transform(p):
-        d, lab = labeled[p]
-        if p in in_i and p in in_ip:
-            return seg_trunc(d, "both")
-        if p in in_i:
-            return seg_trunc(d, "end")
-        if p in in_ip:
-            return seg_trunc(d, "begin")
-        return d
-
-    new_cnt: dict = {}
-    for p in range(len(labeled)):
-        t = transform(p)
-        if not t.is_empty:
-            _add(new_cnt, t)
-
-    trans_at = []
-    for p in idx:
-        t = transform(p)
-        trans_at.append(None if t.is_empty else t)
-
+    source = {}
+    for entry in chain:
+        t = shortened[entry]
+        if t is not None and t[0] + t[1] == 0:
+            if t in source:
+                raise InvariantError(
+                    f"two chain copies collapsed onto centered (2b, 2e) = {t}"
+                )
+            source[t] = entry[0]
     new_minus = set()
     for v in new_cnt:
-        if _c2(v) != 0:
+        if v[0] + v[1]:
             continue
-        js = [j for j, t in enumerate(trans_at) if t == v]
-        if len(js) > 1:
-            raise InvariantError(f"two chain copies collapsed onto centered {v}")
-        if js:
-            dj = labeled[idx[js[0]]][0]
-            cj2 = _c2(dj)
-            if cj2 == 0:
-                s = eps0 * eps(dj)
-            elif cj2 == 2:
-                s = eps0 * (-eps(v) if v in cnt else 1)
-            else:
-                raise InvariantError(f"chain copy with center {cj2}/2 became centered")
-        else:
+        dj = source.get(v)
+        if dj is None:
             if v not in cnt:
-                raise InvariantError(f"centered {v} appeared without a chain source")
-            s = eps0 * eps(v)
+                raise InvariantError(
+                    f"centered (2b, 2e) = {v} appeared without a chain source"
+                )
+            s = -eps0 if v in minus else eps0
+        elif dj[0] + dj[1] == 0:
+            s = -eps0 if dj in minus else eps0
+        elif dj[0] + dj[1] == 2:
+            s = (eps0 if v in minus else -eps0) if v in cnt else eps0
+        else:
+            raise InvariantError(
+                f"chain copy with center {dj[0] + dj[1]}/2 became centered"
+            )
         if s == -1:
             new_minus.add(v)
 
-    if _sign_parity(cnt, minus) != _sign_parity(m1_cnt, m1_minus) * _sign_parity(
-        new_cnt, new_minus
-    ):
+    if _parity(cnt, minus) != (
+        _parity(m1_cnt, m1_minus) + _parity(new_cnt, new_minus)
+    ) % 2:
         raise InvariantError("sign product not preserved across the step")
 
-    seq = (labeled, idx, idx_dual, eps0)
-    return m1_cnt, m1_minus, new_cnt, new_minus, seq
+    return m1_cnt, m1_minus, new_cnt, new_minus, chain, eps0
 
 
 # ---------------------------------------------------------------------------
-# Bad lines
+# Bad and ugly lines
 # ---------------------------------------------------------------------------
 
 
-def _bad_step(cnt, ln: Line):
-    entries = _plain_entries(cnt)
-    emax2 = max(d.e.twice for d in entries)
+def _plain_order(v):
+    return (-v[0],) + v[1:]
+
+
+def _plain_chain(cnt, keys):
+    """The greedy chain over ``keys`` in canonical descending order: ends
+    drop by one and beginnings strictly drop at each link.  A value joins
+    beside its own dual only when it has a second copy (on ugly lines the
+    chain keeps to side 0, so this never applies)."""
     chain = []
-    chain_vals = []
-    target = emax2
+    target = max(v[1] for v in keys)
     prev_b = None
-    for p, d in enumerate(entries):
-        if d.e.twice != target:
+    for v in sorted(keys, key=_plain_order):
+        if v[1] != target or (prev_b is not None and v[0] >= prev_b):
             continue
-        if prev_b is not None and d.b.twice >= prev_b:
+        if _dual(v) in chain and cnt[v] < 2:
             continue
-        dv = seg_dual(d)
-        if dv in chain_vals and cnt.get(d, 0) < 2:
-            continue
-        chain.append(p)
-        chain_vals.append(d)
-        prev_b = d.b.twice
+        chain.append(v)
+        prev_b = v[0]
         target -= 2
+    return chain
 
-    e1 = chain_vals[0].e.twice
-    el = chain_vals[-1].e.twice
-    m1_cnt: dict = {}
-    lo = Segment(ln, HalfInt.from_twice(el), HalfInt.from_twice(e1))
-    _add(m1_cnt, lo)
-    _add(m1_cnt, seg_dual(lo))
 
+def _consume(cnt, chain, missing: str):
+    """Take out each chain copy and its dual copy, and put them back with
+    the chain copy's end and the dual copy's beginning cut off."""
     new_cnt = dict(cnt)
-    for d in chain_vals:
-        new_cnt[d] -= 1
-        dv = seg_dual(d)
+    for v in chain:
+        dv = _dual(v)
+        new_cnt[v] -= 1
         new_cnt[dv] = new_cnt.get(dv, 0) - 1
-    if any(k < 0 for k in new_cnt.values()):
-        raise InvariantError("chain consumed more copies than available")
-    for d in chain_vals:
-        t = seg_trunc(d, "end")
-        if not t.is_empty:
-            _add(new_cnt, t)
-        t = seg_trunc(seg_dual(d), "begin")
-        if not t.is_empty:
-            _add(new_cnt, t)
-    new_cnt = {d: k for d, k in new_cnt.items() if k}
-
-    idx, idx_dual = _distinct_positions(entries, chain_vals)
-    seq = (entries, idx, idx_dual, 1)
-    return m1_cnt, new_cnt, seq
+        if new_cnt[v] < 0 or new_cnt[dv] < 0:
+            raise InvariantError(missing)
+    for v in chain:
+        if v[0] < v[1]:
+            short = (v[0], v[1] - 2) + v[2:]
+            for w in (short, _dual(short)):
+                new_cnt[w] = new_cnt.get(w, 0) + 1
+    return {v: k for v, k in new_cnt.items() if k}
 
 
-def _distinct_positions(entries, chain_vals):
-    used = set()
-    idx = []
-    for v in chain_vals:
-        p = _first_unused(entries, v, used)
-        idx.append(p)
-        used.add(p)
-    idx_dual = []
-    for v in chain_vals:
-        p = _first_unused(entries, seg_dual(v), used)
-        idx_dual.append(p)
-        used.add(p)
-    return tuple(idx), tuple(idx_dual)
+def _bad_step(cnt):
+    chain = _plain_chain(cnt, cnt)
+    e1, el = chain[0][1], chain[-1][1]
+    m1_cnt = {(el, e1): 1}
+    m1_cnt[(-e1, -el)] = m1_cnt.get((-e1, -el), 0) + 1
+    new_cnt = _consume(cnt, chain, "chain consumed more copies than available")
+    return m1_cnt, new_cnt, chain
 
 
-def _first_unused(entries, value, used):
-    for p, d in enumerate(entries):
-        if p not in used and d == value:
-            return p
-    raise InvariantError(f"no unused copy of {value} in the enumeration")
-
-
-# ---------------------------------------------------------------------------
-# Ugly lines
-# ---------------------------------------------------------------------------
-
-
-def _ugly_step(cnt, ln: Line):
-    side0 = {d: k for d, k in cnt.items() if d.side == 0}
+def _ugly_step(cnt):
+    side0 = [v for v in cnt if v[2] == 0]
     if not side0:
         raise InvariantError("ugly step with an empty primary side")
-    entries0 = _plain_entries(side0)
-    emax2 = max(d.e.twice for d in entries0)
-    chain_vals = []
-    target = emax2
-    prev_b = None
-    for d in entries0:
-        if d.e.twice != target:
-            continue
-        if prev_b is not None and d.b.twice >= prev_b:
-            continue
-        chain_vals.append(d)
-        prev_b = d.b.twice
-        target -= 2
-
-    e1 = chain_vals[0].e.twice
-    el = chain_vals[-1].e.twice
-    m1_cnt: dict = {}
-    _add(m1_cnt, Segment(ln, HalfInt.from_twice(el), HalfInt.from_twice(e1), 0))
-    _add(m1_cnt, Segment(ln, HalfInt.from_twice(-e1), HalfInt.from_twice(-el), 1))
-
-    new_cnt = dict(cnt)
-    for d in chain_vals:
-        new_cnt[d] -= 1
-        dv = seg_dual(d)
-        new_cnt[dv] = new_cnt.get(dv, 0) - 1
-    if any(k < 0 for k in new_cnt.values()):
-        raise InvariantError("mirror copies missing on the partner side")
-    for d in chain_vals:
-        t = seg_trunc(d, "end")
-        if not t.is_empty:
-            _add(new_cnt, t)
-        t = seg_trunc(seg_dual(d), "begin")
-        if not t.is_empty:
-            _add(new_cnt, t)
-    new_cnt = {d: k for d, k in new_cnt.items() if k}
-
-    entries = _plain_entries(cnt)
-    idx, idx_dual = _distinct_positions(entries, chain_vals)
-    seq = (entries, idx, idx_dual, 1)
-    return m1_cnt, new_cnt, seq
+    chain = _plain_chain(cnt, side0)
+    e1, el = chain[0][1], chain[-1][1]
+    m1_cnt = {(el, e1, 0): 1, (-e1, -el, 1): 1}
+    new_cnt = _consume(cnt, chain, "mirror copies missing on the partner side")
+    return m1_cnt, new_cnt, chain
 
 
 # ---------------------------------------------------------------------------
@@ -399,90 +314,116 @@ def _ugly_step(cnt, ln: Line):
 # ---------------------------------------------------------------------------
 
 
-def _counters_of(s: SignedSymMultisegment, ln: Line):
-    cnt = {}
-    for d in s.m:
-        if d.line == ln:
-            cnt[d] = cnt.get(d, 0) + 1
-    minus = {d for d in s.minus if d.line == ln}
-    return cnt, minus
-
-
-def _step_counters(cnt, minus, ln: Line):
+def _step(ln: Line, cnt, minus, degree: int):
+    """One step on one line's ints, ``degree`` being the degree of ``cnt``.
+    Returns the emitted piece and the rest, each as a counter and a minus
+    set, then the rest's degree, the chain and its sign eps0."""
     if ln.cls == GOOD:
-        m1c, m1m, nc, nm, seq = _good_step(cnt, minus, ln)
-    elif ln.cls == BAD:
-        m1c, nc, seq = _bad_step(cnt, ln)
-        m1m, nm = set(), set()
-    elif ln.cls == UGLY:
-        m1c, nc, seq = _ugly_step(cnt, ln)
-        m1m, nm = set(), set()
+        m1_cnt, m1_minus, new_cnt, new_minus, chain, eps0 = _good_step(
+            cnt, minus, ln.grid == GRID_INT
+        )
     else:
-        raise DomainError(f"unknown line class {ln.cls!r}")
-    deg = lambda c: sum(d.length * k for d, k in c.items())
-    if deg(m1c) + deg(nc) != deg(cnt):
+        step = _bad_step if ln.cls == BAD else _ugly_step
+        m1_cnt, new_cnt, chain = step(cnt)
+        m1_minus, new_minus, eps0 = set(), set(), 1
+    new_degree = _degree(new_cnt)
+    if _degree(m1_cnt) + new_degree != degree:
         raise InvariantError("degree not preserved across the step")
-    return m1c, m1m, nc, nm, seq
+    return m1_cnt, m1_minus, new_cnt, new_minus, new_degree, chain, eps0
 
 
-def _single_line(s: SignedSymMultisegment) -> Line:
+def _line_ints(s: SignedSymMultisegment):
+    """{line id: (counter, minus set)} with int keys."""
+    out = {}
+    for d, k in s.m.counter().items():
+        key = (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
+        out.setdefault(d.line.id, ({}, set()))[0][key] = k
+    for d in s.minus:
+        out[d.line.id][1].add((d.b.twice, d.e.twice))
+    return out
+
+
+def _segment(ln: Line, v):
+    return _cached_segment(ln, v[0], v[1], v[2] if len(v) == 3 else None)
+
+
+def _signed(parts) -> SignedSymMultisegment:
+    """Back to Segments from one (line, counter, minus set) per line."""
+    return SignedSymMultisegment(
+        Multisegment([
+            _segment(ln, v) for ln, cnt, _ in parts
+            for v, k in cnt.items() for _ in range(k)
+        ]),
+        minus=[_segment(ln, v) for ln, _, minus in parts for v in minus],
+    )
+
+
+def _first_step(s: SignedSymMultisegment, what: str):
+    require_valid(s)
+    if not s.m:
+        raise DomainError(f"{what} on the zero multisegment")
     lines = s.lines()
     if len(lines) != 1:
         raise DomainError("this operation needs data supported on exactly one line")
-    return lines[0]
+    ln = lines[0]
+    cnt, minus = _line_ints(s)[ln.id]
+    return ln, cnt, _step(ln, cnt, minus, _degree(cnt))
 
 
 def ad_step(s: SignedSymMultisegment):
     """One extraction step on a single-line signed symmetric multisegment.
     Returns (initial part, remaining part) as signed symmetric multisegments."""
-    require_valid(s)
-    if not s.m:
-        raise DomainError("ad_step on the zero multisegment")
-    ln = _single_line(s)
-    cnt, minus = _counters_of(s, ln)
-    m1c, m1m, nc, nm, _ = _step_counters(cnt, minus, ln)
-    return (
-        SignedSymMultisegment(from_counter(m1c), minus=m1m),
-        SignedSymMultisegment(from_counter(nc), minus=nm),
-    )
+    ln, _, (m1_cnt, m1_minus, new_cnt, new_minus, *_) = _first_step(s, "ad_step")
+    return _signed([(ln, m1_cnt, m1_minus)]), _signed([(ln, new_cnt, new_minus)])
 
 
 def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
     """The chain data of the first step on a single-line input."""
-    require_valid(s)
-    if not s.m:
-        raise DomainError("ad_initial_sequence on the zero multisegment")
-    ln = _single_line(s)
-    cnt, minus = _counters_of(s, ln)
-    _, _, _, _, seq = _step_counters(cnt, minus, ln)
-    enumeration, idx, idx_dual, eps0 = seq
+    ln, cnt, step = _first_step(s, "ad_initial_sequence")
+    chain, eps0 = step[-2:]
     if ln.cls == GOOD:
-        enum = tuple(LabeledSeg(d, lab) for d, lab in enumeration)
-        picked = tuple(LabeledSeg(*enumeration[p]) for p in idx)
-    else:
-        enum = tuple(enumeration)
-        picked = tuple(enumeration[p] for p in idx)
-    return InitialSequence(ln, enum, picked, idx, idx_dual, eps0)
+        enum = [(pair, lab) for _, pair, lab, k in _section(cnt) for _ in range(k)]
+        idx = tuple(enum.index(entry) for entry in chain)
+        idx_dual = tuple(enum.index(_labeled_dual(*entry)) for entry in chain)
+        labeled = tuple(LabeledSeg(_segment(ln, pair), lab) for pair, lab in enum)
+        return InitialSequence(
+            ln, labeled, tuple(labeled[p] for p in idx), idx, idx_dual, eps0
+        )
+    # A value may be picked twice (by the chain and as a dual): each pick
+    # takes the first copy not yet taken.
+    enum = sorted((v for v, k in cnt.items() for _ in range(k)), key=_plain_order)
+    taken = set()
+
+    def take(v):
+        p = next(p for p, w in enumerate(enum) if w == v and p not in taken)
+        taken.add(p)
+        return p
+
+    idx = tuple(take(v) for v in chain)
+    idx_dual = tuple(take(_dual(v)) for v in chain)
+    segs = tuple(_segment(ln, v) for v in enum)
+    return InitialSequence(ln, segs, tuple(segs[p] for p in idx), idx, idx_dual, eps0)
 
 
 def ad_symm(s: SignedSymMultisegment) -> SignedSymMultisegment:
     """The dual of a signed symmetric multisegment (an involution)."""
     require_valid(s)
-    out_cnt: dict = {}
-    out_minus = set()
+    ints = _line_ints(s)
+    parts = []
     for ln in s.lines():
-        cnt, minus = _counters_of(s, ln)
-        degree = sum(d.length * k for d, k in cnt.items())
+        cnt, minus = ints[ln.id]
+        degree = _degree(cnt)
+        dual_cnt, dual_minus = {}, set()
         while cnt:
-            m1c, m1m, cnt, minus, _ = _step_counters(cnt, minus, ln)
-            for d, k in m1c.items():
-                _add(out_cnt, d, k)
-            out_minus |= m1m
-            new_degree = sum(d.length * k for d, k in cnt.items())
+            m1_cnt, m1_minus, cnt, minus, new_degree, _, _ = _step(ln, cnt, minus, degree)
             if new_degree >= degree:
                 raise InvariantError("degree failed to decrease across a step")
             degree = new_degree
-    result = SignedSymMultisegment(from_counter(out_cnt), minus=out_minus)
+            for v, k in m1_cnt.items():
+                dual_cnt[v] = dual_cnt.get(v, 0) + k
+            dual_minus |= m1_minus
+        parts.append((ln, dual_cnt, dual_minus))
+    result = _signed(parts)
     report = validate(result)
     if report:
         raise InvariantError("dual left the symmetric class:\n  " + "\n  ".join(report))

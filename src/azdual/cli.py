@@ -32,6 +32,7 @@ from .segments import (
     UGLY,
     DomainError,
     HalfInt,
+    InvariantError,
     Line,
     Segment,
 )
@@ -42,6 +43,7 @@ from .langdata import (
     SignedSymMultisegment,
     sign_product,
     transfer,
+    untransfer,
     validate,
 )
 from .mw_gl import kz_capacity, kz_capacity_labeled, mw_transpose
@@ -50,7 +52,7 @@ from .derivatives import derivative, derivative_L
 from .verify import (
     SUITES,
     enumerate_data,
-    first_start_prediction,
+    first_starts,
     run_properties,
     standard_sweep,
 )
@@ -508,15 +510,15 @@ def _cmd_dataset(args) -> int:
             args.N, args.km, args.kphi, [ln], mode="sampled",
             count=args.count, seed=seed,
         ):
-            dd = ad_data(d)
             s = transfer(d)
+            dd = untransfer(ad_symm(s))  # ad_data(d), reusing s
             t = transfer(dd)
             em_s, em_t = s.max_end(), t.max_end()
             if em_s != em_t:
                 emax_bad += 1
             if s.degree != t.degree:
                 degree_bad += 1
-            fp = first_start_prediction(d, dd)
+            fp = first_starts(s, t)
             if fp is not None:
                 start_total += 1
                 start_hits += fp[0] == fp[1]
@@ -623,6 +625,9 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except InvariantError as err:
+        print("internal error: " + " ".join(str(err).split()), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

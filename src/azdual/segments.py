@@ -119,7 +119,9 @@ class HalfInt:
         return NotImplemented if t is NotImplemented else self.twice >= t
 
     def __hash__(self):
-        return hash(self.twice) ^ 0x5A5A
+        # An integral value equals the int it stands for, so it hashes as one.
+        t = self.twice
+        return hash(t // 2) if t % 2 == 0 else hash(t) ^ 0x5A5A
 
     def __bool__(self):
         return self.twice != 0

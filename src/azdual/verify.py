@@ -250,7 +250,8 @@ def standard_sweep(n: int = 2, max_pairs: int = 3, max_centered: int = 3):
 def _line_cnt(s: SignedSymMultisegment, ln: Line):
     cnt: dict = {}
     for d in s.m:
-        cnt[d] = cnt.get(d, 0) + 1
+        if d.line == ln:
+            cnt[d] = cnt.get(d, 0) + 1
     return cnt
 
 
@@ -947,8 +948,15 @@ def first_start_prediction(d: LanglandsData, dual: LanglandsData = None):
     s = transfer(d)
     if not s.m:
         return None
-    if dual is None:
-        dual = ad_data(d)
-    observed = min(x.b.twice for x in transfer(dual).m)
+    return first_starts(s, transfer(ad_data(d) if dual is None else dual))
+
+
+def first_starts(s: SignedSymMultisegment, t: SignedSymMultisegment):
+    """(observed, predicted) of :func:`first_start_prediction`, from the
+    symmetric forms ``s`` of a datum and ``t`` of its dual.  None when ``s``
+    is empty."""
+    if not s.m:
+        return None
+    observed = min(x.b.twice for x in t.m)
     predicted = min(x.b.twice for x in s.m)
     return HalfInt.from_twice(observed), HalfInt.from_twice(predicted)

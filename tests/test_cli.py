@@ -15,6 +15,7 @@ from azdual.segments import (
     GRID_INT,
     UGLY,
     HalfInt,
+    InvariantError,
     Line,
     Segment,
     half,
@@ -300,6 +301,16 @@ class TestCommands:
 
 
 class TestEntryPoint:
+    def test_internal_error_is_one_line_with_exit_3(self, monkeypatch):
+        def broken(s):
+            raise InvariantError("dual left the symmetric class:\n  symmetry violation")
+
+        monkeypatch.setattr("azdual.cli.ad_symm", broken)
+        code, out, err = run(["dual", "2*[0,0]:-"])
+        assert code == 3 and out == ""
+        assert err == ("internal error: dual left the symmetric class: "
+                       "symmetry violation\n")
+
     def test_module_runs_and_usage_is_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "azdual"],

@@ -56,6 +56,13 @@ class TestHalfInt:
         assert HalfInt.from_twice(1) + 1 == HalfInt.from_twice(3)
         assert 2 * HalfInt.from_twice(3) == HalfInt(3)
 
+    def test_hash_agrees_with_int_equality(self):
+        assert HalfInt(1) == 1 and hash(HalfInt(1)) == hash(1)
+        assert {HalfInt(1): 0}.get(1) == 0
+        assert {HalfInt(-3): 0}.get(-3) == 0
+        assert {1: 0}.get(HalfInt(1)) == 0
+        assert HalfInt.from_twice(1) not in {0, 1}
+
     def test_as_int(self):
         assert HalfInt(4).as_int() == 4
         with pytest.raises(DomainError):

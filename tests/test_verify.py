@@ -27,6 +27,7 @@ from azdual.langdata import (
 )
 from azdual.ad_core import ad_data, ad_symm
 from azdual.verify import (
+    _line_cnt,
     closed_form_dual,
     closed_form_instances,
     enumerate_data,
@@ -159,6 +160,13 @@ class TestClosedForms:
         cf = closed_form_dual(s)
         assert cf == sym([(0, 0)] * 4 + [(-1, -1), (1, 1)], ln=B)
         assert cf == ad_symm(s)
+
+    def test_line_counter_keeps_to_its_line(self):
+        a, b = Line("a", GOOD, GRID_INT), Line("b", GOOD, GRID_INT)
+        s = SignedSymMultisegment(Multisegment(
+            [seg(0, 0, a), seg(0, 0, a), seg(-1, 1, b)]))
+        assert _line_cnt(s, a) == {seg(0, 0, a): 2}
+        assert _line_cnt(s, b) == {seg(-1, 1, b): 1}
 
     def test_unrecognized_shapes_return_none(self):
         assert closed_form_dual(sym([(-3, 1), (-1, 3)])) is None
