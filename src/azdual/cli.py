@@ -234,14 +234,28 @@ def _json_half(v, what):
             return HalfInt.parse(v)
         except DomainError as err:
             raise ParseError(f"{what}: {err}") from None
-    if isinstance(v, int):
+    if type(v) is int:
         return HalfInt(v)
     raise ParseError(f"{what}: expected a half-integer string, got {v!r}")
 
 
+def _json_list(obj, key):
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise ParseError(f"{key!r} must be a list, got {v!r}")
+    return v
+
+
+def _json_sign(rec, key, default=None):
+    v = rec.get(key, default)
+    if type(v) is not int or v not in (1, -1):
+        raise ParseError(f"record {rec!r} needs {key} 1 or -1")
+    return v
+
+
 def _json_lines(obj):
     lines = {}
-    for rec in obj.get("lines", []):
+    for rec in _json_list(obj, "lines"):
         try:
             ln = Line(rec["id"], rec["class"], rec["grid"])
         except (KeyError, TypeError) as err:
@@ -260,6 +274,8 @@ def _json_segment(rec, lines):
     b = _json_half(rec.get("b"), "segment beginning")
     e = _json_half(rec.get("e"), "segment end")
     side = rec.get("side")
+    if side is not None and type(side) is not int:
+        raise ParseError(f"segment {rec!r} needs an integer side")
     return Segment(ln, b, e, side)
 
 
@@ -267,28 +283,28 @@ def parse_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     lines = _json_lines(obj)
-    segs = [_json_segment(rec, lines) for rec in obj.get("m", [])]
+    segs = [_json_segment(rec, lines) for rec in _json_list(obj, "m")]
     m = Multisegment(segs)
     if "phi" in obj:
         blocks = []
         eta_minus = set()
-        for rec in obj["phi"]:
+        for rec in _json_list(obj, "phi"):
             try:
                 ln = lines[rec["line"]]
-                p = PhiComponent(ln, int(rec["a"]))
-            except (KeyError, TypeError, ValueError):
+                if type(rec["a"]) is not int:
+                    raise TypeError
+                p = PhiComponent(ln, rec["a"])
+            except (KeyError, TypeError):
                 raise ParseError(f"bad block record {rec!r}") from None
             blocks.append(p)
-            if rec.get("eta") == -1:
+            if _json_sign(rec, "eta", 1) == -1:
                 eta_minus.add(p)
         return LanglandsData(m, blocks, eta_minus=eta_minus)
     if "eps" in obj:
         minus = set()
-        for rec in obj["eps"]:
+        for rec in _json_list(obj, "eps"):
             d = _json_segment(rec, lines)
-            if rec.get("sign") not in (1, -1):
-                raise ParseError(f"sign record {rec!r} needs sign 1 or -1")
-            if rec["sign"] == -1:
+            if _json_sign(rec, "sign") == -1:
                 minus.add(d)
         return SignedSymMultisegment(m, minus=minus)
     return m

@@ -124,10 +124,11 @@ class SignedSymMultisegment:
     """A multisegment together with signs on its centered segments.
 
     Only the -1 signs are stored (``minus``); every centered segment not
-    listed there carries +1, as does every non-centered segment.
+    listed there carries +1, as does every non-centered segment.  ``_valid``
+    is set once :func:`validate` has found nothing wrong with the object.
     """
 
-    __slots__ = ("m", "minus")
+    __slots__ = ("m", "minus", "_valid")
 
     def __init__(self, m=(), eps=None, minus=()):
         if not isinstance(m, Multisegment):
@@ -145,6 +146,7 @@ class SignedSymMultisegment:
                     mset.add(d)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "minus", frozenset(mset))
+        object.__setattr__(self, "_valid", False)
 
     @staticmethod
     def _check_sign_key(d):
@@ -484,6 +486,8 @@ def validate(x) -> list:
     if isinstance(x, Multisegment):
         return _line_conflicts(d.line for d in x)
     if isinstance(x, SignedSymMultisegment):
+        if x._valid:
+            return []
         out = _line_conflicts(d.line for d in x.m)
         cnt = x.m.counter()
         for value, mult in sorted(cnt.items(), key=lambda kv: seg_sort_key(kv[0])):
@@ -496,6 +500,7 @@ def validate(x) -> list:
                 out.append(f"sign attached to absent segment {d}")
             if d.line.cls != GOOD:
                 out.append(f"explicit -1 sign on non-good line at {d}")
+        object.__setattr__(x, "_valid", not out)
         return out
     if isinstance(x, LanglandsData):
         out = _line_conflicts(list(d.line for d in x.n) + [p.line for p in x.phi])

@@ -747,7 +747,40 @@ def inverse_derivative_search(
 # ---------------------------------------------------------------------------
 
 
-def _pair_properties(s, d):
+class _StateMemo:
+    """What the property suites share for one state ``s``, each value
+    computed on first use and dropped with the state."""
+
+    def __init__(self, s):
+        self.s = s
+        self._duals = {}
+        self._longest = None
+
+    def dual(self, x):
+        """``ad_symm(x)``, computed at most once per distinct ``x``."""
+        if x not in self._duals:
+            self._duals[x] = ad_symm(x)
+        return self._duals[x]
+
+    def longest(self):
+        """(line, top end, length of the longest top-end segment) of the
+        first extraction step on each good or bad line of ``s``."""
+        if self._longest is None:
+            self._longest = []
+            for ln in self.s.lines():
+                if ln.cls not in (GOOD, BAD):
+                    continue
+                part = line_project(self.s, ln)
+                if not part.m:
+                    continue
+                m1, _ = ad_step(part)
+                etop = max(x.e.twice for x in m1.m)
+                l1 = max(x.length for x in m1.m if x.e.twice == etop)
+                self._longest.append((ln, etop, l1))
+        return self._longest
+
+
+def _pair_properties(s, d, memo):
     """Named checks a claimed dual d of s must pass.  Evaluated in order."""
     checks = []
     d_valid = not validate(d)
@@ -768,20 +801,12 @@ def _pair_properties(s, d):
             sign_ok = False
     checks.append(("sign_product", sign_ok))
     longest_ok = True
-    for ln in s.lines():
-        if ln.cls not in (GOOD, BAD):
-            continue
-        part = line_project(s, ln)
-        if not part.m:
-            continue
-        m1, _ = ad_step(part)
-        etop = max(x.e.twice for x in m1.m)
-        l1 = max(x.length for x in m1.m if x.e.twice == etop)
+    for ln, etop, l1 in memo.longest():
         for x in d.m:
             if x.line == ln and x.e.twice == etop and x.length > l1:
                 longest_ok = False
     checks.append(("longest_first", longest_ok))
-    checks.append(("involution", d_valid and ad_symm(d) == s))
+    checks.append(("involution", d_valid and memo.dual(d) == s))
     return checks
 
 
@@ -824,21 +849,19 @@ def _corruptions(d: SignedSymMultisegment):
     return out
 
 
-def _suite_involution(s):
-    d = ad_symm(s)
-    return ad_symm(d) == s, None
+def _suite_involution(s, memo):
+    return memo.dual(memo.dual(s)) == s, None
 
 
-def _suite_preservation(s):
-    d = ad_symm(s)
-    for name, ok in _pair_properties(s, d):
+def _suite_preservation(s, memo):
+    for name, ok in _pair_properties(s, memo.dual(s), memo):
         if not ok:
             return False, name
     return True, None
 
 
-def _suite_commutation(s):
-    d = ad_symm(s)
+def _suite_commutation(s, memo):
+    d = memo.dual(s)
     for ln in s.lines():
         if ln.cls not in (GOOD, BAD):
             continue
@@ -853,44 +876,44 @@ def _suite_commutation(s):
             res = derivative(s, ln, x)
             if res.k == 0:
                 continue
-            lhs = ad_symm(res.result)
+            lhs = memo.dual(res.result)
             rhs = derivative(d, ln, -x)
             if rhs.k != res.k or lhs != rhs.result:
                 return False, f"x={x} on {ln.id}"
     return True, None
 
 
-def _suite_roundtrip(s):
+def _suite_roundtrip(s, memo):
     if transfer(untransfer(s)) != s:
         return False, "transfer of untransfer"
     return True, None
 
 
-def _suite_closed_form(s):
+def _suite_closed_form(s, memo):
     cf = closed_form_dual(s)
     if cf is None:
         return True, None
-    return cf == ad_symm(s), "closed form disagrees"
+    return cf == memo.dual(s), "closed form disagrees"
 
 
-def _suite_ugly_reduction(s):
+def _suite_ugly_reduction(s, memo):
     for ln in s.lines():
         if ln.cls != UGLY:
             continue
         part = line_project(s, ln)
         side0 = Multisegment([d for d in part.m if d.side == 0])
         mt = mw_transpose(side0)
-        if ad_symm(part) != SignedSymMultisegment(mt + mt.dual()):
+        if memo.dual(part) != SignedSymMultisegment(mt + mt.dual()):
             return False, f"line {ln.id}"
     return True, None
 
 
-def _suite_fault_injection(s):
-    d = ad_symm(s)
+def _suite_fault_injection(s, memo):
+    d = memo.dual(s)
     for name, bad_dual in _corruptions(d):
         if bad_dual == d:
             continue
-        caught = any(not ok for _, ok in _pair_properties(s, bad_dual))
+        caught = any(not ok for _, ok in _pair_properties(s, bad_dual, memo))
         if not caught:
             return False, f"corruption {name} undetected"
     return True, None
@@ -910,7 +933,7 @@ SUITES = {
 def run_properties(stream, suites=None) -> dict:
     """Run the selected property suites over a stream of signed symmetric
     multisegments.  Machine-readable report with the first counterexample
-    per suite."""
+    per suite; the suites of one state share one :class:`_StateMemo`."""
     if suites is None:
         suites = list(SUITES)
     unknown = [name for name in suites if name not in SUITES]
@@ -921,12 +944,13 @@ def run_properties(stream, suites=None) -> dict:
         for name in suites
     }
     for s in stream:
+        memo = _StateMemo(s)
         for name in suites:
             entry = report[name]
             if entry["counterexample"] is not None:
                 continue
             entry["checked"] += 1
-            ok, detail = SUITES[name](s)
+            ok, detail = SUITES[name](s, memo)
             if not ok:
                 entry["pass"] = False
                 entry["counterexample"] = str(s) + (f" [{detail}]" if detail else "")

@@ -128,6 +128,54 @@ class TestParse:
             parse_input(json.dumps(doc))
 
 
+LINES_DOC = [{"id": "rho", "class": "good", "grid": "integral"}]
+
+
+def _datum_doc(**block):
+    return {"lines": LINES_DOC, "m": [], "phi": [{"line": "rho", "a": 3, **block}]}
+
+
+def _segment_doc(**ends):
+    return {"lines": LINES_DOC, "m": [{"line": "rho", "b": "-1", "e": "1", **ends}]}
+
+
+class TestStrictJson:
+    """Wrong JSON types end in one ParseError line, never a traceback or a
+    silent coercion."""
+
+    @pytest.mark.parametrize("doc, msg", [
+        pytest.param({"m": 5}, "'m' must be a list", id="m-not-a-list"),
+        pytest.param({"lines": 5}, "'lines' must be a list", id="lines-not-a-list"),
+        pytest.param({"lines": LINES_DOC, "phi": "S3"}, "'phi' must be a list",
+                     id="phi-not-a-list"),
+        pytest.param({"lines": LINES_DOC, "m": [], "eps": {}}, "'eps' must be a list",
+                     id="eps-not-a-list"),
+        pytest.param(_datum_doc(a=3.7), "bad block record", id="float-a"),
+        pytest.param(_datum_doc(a=True), "bad block record", id="bool-a"),
+        pytest.param(_segment_doc(b=True), "segment beginning", id="bool-b"),
+        pytest.param(_segment_doc(e=True), "segment end", id="bool-e"),
+        pytest.param(_datum_doc(eta=5), "needs eta 1 or -1", id="eta-5"),
+        pytest.param(_datum_doc(eta=True), "needs eta 1 or -1", id="bool-eta"),
+        pytest.param(
+            {"lines": [{"id": "u", "class": "ugly", "grid": "integral"}],
+             "m": [{"line": "u", "b": "0", "e": "0", "side": True}]},
+            "integer side", id="bool-side"),
+    ])
+    def test_wrong_type_is_a_one_line_parse_error(self, doc, msg):
+        text = json.dumps(doc)
+        with pytest.raises(ParseError, match=msg):
+            parse_input(text)
+        code, out, err = run(["validate", text])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_eta_is_plus_or_minus_one_or_absent(self):
+        for block, minus in (({}, False), ({"eta": 1}, False), ({"eta": -1}, True)):
+            got = parse_input(json.dumps(_datum_doc(**block)))
+            assert bool(got.eta_minus) is minus
+            assert render_doc(got)["phi"][0]["eta"] == (-1 if minus else 1)
+
+
 class TestRender:
     def test_parse_of_render_is_identity(self):
         objs = [

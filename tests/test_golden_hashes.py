@@ -4,17 +4,27 @@ the step loop moved from Segment objects to int pairs.
 Any change to one byte of a dual, a step, an initial sequence or the
 ``check`` report changes a digest.  The digests were recorded on the
 Segment-based implementation and must not be edited to make a test pass.
+The full ``check`` report and the reports under injected faults were
+recorded before the property suites shared one dual per state.
 """
 import hashlib
 import io
 import json
 from contextlib import redirect_stdout
 
-from azdual.segments import BAD, GOOD, GRID_HALF, GRID_INT, UGLY, Line
-from azdual.langdata import LanglandsData, transfer
-from azdual.ad_core import ad_data, ad_initial_sequence, ad_step
+import pytest
+
+import azdual.verify
+from azdual.segments import BAD, GOOD, GRID_HALF, GRID_INT, UGLY, DomainError, Line
+from azdual.langdata import (
+    LanglandsData,
+    Multisegment,
+    SignedSymMultisegment,
+    transfer,
+)
+from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
 from azdual.cli import main, render_output
-from azdual.verify import enumerate_data
+from azdual.verify import enumerate_data, run_properties, standard_sweep
 
 LINES = [
     Line("g", GOOD, GRID_INT),
@@ -30,6 +40,7 @@ DRAWS = ((5, 5, 3, 1500, 11), (10, 10, 6, 150, 12))
 DUALS_SHA256 = "df24e294ff4fcc25e0785dd3706daf67ea29af5d5b6db6c441397b049612d675"
 STEPS_SHA256 = "71ee26c90f59c54d7b0a6e3e9df9d6279d51c7dae504197db216a88674cbf172"
 CHECK_SHA256 = "1205cc97d63b33bfce3303a7543ce29f003925c6773f3647ca8f6bda41562b05"
+FULL_CHECK_SHA256 = "f89ce377fd4b12a302fe5268176da98d7b729f4c149be5f9eef1d9a5ec315980"
 
 
 def _samples():
@@ -72,10 +83,53 @@ def test_steps_and_initial_sequences_are_byte_identical():
     assert _digest(lines) == STEPS_SHA256
 
 
-def test_check_report_is_byte_identical():
+def _check_digest(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["check", "--max-coeff", "1"])
+        code = main(["check", *argv])
     assert code == 0
     assert json.loads(buf.getvalue())["pass"] is True
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == CHECK_SHA256
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_check_report_is_byte_identical():
+    assert _check_digest(["--max-coeff", "1"]) == CHECK_SHA256
+
+
+def test_full_check_report_is_byte_identical():
+    """All seven suites together over all 6608 states of the default sweep."""
+    assert _check_digest([]) == FULL_CHECK_SHA256
+
+
+def _unsigned_dual(s):
+    return SignedSymMultisegment(ad_symm(s).m)
+
+
+def _identity(s):
+    return s
+
+
+def _dual_less_last_entry(s):
+    d = ad_symm(s)
+    kept = d.m.entries[:-1]
+    return SignedSymMultisegment(Multisegment(kept),
+                                 minus={v for v in d.minus if v in kept})
+
+
+@pytest.mark.parametrize("fault, digest", [
+    (_unsigned_dual, "f492c8d39b8b724364767c2793e744834f1dd4fcafe1cc622627c911eb94dec3"),
+    (_identity, "2f8d11c7b04a45edb9fcc5892c98d5040c6f8ecc0b2c484d15dcad3acea08517"),
+])
+def test_reports_under_a_faulty_dual_are_byte_identical(monkeypatch, fault, digest):
+    monkeypatch.setattr(azdual.verify, "ad_symm", fault)
+    rep = run_properties(standard_sweep(1, 3, 3))
+    assert rep["pass"] is False
+    text = json.dumps(rep, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_dual_that_leaves_the_class_raises_from_the_first_suite(monkeypatch):
+    monkeypatch.setattr(azdual.verify, "ad_symm", _dual_less_last_entry)
+    with pytest.raises(DomainError) as err:
+        run_properties(standard_sweep(1, 3, 3))
+    assert str(err.value) == "invalid input:\n  symmetry violation at [1,1]@g"

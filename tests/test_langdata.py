@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import azdual.langdata
+
 from azdual.segments import (
     BAD,
     GOOD,
@@ -157,6 +159,23 @@ class TestValidate:
         assert validate(d)
         d = LanglandsData(Multisegment([]), [PhiComponent(BI, 1)] * 2)
         assert validate(d) == []
+
+    def test_a_valid_object_is_checked_once(self, monkeypatch):
+        orig = azdual.langdata.seg_dual
+        calls = []
+        monkeypatch.setattr(azdual.langdata, "seg_dual",
+                            lambda d: calls.append(d) or orig(d))
+        good = sym((-2, 0), (0, 0))
+        bad = SignedSymMultisegment(good.m + Multisegment([seg(GI, 0, 1)]))
+        assert validate(good) == [] and calls
+        calls.clear()
+        assert validate(good) == [] and require_valid(good) is None
+        assert calls == []
+        for _ in range(2):  # an invalid object is checked in full every time
+            assert validate(bad) and calls
+            calls.clear()
+        fresh = SignedSymMultisegment(good.m, minus=good.minus)
+        assert validate(fresh) == [] and calls
 
     def test_line_conflicts(self):
         other = line("rho", BAD, GRID_INT)

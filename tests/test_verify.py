@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import azdual.verify
 from azdual.segments import (
     BAD,
     GOOD,
@@ -213,6 +214,23 @@ class TestPropertyHarness:
             assert entry["pass"] is True
             assert entry["checked"] == len(states)
             assert entry["counterexample"] is None
+
+    def test_suites_share_one_dual_per_state(self, monkeypatch):
+        s = sym([(-2, 0), (0, 2), (0, 0)], minus=[(0, 0)])
+        d = ad_symm(s)
+        assert d != s
+        seen = []
+
+        def counting(x):
+            seen.append(x)
+            return ad_symm(x)
+
+        monkeypatch.setattr(azdual.verify, "ad_symm", counting)
+        assert run_properties([s])["pass"] is True
+        assert seen.count(s) == 1 and seen.count(d) == 1
+        seen.clear()
+        assert run_properties([s], suites=["roundtrip"])["pass"] is True
+        assert seen == []
 
     def test_suite_selection_is_respected(self):
         report = run_properties([sym([(0, 0)])], suites=["involution"])
