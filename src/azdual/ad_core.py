@@ -7,11 +7,12 @@ the chain copies and their dual copies.  Iterating per line until nothing is
 left computes the dual; conjugating by the data transfer computes the dual
 of parameter data.
 
-The step loop runs on plain ints, one line at a time.  A line is a counter
-``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on ugly lines), its
-centered values signed -1 are a set of such pairs, and a good line's labeled
-section is a sorted list of ``(pair, label, copies)`` groups.  ``Segment``
-objects are read once when a line is entered and built once when it is left.
+The step loop runs on the int line form of :mod:`langdata`, one line at a
+time.  A line is a counter ``{(2b, 2e): multiplicity}`` (keys
+``(2b, 2e, side)`` on ugly lines), its centered values signed -1 are a set
+of such pairs, and a good line's labeled section is a sorted list of
+``(pair, label, copies)`` groups.  ``Segment`` objects are read once when a
+line is entered and built once when it is left.
 
 Good lines run on the labeled section with sign bookkeeping; bad lines run
 on plain copies with a multiplicity guard forbidding a copy and its own dual
@@ -22,20 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .segments import (
-    BAD,
-    GOOD,
-    GRID_INT,
-    DomainError,
-    InvariantError,
-    Line,
-    _cached_segment,
-)
+from .segments import BAD, GOOD, GRID_INT, DomainError, InvariantError, Line
 from .langdata import (
     LabeledSeg,
     LanglandsData,
-    Multisegment,
     SignedSymMultisegment,
+    _degree,
+    _dual,
+    _line_ints,
+    _segment,
+    _signed,
     require_valid,
     transfer,
     untransfer,
@@ -60,15 +57,6 @@ class InitialSequence:
     idx: tuple
     idx_dual: tuple
     eps0: int
-
-
-def _degree(cnt) -> int:
-    return sum(((v[1] - v[0]) // 2 + 1) * k for v, k in cnt.items())
-
-
-def _dual(v):
-    """The key of [-e, -b]; flips the side on ugly lines."""
-    return (-v[1], -v[0]) if len(v) == 2 else (-v[1], -v[0], 1 - v[2])
 
 
 def _parity(cnt, minus) -> int:
@@ -330,32 +318,6 @@ def _step(ln: Line, cnt, minus, degree: int):
     if _degree(m1_cnt) + new_degree != degree:
         raise InvariantError("degree not preserved across the step")
     return m1_cnt, m1_minus, new_cnt, new_minus, new_degree, chain, eps0
-
-
-def _line_ints(s: SignedSymMultisegment):
-    """{line id: (counter, minus set)} with int keys."""
-    out = {}
-    for d, k in s.m.counter().items():
-        key = (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
-        out.setdefault(d.line.id, ({}, set()))[0][key] = k
-    for d in s.minus:
-        out[d.line.id][1].add((d.b.twice, d.e.twice))
-    return out
-
-
-def _segment(ln: Line, v):
-    return _cached_segment(ln, v[0], v[1], v[2] if len(v) == 3 else None)
-
-
-def _signed(parts) -> SignedSymMultisegment:
-    """Back to Segments from one (line, counter, minus set) per line."""
-    return SignedSymMultisegment(
-        Multisegment([
-            _segment(ln, v) for ln, cnt, _ in parts
-            for v, k in cnt.items() for _ in range(k)
-        ]),
-        minus=[_segment(ln, v) for ln, _, minus in parts for v in minus],
-    )
 
 
 def _first_step(s: SignedSymMultisegment, what: str):

@@ -527,8 +527,8 @@ def _cmd_dataset(args) -> int:
             count=args.count, seed=seed,
         ):
             s = transfer(d)
-            dd = untransfer(ad_symm(s))  # ad_data(d), reusing s
-            t = transfer(dd)
+            t = ad_symm(s)
+            dd = untransfer(t)  # ad_data(d), reusing s
             em_s, em_t = s.max_end(), t.max_end()
             if em_s != em_t:
                 emax_bad += 1

@@ -7,6 +7,10 @@ ending one lower.  Good lines carry sign bookkeeping and a sign-dependent
 exceptional case; bad lines instead drop one protection edge when the count
 of a boundary value is odd.  The zero-chunk derivative removes the symmetric
 degree sitting at the origin once all strictly negative twists vanish.
+
+Both operators run on the int line form of :mod:`langdata`, the one the
+dual's step loop uses: a copy is a ``(2b, 2e)`` pair (``(2b, 2e, side)`` on
+ugly lines) with a multiplicity.
 """
 from __future__ import annotations
 
@@ -21,16 +25,15 @@ from .segments import (
     HalfInt,
     InvariantError,
     Line,
-    Segment,
     half,
-    seg_dual,
-    seg_lt,
-    seg_trunc,
 )
 from .langdata import (
-    Multisegment,
     SignedSymMultisegment,
-    from_counter,
+    _degree,
+    _dual,
+    _line_ints,
+    _segment,
+    _signed,
     require_valid,
     validate,
 )
@@ -62,8 +65,8 @@ def best_matching(xs, ys, rel, drop=None) -> MatchingResult:
     y1 >= y2 with y1, y2 both pointing at x1 and y2 pointing at x2, y1 must
     point at x2 as well (checked; violation is an error).  Sources are
     matched from the largest down, each taking the smallest unused target.
-    ``drop``, when given, is a single (y, x) pair barred from matching on
-    top of an otherwise staircase relation, so it skips the check.
+    ``drop``, when given, is a single (y, x) pair barred from matching; the
+    staircase check runs on ``rel`` alone, before the pair is barred.
     """
     xs = list(xs)
     ys = list(ys)
@@ -110,216 +113,145 @@ class DerivativeResult:
     k: int
 
 
-def _line_counters(s: SignedSymMultisegment, ln: Line):
-    cnt: dict = {}
-    for d in s.m:
-        if d.line == ln:
-            cnt[d] = cnt.get(d, 0) + 1
-    minus = {d for d in s.minus if d.line == ln}
-    return cnt, minus
+def _sub(ln: Line, cnt, v, k=1):
+    cnt[v] = cnt.get(v, 0) - k
+    if cnt[v] < 0:
+        raise InvariantError(
+            f"correction consumed an absent copy of {_segment(ln, v)}"
+        )
 
 
-def _replace_line(s, ln, new_cnt, new_minus):
-    entries = [d for d in s.m if d.line != ln]
-    for d, k in new_cnt.items():
-        entries.extend([d] * k)
-    minus = {d for d in s.minus if d.line != ln} | set(new_minus)
-    return SignedSymMultisegment(Multisegment(entries), minus=minus)
+def _addk(cnt, v, k=1):
+    cnt[v] = cnt.get(v, 0) + k
 
 
-def _copies_ending(cnt, e2, side=None):
-    """Copies (segment, index) ending at e2, ascending."""
-    out = []
-    for d in sorted(cnt, key=lambda d: d.b.twice):
-        if d.e.twice != e2:
+def _begin_lt(y, x):
+    """Source copy x (ending one lower) protects target copy y."""
+    return x[0] < y[0]
+
+
+def _unprotected(cnt, x2: int, ugly: bool, star=False, drop=None):
+    """The copies ending at x2 left unmatched by the best matching against
+    the copies ending at x2 - 2 (on side 0 only on ugly lines), as
+    ``{value: count}``.  A copy is a ``(2b, copy index)`` item.  ``star``
+    holds back the first copy of [-x, x] and of [-x+1, x-1]."""
+
+    def copies(e2):
+        keys = sorted(v for v in cnt if v[1] == e2 and (not ugly or v[2] == 0))
+        return [(v[0], i) for v in keys for i in range(cnt[v])]
+
+    ys, xs = copies(x2), copies(x2 - 2)
+    if star:
+        ys.remove((-x2, 0))
+        xs = [it for it in xs if it != (-x2 + 2, 0)]
+    unprot: dict = {}
+    for b2, _ in best_matching(xs, ys, _begin_lt, drop=drop).yc:
+        _addk(unprot, (b2, x2, 0) if ugly else (b2, x2))
+    return unprot
+
+
+def _cut(ln: Line, cnt, unprot):
+    """Each unprotected copy loses its end and a copy of its dual its
+    beginning; a value equal to its own dual (the centered [-x, x]) loses
+    both ends instead."""
+    new_cnt = dict(cnt)
+    for v, u in unprot.items():
+        b2, e2 = v[0], v[1]
+        dv = _dual(v)
+        _sub(ln, new_cnt, v, u)
+        if dv == v:
+            if b2 + 2 <= e2 - 2:
+                _addk(new_cnt, (b2 + 2, e2 - 2), u)
             continue
-        if side is not None and d.side != side:
-            continue
-        out.extend((d, i) for i in range(cnt[d]))
-    return out
+        if b2 <= e2 - 2:
+            _addk(new_cnt, (b2, e2 - 2) + v[2:], u)
+        _sub(ln, new_cnt, dv, u)
+        if dv[0] + 2 <= dv[1]:
+            _addk(new_cnt, (dv[0] + 2,) + dv[1:], u)
+    return new_cnt
 
 
-def _seg_le_items(y_item, x_item):
-    return x_item[0] == y_item[0] or seg_lt(x_item[0], y_item[0])
-
-
-def _sub(cnt, d, k=1):
-    cnt[d] = cnt.get(d, 0) - k
-    if cnt[d] < 0:
-        raise InvariantError(f"correction consumed an absent copy of {d}")
-
-
-def _addk(cnt, d, k=1):
-    cnt[d] = cnt.get(d, 0) + k
-
-
-def _unprotected_counts(yc):
-    u: dict = {}
-    for d, _ in yc:
-        u[d] = u.get(d, 0) + 1
-    return u
-
-
-def _deriv_good(cnt, minus, ln: Line, x2: int):
+def _deriv_good(ln: Line, cnt, minus, x2: int):
     def eps(v):
         return -1 if v in minus else 1
 
-    def mk(b2, e2):
-        return Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2))
+    V, upper, lower = (-x2, x2), (-x2 + 2, x2), (-x2, x2 - 2)
+    W = (-x2 + 2, x2 - 2) if x2 > 1 else None
+    toff = cnt.get(lower, 0)
+    mW = 1 if x2 == 1 else cnt.get(W, 0)
+    w_sign = eps(V) if toff % 2 == 0 else -eps(V)  # of a W the cut creates
+    star = cnt.get(V, 0) > 0 and mW > 0 and eps(W) == -w_sign
 
-    V = mk(-x2, x2) if x2 > 0 else None
-    W = mk(-x2 + 2, x2 - 2) if x2 > 1 else None
-    half_case = x2 == 1
-    toff = cnt.get(mk(-x2, x2 - 2), 0) if x2 >= 1 else 0
-    mV = cnt.get(V, 0) if V else 0
-    mW = cnt.get(W, 0) if W else (1 if half_case else 0)
-    epsW = eps(W) if W else 1
-    star = (
-        x2 > 0
-        and mV > 0
-        and mW > 0
-        and eps(V) * epsW == (-1 if toff % 2 == 0 else 1)
-    )
-
-    ends_x = _copies_ending(cnt, x2)
-    ends_xm1 = _copies_ending(cnt, x2 - 2)
-    if star:
-        ends_x = [it for it in ends_x if it != (V, 0)]
-        if W is not None:
-            ends_xm1 = [it for it in ends_xm1 if it != (W, 0)]
-
-    match = best_matching(ends_xm1, ends_x, _seg_le_items)
-    unprot = _unprotected_counts(match.yc)
-    k = len(match.yc)
-    c = unprot.get(V, 0) if V else 0
-
-    new_cnt = dict(cnt)
-    for val, u in unprot.items():
-        if V is not None and val == V:
-            _sub(new_cnt, V, u)
-            t = seg_trunc(V, "both")
-            if not t.is_empty:
-                _addk(new_cnt, t, u)
-        else:
-            _sub(new_cnt, val, u)
-            t = seg_trunc(val, "end")
-            if not t.is_empty:
-                _addk(new_cnt, t, u)
-            dv = seg_dual(val)
-            _sub(new_cnt, dv, u)
-            t = seg_trunc(dv, "begin")
-            if not t.is_empty:
-                _addk(new_cnt, t, u)
+    unprot = _unprotected(cnt, x2, False, star=star)
+    c = unprot.get(V, 0)
+    new_cnt = _cut(ln, cnt, unprot)
 
     eps_new = {}
     for v, count in new_cnt.items():
-        if count <= 0 or not v.is_centered:
+        if count <= 0 or v[0] + v[1]:
             continue
         if v in cnt:
             eps_new[v] = eps(v)
         else:
             if v != W:
-                raise InvariantError(f"unexpected new centered value {v}")
-            eps_new[v] = (1 if toff % 2 == 0 else -1) * eps(V)
+                raise InvariantError(
+                    f"unexpected new centered value {_segment(ln, v)}"
+                )
+            eps_new[v] = w_sign
 
-    upper = mk(-x2 + 2, x2) if x2 > 0 else None  # [-x+1, x]
-    lower = mk(-x2, x2 - 2) if x2 > 0 else None  # [-x, x-1]
     if not star and c % 2 == 1 and toff >= 1:
-        _sub(new_cnt, upper)
-        _sub(new_cnt, lower)
+        _sub(ln, new_cnt, upper)
+        _sub(ln, new_cnt, lower)
         _addk(new_cnt, V)
         eps_new[V] = eps(V)
         if W is not None:
             _addk(new_cnt, W)
             if W not in eps_new:
-                eps_new[W] = eps(W) if W in cnt else (1 if toff % 2 == 0 else -1) * eps(V)
+                eps_new[W] = eps(W) if W in cnt else w_sign
     elif star and c % 2 == 1:
-        _sub(new_cnt, V)
-        if new_cnt[V] == 0:
-            eps_new.pop(V, None)
+        _sub(ln, new_cnt, V)
         if W is not None:
-            _sub(new_cnt, W)
-            if new_cnt[W] == 0:
-                eps_new.pop(W, None)
+            _sub(ln, new_cnt, W)
         _addk(new_cnt, upper)
         _addk(new_cnt, lower)
 
-    new_cnt = {d: n for d, n in new_cnt.items() if n}
-    new_minus = {v for v, sg in eps_new.items() if sg == -1 and v in new_cnt}
-    return new_cnt, new_minus, k
+    new_minus = {v for v, sg in eps_new.items() if sg == -1 and new_cnt.get(v)}
+    return unprot, new_cnt, new_minus
 
 
-def _deriv_bad(cnt, ln: Line, x2: int):
-    def mk(b2, e2):
-        return Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2))
-
-    V = mk(-x2, x2) if x2 > 0 else None
-    W = mk(-x2 + 2, x2 - 2) if x2 > 1 else None
-    toff = cnt.get(mk(-x2, x2 - 2), 0) if x2 >= 1 else 0
-
-    ends_x = _copies_ending(cnt, x2)
-    ends_xm1 = _copies_ending(cnt, x2 - 2)
+def _deriv_bad(ln: Line, cnt, x2: int):
+    V, upper, lower = (-x2, x2), (-x2 + 2, x2), (-x2, x2 - 2)
+    toff = cnt.get(lower, 0)
     # A copy may not protect its own mirror.  The t mirror pairs between the
     # two boundary values can dodge that ban pairwise only when t is even;
     # for odd t one pair is stuck, and the greedy scan meets it at the last
     # copy of the upper value against the first copy of the lower one.
-    drop = None
-    if toff % 2:
-        drop = ((mk(-x2 + 2, x2), toff - 1), (mk(-x2, x2 - 2), 0))
+    drop = ((-x2 + 2, toff - 1), (-x2, 0)) if toff % 2 else None
 
-    match = best_matching(ends_xm1, ends_x, _seg_le_items, drop=drop)
-    unprot = _unprotected_counts(match.yc)
-    k = len(match.yc)
-    c = unprot.get(V, 0) if V else 0
-
-    new_cnt = dict(cnt)
-    for val, u in unprot.items():
-        if V is not None and val == V:
-            _sub(new_cnt, V, u)
-            t = seg_trunc(V, "both")
-            if not t.is_empty:
-                _addk(new_cnt, t, u)
-        else:
-            _sub(new_cnt, val, u)
-            t = seg_trunc(val, "end")
-            if not t.is_empty:
-                _addk(new_cnt, t, u)
-            dv = seg_dual(val)
-            _sub(new_cnt, dv, u)
-            t = seg_trunc(dv, "begin")
-            if not t.is_empty:
-                _addk(new_cnt, t, u)
-
-    if c % 2 == 1:
-        if W is not None:
-            _sub(new_cnt, W)
-        _sub(new_cnt, V)
-        _addk(new_cnt, mk(-x2, x2 - 2))
-        _addk(new_cnt, mk(-x2 + 2, x2))
-
-    new_cnt = {d: n for d, n in new_cnt.items() if n}
-    return new_cnt, k
+    unprot = _unprotected(cnt, x2, False, drop=drop)
+    new_cnt = _cut(ln, cnt, unprot)
+    if unprot.get(V, 0) % 2 == 1:
+        if x2 > 1:
+            _sub(ln, new_cnt, (-x2 + 2, x2 - 2))
+        _sub(ln, new_cnt, V)
+        _addk(new_cnt, lower)
+        _addk(new_cnt, upper)
+    return unprot, new_cnt
 
 
-def _deriv_ugly(cnt, ln: Line, x2: int):
-    ends_x = _copies_ending(cnt, x2, side=0)
-    ends_xm1 = _copies_ending(cnt, x2 - 2, side=0)
-    match = best_matching(ends_xm1, ends_x, _seg_le_items)
-    unprot = _unprotected_counts(match.yc)
-    k = len(match.yc)
-    new_cnt = dict(cnt)
-    for val, u in unprot.items():
-        _sub(new_cnt, val, u)
-        t = seg_trunc(val, "end")
-        if not t.is_empty:
-            _addk(new_cnt, t, u)
-        dv = seg_dual(val)
-        _sub(new_cnt, dv, u)
-        t = seg_trunc(dv, "begin")
-        if not t.is_empty:
-            _addk(new_cnt, t, u)
-    new_cnt = {d: n for d, n in new_cnt.items() if n}
-    return new_cnt, k
+def _result(s, ints, ln: Line, cnt, minus, k: int, what: str) -> DerivativeResult:
+    """``s`` with the line ``ln`` replaced (zero counts dropped) and order
+    k; ``s`` itself when k is 0."""
+    if k == 0:
+        return DerivativeResult(s, 0)
+    ints[ln.id] = (cnt, minus)
+    result = _signed([(l, *ints[l.id]) for l in s.lines()])
+    report = validate(result)
+    if report:
+        raise InvariantError(
+            f"{what} left the symmetric class:\n  " + "\n  ".join(report)
+        )
+    return DerivativeResult(result, k)
 
 
 def derivative(s: SignedSymMultisegment, ln: Line, x) -> DerivativeResult:
@@ -334,28 +266,22 @@ def derivative(s: SignedSymMultisegment, ln: Line, x) -> DerivativeResult:
         raise DomainError("twist derivatives need x != 0; use the zero-chunk form")
     if not ln.grid_ok(x):
         raise DomainError(f"x = {x} is off the {ln.grid} grid of line {ln.id}")
-    cnt, minus = _line_counters(s, ln)
-    if not cnt:
+    if ln not in s.lines():
         return DerivativeResult(s, 0)
+    ints = _line_ints(s)
+    cnt, minus = ints[ln.id]
+    new_minus = set()
     if ln.cls == GOOD:
-        new_cnt, new_minus, k = _deriv_good(cnt, minus, ln, x.twice)
+        unprot, new_cnt, new_minus = _deriv_good(ln, cnt, minus, x.twice)
     elif ln.cls == BAD:
-        new_cnt, k = _deriv_bad(cnt, ln, x.twice)
-        new_minus = set()
+        unprot, new_cnt = _deriv_bad(ln, cnt, x.twice)
     elif ln.cls == UGLY:
-        new_cnt, k = _deriv_ugly(cnt, ln, x.twice)
-        new_minus = set()
+        unprot = _unprotected(cnt, x.twice, True)
+        new_cnt = _cut(ln, cnt, unprot)
     else:
         raise DomainError(f"unknown line class {ln.cls!r}")
-    if k == 0:
-        return DerivativeResult(s, 0)
-    result = _replace_line(s, ln, new_cnt, new_minus)
-    report = validate(result)
-    if report:
-        raise InvariantError(
-            "derivative left the symmetric class:\n  " + "\n  ".join(report)
-        )
-    return DerivativeResult(result, k)
+    k = sum(unprot.values())
+    return _result(s, ints, ln, new_cnt, new_minus, k, "derivative")
 
 
 def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
@@ -371,58 +297,45 @@ def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
         raise DomainError("zero-chunk derivative needs a good or bad line")
     if ln.grid != GRID_INT:
         raise DomainError("zero-chunk derivative needs an integral grid")
-    cnt, minus = _line_counters(s, ln)
-    if not cnt:
+    if ln not in s.lines():
         return DerivativeResult(s, 0)
-    emax2 = max(d.e.twice for d in cnt)
+    ints = _line_ints(s)
+    cnt, minus = ints[ln.id]
+    emax2 = max(v[1] for v in cnt)
     for y2 in range(-emax2 + 2, 0, 2):
         if derivative(s, ln, HalfInt.from_twice(y2)).k != 0:
             raise DomainError(
                 f"zero-chunk derivative undefined: not reduced at {HalfInt.from_twice(y2)}"
             )
 
-    def mk(b2, e2):
-        return Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2))
-
-    zero, m10, z01 = mk(0, 0), mk(-2, 0), mk(0, 2)
-    q = max(cnt.get(m10, 0) - cnt.get(mk(-4, -4), 0) + cnt.get(mk(-2, -2), 0), 0)
+    zero, m10, z01 = (0, 0), (-2, 0), (0, 2)
+    q = max(cnt.get(m10, 0) - cnt.get((-4, -4), 0) + cnt.get((-2, -2), 0), 0)
     if q > cnt.get(m10, 0):
         raise DomainError(
             f"zero-chunk derivative undefined: suppression needs {q} copies "
-            f"of {m10} but found {cnt.get(m10, 0)}"
+            f"of {_segment(ln, m10)} but found {cnt.get(m10, 0)}"
         )
     new_cnt: dict = {}
     for v, n in cnt.items():
-        if v.e.twice == 0 and v not in (zero, m10):
-            nv = seg_trunc(v, "end2")
-        elif v.b.twice == 0 and v not in (zero, z01):
-            nv = seg_trunc(v, "begin2")
-        else:
-            nv = v
-        if not nv.is_empty:
-            _addk(new_cnt, nv, n)
+        b2, e2 = v
+        if e2 == 0 and v not in (zero, m10):
+            e2 -= 4
+        elif b2 == 0 and v not in (zero, z01):
+            b2 += 4
+        if b2 <= e2:
+            _addk(new_cnt, (b2, e2), n)
     if q:
-        _sub(new_cnt, m10, q)
-        _sub(new_cnt, z01, q)
-    new_cnt = {d: n for d, n in new_cnt.items() if n}
+        _sub(ln, new_cnt, m10, q)
+        _sub(ln, new_cnt, z01, q)
     for v in minus:
-        if v not in new_cnt:
-            raise InvariantError(f"zero-chunk derivative dropped signed value {v}")
-    removed = sum(d.length * n for d, n in cnt.items()) - sum(
-        d.length * n for d, n in new_cnt.items()
-    )
+        if not new_cnt.get(v):
+            raise InvariantError(
+                f"zero-chunk derivative dropped signed value {_segment(ln, v)}"
+            )
+    removed = _degree(cnt) - _degree(new_cnt)
     if removed % 4:
         raise InvariantError("zero-chunk removal is not a whole number of chunk pairs")
-    k = removed // 4
-    if k == 0:
-        return DerivativeResult(s, 0)
-    result = _replace_line(s, ln, new_cnt, minus)
-    report = validate(result)
-    if report:
-        raise InvariantError(
-            "zero-chunk derivative left the symmetric class:\n  " + "\n  ".join(report)
-        )
-    return DerivativeResult(result, k)
+    return _result(s, ints, ln, new_cnt, minus, removed // 4, "zero-chunk derivative")
 
 
 def reduced_report(s: SignedSymMultisegment) -> dict:
@@ -438,8 +351,7 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
     for ln in s.lines():
         if ln.cls not in (GOOD, BAD):
             continue
-        cnt, _ = _line_counters(s, ln)
-        emax2 = max((d.e.twice for d in cnt), default=0)
+        emax2 = max(d.e.twice for d in s.m if d.line == ln)
         orders = {}
         xs = [x2 for x2 in range(-emax2, emax2 + 1, 2) if x2 != 0]
         for x2 in xs:

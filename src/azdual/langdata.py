@@ -18,6 +18,7 @@ from .segments import (
     InvariantError,
     Line,
     Segment,
+    _cached_segment,
     seg_dual,
     seg_sort_key,
 )
@@ -92,9 +93,6 @@ class Multisegment:
 
     def restrict(self, ln: Line) -> "Multisegment":
         return Multisegment(d for d in self.entries if d.line == ln)
-
-    def restrict_key(self, key) -> "Multisegment":
-        return Multisegment(d for d in self.entries if d.key() == key)
 
     def dual(self) -> "Multisegment":
         return Multisegment(seg_dual(d) for d in self.entries)
@@ -204,6 +202,50 @@ class SignedSymMultisegment:
 
 
 # ---------------------------------------------------------------------------
+# Per-line int form
+# ---------------------------------------------------------------------------
+#
+# The dual's step loop and the derivatives run on plain ints, one line at a
+# time: a counter ``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on
+# ugly lines) and the set of centered pairs signed -1.
+
+
+def _line_ints(s: SignedSymMultisegment):
+    """{line id: (counter, minus set)} with int keys."""
+    out = {}
+    for d, k in s.m.counter().items():
+        key = (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
+        out.setdefault(d.line.id, ({}, set()))[0][key] = k
+    for d in s.minus:
+        out[d.line.id][1].add((d.b.twice, d.e.twice))
+    return out
+
+
+def _segment(ln: Line, v) -> Segment:
+    return _cached_segment(ln, v[0], v[1], v[2] if len(v) == 3 else None)
+
+
+def _signed(parts) -> SignedSymMultisegment:
+    """Back to Segments from one (line, counter, minus set) per line."""
+    return SignedSymMultisegment(
+        Multisegment([
+            _segment(ln, v) for ln, cnt, _ in parts
+            for v, k in cnt.items() for _ in range(k)
+        ]),
+        minus=[_segment(ln, v) for ln, _, minus in parts for v in minus],
+    )
+
+
+def _dual(v):
+    """The key of [-e, -b]; flips the side on ugly lines."""
+    return (-v[1], -v[0]) if len(v) == 2 else (-v[1], -v[0], 1 - v[2])
+
+
+def _degree(cnt) -> int:
+    return sum(((v[1] - v[0]) // 2 + 1) * k for v, k in cnt.items())
+
+
+# ---------------------------------------------------------------------------
 # Labeled sections
 # ---------------------------------------------------------------------------
 
@@ -234,14 +276,6 @@ class LabeledSeg:
         return f"{self.seg}^{{{tag}}}"
 
     __repr__ = __str__
-
-
-def labeled_desc_key(lam: LabeledSeg):
-    d = lam.seg
-    b2, e2 = d.b.twice, d.e.twice
-    tail = (-e2, 0) if lam.label == 0 else (-b2, e2)
-    side = d.side if d.side is not None else -1
-    return (d.line.id, side, -lam.label) + tail
 
 
 def labeled_cmp(a: LabeledSeg, b: LabeledSeg) -> int:
@@ -278,58 +312,11 @@ def labeled_dual(lam: LabeledSeg) -> LabeledSeg:
     return LabeledSeg(d2, lab)
 
 
-def labeled_iota(lam: LabeledSeg) -> LabeledSeg:
-    """The symmetry swapping the >=0 and <=0 classes and fixing =0."""
-    return LabeledSeg(seg_dual(lam.seg), -lam.label)
-
-
-class LabeledSymMultisegment:
-    """A section of a signed symmetric multisegment: every copy labeled."""
-
-    __slots__ = ("entries", "minus")
-
-    def __init__(self, entries=(), minus=()):
-        items = tuple(sorted(entries, key=labeled_desc_key))
-        for lam in items:
-            if not isinstance(lam, LabeledSeg):
-                raise TypeError(f"{lam!r} is not a LabeledSeg")
-        for d in minus:
-            SignedSymMultisegment._check_sign_key(d)
-        object.__setattr__(self, "entries", items)
-        object.__setattr__(self, "minus", frozenset(minus))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabeledSymMultisegment is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LabeledSymMultisegment)
-            and self.entries == other.entries
-            and self.minus == other.minus
-        )
-
-    def __hash__(self):
-        return hash((self.entries, self.minus))
-
-    def eps(self, d: Segment) -> int:
-        return -1 if d in self.minus else 1
-
-    def __str__(self):
-        return "+".join(str(x) for x in self.entries) if self.entries else "0"
-
-    __repr__ = __str__
-
-
-def section_s(s: SignedSymMultisegment) -> LabeledSymMultisegment:
-    """Canonical section: centered values of multiplicity m split into
-    floor(m/2) copies labeled <=0, floor(m/2) labeled >=0, and one =0 copy
-    when m is odd; non-centered copies get their forced label."""
+def section_s(s: SignedSymMultisegment) -> list:
+    """Canonical section, as a list of labeled copies: centered values of
+    multiplicity m split into floor(m/2) copies labeled <=0, floor(m/2)
+    labeled >=0, and one =0 copy when m is odd; non-centered copies get
+    their forced label."""
     require_valid(s)
     entries = []
     for value, mult in s.m.counter().items():
@@ -344,14 +331,7 @@ def section_s(s: SignedSymMultisegment) -> LabeledSymMultisegment:
             entries.extend([LabeledSeg(value, 1)] * h)
             if mult % 2:
                 entries.append(LabeledSeg(value, 0))
-    return LabeledSymMultisegment(entries, minus=s.minus)
-
-
-def projection_p(y: LabeledSymMultisegment) -> SignedSymMultisegment:
-    """Forget the labels."""
-    return SignedSymMultisegment(
-        Multisegment(lam.seg for lam in y.entries), minus=y.minus
-    )
+    return entries
 
 
 # ---------------------------------------------------------------------------

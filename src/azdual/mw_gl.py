@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 
-from .segments import DomainError, HalfInt, Segment, seg_sort_key
+from .segments import DomainError, HalfInt, Segment
 from .langdata import Multisegment, SignedSymMultisegment, section_s, labeled_cmp
 
 

@@ -363,10 +363,6 @@ def seg_lt(d1: Segment, d2: Segment) -> bool:
     return d1.e.twice > d2.e.twice
 
 
-def seg_le(d1: Segment, d2: Segment) -> bool:
-    return d1 == d2 or seg_lt(d1, d2)
-
-
 def seg_precedes(d1: Segment, d2: Segment) -> bool:
     """Classical juxtaposition order: d1 and d2 are linked with d1 shifted down.
 

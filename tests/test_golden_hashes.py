@@ -5,7 +5,9 @@ Any change to one byte of a dual, a step, an initial sequence or the
 ``check`` report changes a digest.  The digests were recorded on the
 Segment-based implementation and must not be edited to make a test pass.
 The full ``check`` report and the reports under injected faults were
-recorded before the property suites shared one dual per state.
+recorded before the property suites shared one dual per state; the
+derivative digest before the derivatives moved from Segment objects to int
+pairs.
 """
 import hashlib
 import io
@@ -15,7 +17,16 @@ from contextlib import redirect_stdout
 import pytest
 
 import azdual.verify
-from azdual.segments import BAD, GOOD, GRID_HALF, GRID_INT, UGLY, DomainError, Line
+from azdual.segments import (
+    BAD,
+    GOOD,
+    GRID_HALF,
+    GRID_INT,
+    UGLY,
+    DomainError,
+    HalfInt,
+    Line,
+)
 from azdual.langdata import (
     LanglandsData,
     Multisegment,
@@ -24,7 +35,8 @@ from azdual.langdata import (
 )
 from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
 from azdual.cli import main, render_output
-from azdual.verify import enumerate_data, run_properties, standard_sweep
+from azdual.derivatives import derivative, derivative_L, reduced_report
+from azdual.verify import enumerate_data, enumerate_symm, run_properties, standard_sweep
 
 LINES = [
     Line("g", GOOD, GRID_INT),
@@ -41,6 +53,7 @@ DUALS_SHA256 = "df24e294ff4fcc25e0785dd3706daf67ea29af5d5b6db6c441397b049612d675
 STEPS_SHA256 = "71ee26c90f59c54d7b0a6e3e9df9d6279d51c7dae504197db216a88674cbf172"
 CHECK_SHA256 = "1205cc97d63b33bfce3303a7543ce29f003925c6773f3647ca8f6bda41562b05"
 FULL_CHECK_SHA256 = "f89ce377fd4b12a302fe5268176da98d7b729f4c149be5f9eef1d9a5ec315980"
+DERIVATIVES_SHA256 = "b54ae2eda14448697ca14f8253a26261ffad4d6a8b6825b4142802a3927fe306"
 
 
 def _samples():
@@ -133,3 +146,44 @@ def test_a_dual_that_leaves_the_class_raises_from_the_first_suite(monkeypatch):
     with pytest.raises(DomainError) as err:
         run_properties(standard_sweep(1, 3, 3))
     assert str(err.value) == "invalid input:\n  symmetry violation at [1,1]@g"
+
+
+def _derivative_states():
+    """The standard sweep, every ugly-line state without centered copies,
+    and each good-line state merged with a half-grid bad-line state."""
+    yield from standard_sweep(2, 3, 3)
+    yield from enumerate_symm(LINES[4], 2, 3, 0)
+    goods = list(enumerate_symm(LINES[0], 2, 2, 2))
+    bads = list(enumerate_symm(LINES[3], 2, 2, 2))
+    for i, a in enumerate(goods):
+        b = bads[(7 * i) % len(bads)]
+        yield SignedSymMultisegment(a.m + b.m, minus=a.minus | b.minus)
+
+
+def _derivative_records(s):
+    yield render_output(s)
+    for ln in s.lines():
+        emax2 = max(d.e.twice for d in s.m if d.line == ln)
+        for x2 in range(-emax2 - 2, emax2 + 3, 2):
+            if x2 == 0:
+                continue
+            try:
+                r = derivative(s, ln, HalfInt.from_twice(x2))
+                yield f"{ln.id} {x2} {r.k} {render_output(r.result)}"
+            except DomainError as err:
+                yield f"{ln.id} {x2} ! {err}"
+        if ln.grid == GRID_INT and ln.cls in (GOOD, BAD):
+            try:
+                r = derivative_L(s, ln)
+                yield f"{ln.id} L {r.k} {render_output(r.result)}"
+            except DomainError as err:
+                yield f"{ln.id} L ! {err}"
+    yield json.dumps(reduced_report(s), separators=(",", ":"))
+
+
+def test_derivatives_are_byte_identical():
+    """Every twist derivative within two of each line's ends, the zero-chunk
+    derivative on integral good and bad lines (result or error text) and
+    the reduced report, over 8124 states."""
+    records = (r for s in _derivative_states() for r in _derivative_records(s))
+    assert _digest(records) == DERIVATIVES_SHA256

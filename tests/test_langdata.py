@@ -24,7 +24,6 @@ from azdual.langdata import (
     from_counter,
     labeled_cmp,
     labeled_dual,
-    labeled_iota,
     line_project,
     plus_product,
     require_valid,
@@ -309,7 +308,7 @@ class TestLabeled:
         )
         lab = section_s(s)
         labels = sorted(
-            (x.label, str(x.seg)) for x in lab.entries if x.seg.is_centered
+            (x.label, str(x.seg)) for x in lab if x.seg.is_centered
         )
         assert labels == [(-1, "[-1,1]@rho"), (0, "[-1,1]@rho"), (1, "[-1,1]@rho")]
 
@@ -327,11 +326,10 @@ class TestLabeled:
         assert labeled_cmp(lo, mid) < 0 < labeled_cmp(hi, mid)
         assert labeled_cmp(mid, mid) == 0
 
-    def test_labeled_dual_and_iota(self):
+    def test_labeled_dual(self):
         x = LabeledSeg(seg(GI, 0, 1), 1)
         assert labeled_dual(x) == LabeledSeg(seg(GI, -1, 0), -1)
         z = LabeledSeg(seg(GI, -1, 1), 1)
         assert labeled_dual(z) == LabeledSeg(seg(GI, -1, 1), 1)
-        assert labeled_iota(z) == LabeledSeg(seg(GI, -1, 1), -1)
         zz = LabeledSeg(seg(GI, -1, 1), 0)
         assert labeled_dual(zz) == LabeledSeg(seg(GI, -1, 1), 0)
