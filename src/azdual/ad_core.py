@@ -30,7 +30,10 @@ from .langdata import (
     SignedSymMultisegment,
     _degree,
     _dual,
+    _in_section,
+    _labeled_dual,
     _line_ints,
+    _section,
     _segment,
     _signed,
     require_valid,
@@ -67,47 +70,6 @@ def _parity(cnt, minus) -> int:
 # ---------------------------------------------------------------------------
 # Good lines
 # ---------------------------------------------------------------------------
-
-
-def _section(cnt):
-    """The labeled copies of a good line as (sort key, pair, label, copies),
-    in canonical descending order: label +1, then 0, then -1; descending
-    beginning and ascending end inside +1 and -1, descending end inside 0.
-    A centered value of multiplicity m gives m // 2 copies labeled -1 and
-    +1 each, and one labeled 0 when m is odd."""
-    groups = []
-    for pair, k in cnt.items():
-        b2, e2 = pair
-        c2 = b2 + e2
-        if c2 > 0:
-            groups.append(((-1, -b2, e2), pair, 1, k))
-        elif c2 < 0:
-            groups.append(((1, -b2, e2), pair, -1, k))
-        else:
-            if k > 1:
-                groups.append(((1, -b2, e2), pair, -1, k // 2))
-                groups.append(((-1, -b2, e2), pair, 1, k // 2))
-            if k % 2:
-                groups.append(((0, -e2, 0), pair, 0, 1))
-    groups.sort()
-    return groups
-
-
-def _in_section(cnt, pair, lab) -> bool:
-    """Whether the labeled section of ``cnt`` has a copy of (pair, lab)."""
-    k = cnt.get(pair, 0)
-    c2 = pair[0] + pair[1]
-    if c2:
-        return k > 0 and lab == (1 if c2 > 0 else -1)
-    return k % 2 == 1 if lab == 0 else k > 1
-
-
-def _labeled_dual(pair, lab):
-    b2, e2 = pair
-    c2 = b2 + e2
-    if c2:
-        return (-e2, -b2), (1 if c2 < 0 else -1)
-    return pair, (0 if lab == 0 else 1)
 
 
 def _good_step(cnt, minus, same_type):

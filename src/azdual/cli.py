@@ -7,9 +7,10 @@ Two input syntaxes, one canonical output:
   multisegments, ``{"lines", "m"}`` for plain multisegments.  Half-integers
   travel as strings such as ``"3"`` or ``"-5/2"``.
 * A compact DSL: ``[b,e]@line`` terms joined by ``+``, with ``N*`` for
-  multiplicity, ``:+``/``:-`` for a sign on a centered segment, ``!`` / ``~``
-  after the line id for the non-good classes, ``~`` after the bracket for the
-  mirrored side, and ``;`` separating the segment part from ``S<a>`` blocks.
+  multiplicity (``N`` at most ``MAX_MULT``), ``:+``/``:-`` for a sign on a
+  centered segment, ``!`` / ``~`` after the line id for the non-good classes,
+  ``~`` after the bracket for the mirrored side, and ``;`` separating the
+  segment part from ``S<a>`` blocks.
 
 Rendering is canonical: byte-identical for equal objects, and parse of
 render is the identity.
@@ -73,6 +74,10 @@ class ParseError(DomainError):
 # ---------------------------------------------------------------------------
 
 _CLASS_MARK = {"": GOOD, "!": BAD, "~": UGLY}
+
+MAX_MULT = 10_000
+"""The largest ``N`` of an ``N*`` term; a larger one is refused before the
+term is expanded."""
 
 _ITEM_RE = re.compile(
     r"""^
@@ -178,6 +183,13 @@ def _dsl_segment(m, pos, lines):
         raise ParseError(str(err), pos) from None
 
 
+def _mult(m, pos) -> int:
+    digits = (m.group("mult") or "1").lstrip("0") or "0"
+    if len(digits) > len(str(MAX_MULT)) or int(digits) > MAX_MULT:
+        raise ParseError(f"multiplicity above the cap of {MAX_MULT}", pos)
+    return int(digits)
+
+
 def parse_dsl(text: str):
     src = text.strip()
     if not src:
@@ -199,7 +211,7 @@ def parse_dsl(text: str):
     signed = False
     for m, pos in m_items:
         d = _dsl_segment(m, pos, lines)
-        segs.extend([d] * int(m.group("mult") or 1))
+        segs.extend([d] * _mult(m, pos))
         if m.group("sign"):
             signed = True
             if m.group("sign") == "-":
@@ -213,7 +225,7 @@ def parse_dsl(text: str):
                 p = PhiComponent(ln, int(m.group("a")))
             except DomainError as err:
                 raise ParseError(str(err), pos) from None
-            blocks.extend([p] * int(m.group("mult") or 1))
+            blocks.extend([p] * _mult(m, pos))
             if m.group("sign") == "-":
                 eta_minus.add(p)
         try:
@@ -310,17 +322,21 @@ def parse_json(obj):
     return m
 
 
-def parse_input(text: str):
-    """Parse JSON or DSL text into a validated object."""
+def _parse_text(text: str):
+    """Parse JSON or DSL text into an object, not yet validated."""
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, err.pos) from None
-        out = parse_json(obj)
-    else:
-        out = parse_dsl(stripped)
+        return parse_json(obj)
+    return parse_dsl(stripped)
+
+
+def parse_input(text: str):
+    """Parse JSON or DSL text into a validated object."""
+    out = _parse_text(text)
     report = validate(out)
     if report:
         raise ParseError("; ".join(report))
@@ -470,17 +486,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text = _read_input(args.input)
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as err:
-            raise ParseError(err.msg, err.pos) from None
-        x = parse_json(obj)
-    else:
-        x = parse_dsl(stripped)
-    report = validate(x)
+    report = validate(_parse_text(_read_input(args.input)))
     if report:
         for cond in report:
             print(cond)

@@ -300,14 +300,19 @@ def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
     if ln not in s.lines():
         return DerivativeResult(s, 0)
     ints = _line_ints(s)
-    cnt, minus = ints[ln.id]
-    emax2 = max(v[1] for v in cnt)
+    emax2 = max(v[1] for v in ints[ln.id][0])
     for y2 in range(-emax2 + 2, 0, 2):
         if derivative(s, ln, HalfInt.from_twice(y2)).k != 0:
             raise DomainError(
                 f"zero-chunk derivative undefined: not reduced at {HalfInt.from_twice(y2)}"
             )
+    return _zero_chunk(s, ints, ln)
 
+
+def _zero_chunk(s, ints, ln: Line) -> DerivativeResult:
+    """:func:`derivative_L` once its hypotheses hold; ``ints`` is
+    ``_line_ints(s)`` and is updated in place."""
+    cnt, minus = ints[ln.id]
     zero, m10, z01 = (0, 0), (-2, 0), (0, 2)
     q = max(cnt.get(m10, 0) - cnt.get((-4, -4), 0) + cnt.get((-2, -2), 0), 0)
     if q > cnt.get(m10, 0):
@@ -352,23 +357,22 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
         if ln.cls not in (GOOD, BAD):
             continue
         emax2 = max(d.e.twice for d in s.m if d.line == ln)
-        orders = {}
-        xs = [x2 for x2 in range(-emax2, emax2 + 1, 2) if x2 != 0]
-        for x2 in xs:
-            orders[str(HalfInt.from_twice(x2))] = derivative(
-                s, ln, HalfInt.from_twice(x2)
-            ).k
-        x_reduced = all(v == 0 for v in orders.values())
+        ks = {
+            x2: derivative(s, ln, HalfInt.from_twice(x2)).k
+            for x2 in range(-emax2, emax2 + 1, 2) if x2 != 0
+        }
+        orders = {str(HalfInt.from_twice(x2)): k for x2, k in ks.items()}
+        x_reduced = not any(ks.values())
         l_order = None
+        line_reduced = x_reduced
         if ln.grid == GRID_INT:
-            try:
-                l_order = derivative_L(s, ln).k
-            except DomainError:
-                l_order = None
-        if ln.grid == GRID_INT:
+            # derivative_L's hypothesis, read off the orders already known
+            if not any(ks[y2] for y2 in range(-emax2 + 2, 0, 2)):
+                try:
+                    l_order = _zero_chunk(s, _line_ints(s), ln).k
+                except DomainError:
+                    pass
             line_reduced = x_reduced and l_order == 0
-        else:
-            line_reduced = x_reduced
         overall = overall and line_reduced
         report[ln.id] = {
             "orders": orders,

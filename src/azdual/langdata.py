@@ -205,9 +205,11 @@ class SignedSymMultisegment:
 # Per-line int form
 # ---------------------------------------------------------------------------
 #
-# The dual's step loop and the derivatives run on plain ints, one line at a
-# time: a counter ``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on
-# ugly lines) and the set of centered pairs signed -1.
+# The dual's step loop, the derivatives and the GL layer run on plain ints,
+# one line at a time: a counter ``{(2b, 2e): multiplicity}`` (keys
+# ``(2b, 2e, side)`` on ugly lines) and the set of centered pairs signed -1.
+# A line's labeled section is a sorted list of ``(key, pair, label, copies)``
+# groups; copy i precedes copy j in it exactly when key_i < key_j.
 
 
 def _line_ints(s: SignedSymMultisegment):
@@ -245,8 +247,49 @@ def _degree(cnt) -> int:
     return sum(((v[1] - v[0]) // 2 + 1) * k for v, k in cnt.items())
 
 
+def _section(cnt):
+    """The labeled copies of a line as (sort key, pair, label, copies), in
+    canonical descending order: label +1, then 0, then -1; descending
+    beginning and ascending end inside +1 and -1, descending end inside 0.
+    A centered value of multiplicity m gives m // 2 copies labeled -1 and
+    +1 each, and one labeled 0 when m is odd."""
+    groups = []
+    for pair, k in cnt.items():
+        b2, e2 = pair
+        c2 = b2 + e2
+        if c2 > 0:
+            groups.append(((-1, -b2, e2), pair, 1, k))
+        elif c2 < 0:
+            groups.append(((1, -b2, e2), pair, -1, k))
+        else:
+            if k > 1:
+                groups.append(((1, -b2, e2), pair, -1, k // 2))
+                groups.append(((-1, -b2, e2), pair, 1, k // 2))
+            if k % 2:
+                groups.append(((0, -e2, 0), pair, 0, 1))
+    groups.sort()
+    return groups
+
+
+def _in_section(cnt, pair, lab) -> bool:
+    """Whether the labeled section of ``cnt`` has a copy of (pair, lab)."""
+    k = cnt.get(pair, 0)
+    c2 = pair[0] + pair[1]
+    if c2:
+        return k > 0 and lab == (1 if c2 > 0 else -1)
+    return k % 2 == 1 if lab == 0 else k > 1
+
+
+def _labeled_dual(pair, lab):
+    b2, e2 = pair
+    c2 = b2 + e2
+    if c2:
+        return (-e2, -b2), (1 if c2 < 0 else -1)
+    return pair, (0 if lab == 0 else 1)
+
+
 # ---------------------------------------------------------------------------
-# Labeled sections
+# Labeled segments
 # ---------------------------------------------------------------------------
 
 
@@ -276,62 +319,6 @@ class LabeledSeg:
         return f"{self.seg}^{{{tag}}}"
 
     __repr__ = __str__
-
-
-def labeled_cmp(a: LabeledSeg, b: LabeledSeg) -> int:
-    """Three-class total preorder on labeled segments of one line.
-
-    <=0-labeled below =0-labeled below >=0-labeled; inside the signed
-    classes the segment order decides, inside =0 the larger end is greater.
-    Returns -1, 0, or +1.
-    """
-    if a.seg.line != b.seg.line or a.seg.side != b.seg.side:
-        raise DomainError(f"labeled_cmp: different lines ({a} vs {b})")
-    if a == b:
-        return 0
-    if a.label != b.label:
-        return -1 if a.label < b.label else 1
-    if a.label == 0:
-        return -1 if a.seg.e.twice < b.seg.e.twice else 1
-    ka = (a.seg.b.twice, -a.seg.e.twice)
-    kb = (b.seg.b.twice, -b.seg.e.twice)
-    if ka == kb:
-        return 0
-    return -1 if ka < kb else 1
-
-
-def labeled_dual(lam: LabeledSeg) -> LabeledSeg:
-    """Dual of a labeled segment.  Centered <=0 becomes >=0; centered =0 and
-    >=0 keep their label; non-centered labels follow the dual's center."""
-    d2 = seg_dual(lam.seg)
-    c2 = lam.seg.b.twice + lam.seg.e.twice
-    if c2 != 0:
-        lab = 1 if -c2 > 0 else -1
-    else:
-        lab = 0 if lam.label == 0 else 1
-    return LabeledSeg(d2, lab)
-
-
-def section_s(s: SignedSymMultisegment) -> list:
-    """Canonical section, as a list of labeled copies: centered values of
-    multiplicity m split into floor(m/2) copies labeled <=0, floor(m/2)
-    labeled >=0, and one =0 copy when m is odd; non-centered copies get
-    their forced label."""
-    require_valid(s)
-    entries = []
-    for value, mult in s.m.counter().items():
-        c2 = value.b.twice + value.e.twice
-        if c2 > 0:
-            entries.extend([LabeledSeg(value, 1)] * mult)
-        elif c2 < 0:
-            entries.extend([LabeledSeg(value, -1)] * mult)
-        else:
-            h = mult // 2
-            entries.extend([LabeledSeg(value, -1)] * h)
-            entries.extend([LabeledSeg(value, 1)] * h)
-            if mult % 2:
-                entries.append(LabeledSeg(value, 0))
-    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -1,49 +1,74 @@
 """The GL-side algorithm: chain extraction steps, the full transpose they
 generate, and path-capacity counts over juxtaposition graphs.
 
-Internals work on (2b, 2e) int pairs for speed; the public API speaks
-Segment / Multisegment.
+Everything runs on the int line form of :mod:`langdata`: a multisegment is
+read once into ``(2b, 2e)`` pairs grouped by GL line ``(line, side)``, and
+results are built back through its cached segment builder.  The public API
+speaks Segment / Multisegment.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
 
-from .segments import DomainError, HalfInt, Segment
-from .langdata import Multisegment, SignedSymMultisegment, section_s, labeled_cmp
+from .segments import DomainError, Segment
+from .langdata import (
+    Multisegment,
+    SignedSymMultisegment,
+    _line_ints,
+    _section,
+    _segment,
+    require_valid,
+)
 
 
-def _single_key(m: Multisegment, what: str):
-    keys = {d.key() for d in m}
-    if len(keys) != 1:
-        raise DomainError(f"{what} needs a multisegment on exactly one line")
-    return next(iter(keys))
+def _groups(m: Multisegment) -> dict:
+    """{(line, side): [(2b, 2e), ...]}, in one pass over m."""
+    out: dict = {}
+    for d in m:
+        out.setdefault((d.line, d.side), []).append((d.b.twice, d.e.twice))
+    return out
 
 
-def _desc_order(pairs):
-    return sorted(range(len(pairs)), key=lambda i: (-pairs[i][0], pairs[i][1]))
+def _segments(key, pairs) -> list:
+    ln, side = key
+    tail = () if side is None else (side,)
+    return [_segment(ln, p + tail) for p in pairs]
 
 
-def _mw_chain(pairs):
-    """Greedy maximal chain of strictly descending ends.
+def _buckets(pairs) -> dict:
+    """For each end 2e, the sorted beginnings 2b of the copies ending there."""
+    buckets: dict = {}
+    for b2, e2 in pairs:
+        buckets.setdefault(e2, []).append(b2)
+    for lst in buckets.values():
+        lst.sort()
+    return buckets
 
-    Start from the biggest copy at the top end; extend with the biggest copy
-    one end lower whose beginning strictly drops.  Returns indices in chain
-    order.
+
+def _extract(buckets) -> list:
+    """Pop one chain of strictly descending ends and put its copies back
+    with their final coefficient cut off; returns the chain, top first.
+
+    The chain starts from the biggest copy at the top end and goes on with
+    the biggest copy one end lower whose beginning strictly drops.
     """
-    order = _desc_order(pairs)
-    target = max(e for _, e in pairs)
-    chain = []
-    prev_b = None
-    for i in order:
-        b, e = pairs[i]
-        if e != target:
-            continue
-        if prev_b is not None and b >= prev_b:
-            continue
-        chain.append(i)
-        prev_b = b
-        target -= 2
+    e = max(e2 for e2, lst in buckets.items() if lst)
+    cur_b = buckets[e].pop()
+    chain = [(cur_b, e)]
+    while True:
+        e -= 2
+        lst = buckets.get(e)
+        if not lst:
+            break
+        i = bisect_left(lst, cur_b) - 1
+        if i < 0:
+            break
+        cur_b = lst.pop(i)
+        chain.append((cur_b, e))
+    for b2, e2 in chain:
+        if e2 - 2 >= b2:
+            insort(buckets.setdefault(e2 - 2, []), b2)
     return chain
 
 
@@ -55,56 +80,24 @@ def mw_step(m: Multisegment):
     """
     if not m:
         raise DomainError("mw_step on the zero multisegment")
-    ln, side = _single_key(m, "mw_step")
-    segs = list(m)
-    pairs = [(d.b.twice, d.e.twice) for d in segs]
-    chain = _mw_chain(pairs)
-    top = pairs[chain[0]][1]
-    bottom = pairs[chain[-1]][1]
-    initial = Segment(ln, HalfInt.from_twice(bottom), HalfInt.from_twice(top), side)
-    chain_set = set(chain)
-    rest = []
-    for i, (b2, e2) in enumerate(pairs):
-        if i in chain_set:
-            if e2 - 2 >= b2:
-                rest.append(Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2 - 2), side))
-        else:
-            rest.append(segs[i])
-    return initial, Multisegment(rest)
+    groups = _groups(m)
+    if len(groups) != 1:
+        raise DomainError("mw_step needs a multisegment on exactly one line")
+    ((key, pairs),) = groups.items()
+    buckets = _buckets(pairs)
+    chain = _extract(buckets)
+    rest = [(b2, e2) for e2, lst in buckets.items() for b2 in lst]
+    (initial,) = _segments(key, [(chain[-1][1], chain[0][1])])
+    return initial, Multisegment(_segments(key, rest))
 
 
 def transpose_pairs(pairs):
     """Full transpose on (2b, 2e) pairs of one line; returns sorted pairs."""
-    buckets: dict = {}
-    total = 0
-    for b2, e2 in pairs:
-        buckets.setdefault(e2, []).append(b2)
-        total += 1
-    for lst in buckets.values():
-        lst.sort()
+    buckets = _buckets(pairs)
     out = []
-    while total:
-        ymax = max(e for e, lst in buckets.items() if lst)
-        lst = buckets[ymax]
-        cur_b = lst.pop()
-        chain = [(cur_b, ymax)]
-        e = ymax - 2
-        while True:
-            lst = buckets.get(e)
-            if not lst:
-                break
-            i = bisect_left(lst, cur_b) - 1
-            if i < 0:
-                break
-            cur_b = lst.pop(i)
-            chain.append((cur_b, e))
-            e -= 2
-        out.append((chain[-1][1], ymax))
-        total -= len(chain)
-        for b2, e2 in chain:
-            if e2 - 2 >= b2:
-                insort(buckets.setdefault(e2 - 2, []), b2)
-                total += 1
+    while any(buckets.values()):
+        chain = _extract(buckets)
+        out.append((chain[-1][1], chain[0][1]))
     return sorted(out)
 
 
@@ -112,11 +105,8 @@ def mw_transpose(m: Multisegment) -> Multisegment:
     """Iterate extraction steps per line until exhausted.  Degree-preserving
     involution; the zero multisegment maps to itself."""
     out = []
-    for key in sorted({d.key() for d in m}, key=lambda k: (k[0].id, k[1] or 0)):
-        ln, side = key
-        pairs = [(d.b.twice, d.e.twice) for d in m if d.key() == key]
-        for b2, e2 in transpose_pairs(pairs):
-            out.append(Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2), side))
+    for key, pairs in _groups(m).items():
+        out.extend(_segments(key, transpose_pairs(pairs)))
     return Multisegment(out)
 
 
@@ -165,37 +155,35 @@ def _max_vertex_disjoint(n_nodes, edges, sources, sinks):
         flow += 1
 
 
-def _capacity_graph(items, target, less):
-    """Shared capacity computation.
+def _capacity_graph(items, target: Segment, less):
+    """Shared capacity computation over a nonempty target window.
 
-    ``items``: copies carrying a segment each (via ``key=lambda`` below);
-    ``less(i, j)``: strict comparability allowing a copy at one column to
-    feed a copy at the next column.  No copy feeds itself.
+    ``items``: one tuple per copy, starting with its (2b, 2e);
+    ``less(x, y)``: strict comparability allowing copy x at one column to
+    feed copy y at the next column.  No copy feeds itself.
     """
     tb2, te2 = target.b.twice, target.e.twice
-    if te2 < tb2:
-        return 0
-    nodes = []
     node_id = {}
-    for i, d in enumerate(items):
-        for col in range(max(d.b.twice, tb2), min(d.e.twice, te2) + 2, 2):
-            node_id[(i, col)] = len(nodes)
-            nodes.append((i, col))
+    for i, x in enumerate(items):
+        for col in range(max(x[0], tb2), min(x[1], te2) + 2, 2):
+            node_id[(i, col)] = len(node_id)
     edges = []
-    for i, di in enumerate(items):
-        for j, dj in enumerate(items):
-            if i == j or not less(di, dj):
+    for i, x in enumerate(items):
+        for j, y in enumerate(items):
+            if i == j or not less(x, y):
                 continue
-            lo = max(di.b.twice, tb2)
-            hi = min(di.e.twice, te2 - 2)
-            for col in range(lo, hi + 2, 2):
+            for col in range(max(x[0], tb2), min(x[1], te2 - 2) + 2, 2):
                 a = node_id.get((i, col))
                 b = node_id.get((j, col + 2))
                 if a is not None and b is not None:
                     edges.append((a, b))
-    sources = [node_id[(i, tb2)] for i, _ in enumerate(items) if (i, tb2) in node_id]
-    sinks = [node_id[(i, te2)] for i, _ in enumerate(items) if (i, te2) in node_id]
-    return _max_vertex_disjoint(len(nodes), edges, sources, sinks)
+    sources = [node_id[(i, tb2)] for i in range(len(items)) if (i, tb2) in node_id]
+    sinks = [node_id[(i, te2)] for i in range(len(items)) if (i, te2) in node_id]
+    return _max_vertex_disjoint(len(node_id), edges, sources, sinks)
+
+
+def _juxtaposed(x, y) -> bool:
+    return x[0] < y[0] and x[1] < y[1] and y[0] <= x[1] + 2
 
 
 def kz_capacity(m: Multisegment, target: Segment) -> int:
@@ -207,54 +195,28 @@ def kz_capacity(m: Multisegment, target: Segment) -> int:
     """
     if target.is_empty:
         return 0
-    items = [d for d in m if d.key() == target.key()]
-    if not items:
-        return 0
-
-    def less(di, dj):
-        return (
-            di.b.twice < dj.b.twice
-            and di.e.twice < dj.e.twice
-            and dj.b.twice <= di.e.twice + 2
-        )
-
-    return _capacity_graph(items, target, less)
-
-
-class _LabeledItem:
-    __slots__ = ("lam", "b", "e")
-
-    def __init__(self, lam):
-        self.lam = lam
-        self.b = lam.seg.b
-        self.e = lam.seg.e
+    return _capacity_graph(_groups(m).get(target.key(), []), target, _juxtaposed)
 
 
 def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
     """Capacity over the labeled section of a signed symmetric multisegment:
     a labeled copy feeds any strictly greater labeled copy at the next
-    column."""
+    column, that is any copy before it in the section."""
     if target.is_empty:
         return 0
-    sec = section_s(s)
-    items = [_LabeledItem(lam) for lam in sec if lam.seg.key() == target.key()]
-    if not items:
-        return 0
-
-    def less(di, dj):
-        return labeled_cmp(di.lam, dj.lam) < 0
-
-    return _capacity_graph(items, target, less)
+    require_valid(s)
+    cnt = _line_ints(s)[target.line.id][0] if target.line in s.lines() else {}
+    if target.side is not None:
+        cnt = {v[:2]: k for v, k in cnt.items() if v[2] == target.side}
+    items = [pair + (key,) for key, pair, _, k in _section(cnt) for _ in range(k)]
+    return _capacity_graph(items, target, lambda x, y: x[2] > y[2])
 
 
 def containment_count(m: Multisegment, target: Segment) -> int:
     """How many segments of m contain the (nonempty) target."""
     if target.is_empty:
         raise DomainError("containment of an empty target is not defined")
+    tb2, te2 = target.b.twice, target.e.twice
     return sum(
-        1
-        for d in m
-        if d.key() == target.key()
-        and d.b.twice <= target.b.twice
-        and target.e.twice <= d.e.twice
+        1 for b2, e2 in _groups(m).get(target.key(), ()) if b2 <= tb2 and te2 <= e2
     )

@@ -349,26 +349,13 @@ def seg_trunc(d: Segment, mode: str) -> Segment:
     return _cached_segment(d.line, b2, e2, d.side)
 
 
-def _same_gl_line(d1: Segment, d2: Segment, op: str):
-    if d1.line != d2.line or d1.side != d2.side:
-        raise DomainError(f"{op}: segments on different lines ({d1} vs {d2})")
-
-
-def seg_lt(d1: Segment, d2: Segment) -> bool:
-    """Strict algorithmic order: earlier beginning wins, ties broken by the
-    later end being *smaller*.  Total on each line; irreflexive."""
-    _same_gl_line(d1, d2, "seg_lt")
-    if d1.b.twice != d2.b.twice:
-        return d1.b.twice < d2.b.twice
-    return d1.e.twice > d2.e.twice
-
-
 def seg_precedes(d1: Segment, d2: Segment) -> bool:
     """Classical juxtaposition order: d1 and d2 are linked with d1 shifted down.
 
     Holds iff b1 < b2, e1 < e2 and the union is again a segment.
     """
-    _same_gl_line(d1, d2, "seg_precedes")
+    if d1.line != d2.line or d1.side != d2.side:
+        raise DomainError(f"seg_precedes: segments on different lines ({d1} vs {d2})")
     if d1.is_empty or d2.is_empty:
         raise DomainError("seg_precedes needs nonempty segments")
     return (
@@ -376,14 +363,6 @@ def seg_precedes(d1: Segment, d2: Segment) -> bool:
         and d1.e.twice < d2.e.twice
         and d2.b.twice <= d1.e.twice + 2
     )
-
-
-def seg_contains(d1: Segment, d2: Segment) -> bool:
-    """Whether d1 contains the nonempty segment d2."""
-    _same_gl_line(d1, d2, "seg_contains")
-    if d2.is_empty:
-        raise DomainError("containment of an empty segment is not defined here")
-    return d1.b.twice <= d2.b.twice and d2.e.twice <= d1.e.twice
 
 
 def seg_sort_key(d: Segment):

@@ -26,7 +26,14 @@ from azdual.langdata import (
     PhiComponent,
     SignedSymMultisegment,
 )
-from azdual.cli import ParseError, main, parse_input, render_doc, render_output
+from azdual.cli import (
+    MAX_MULT,
+    ParseError,
+    main,
+    parse_input,
+    render_doc,
+    render_output,
+)
 from azdual.verify import standard_sweep
 
 G = Line("rho", GOOD, GRID_INT)
@@ -126,6 +133,25 @@ class TestParse:
         doc = {"lines": [], "m": [{"line": "rho", "b": "0", "e": "0"}]}
         with pytest.raises(ParseError, match="undeclared line"):
             parse_input(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, pos", [
+        pytest.param("10000000000000000000*[0,0]", 0, id="20-digit"),
+        pytest.param("9" * 5000 + "*[0,0]", 0, id="5000-digit"),
+        pytest.param(f"[0,0]+{MAX_MULT + 1}*[0,0]:+", 6, id="cap-plus-one"),
+        pytest.param(f"[0,0] ; {MAX_MULT + 1}*S1", 8, id="block-cap-plus-one"),
+    ])
+    def test_multiplicity_above_the_cap_is_refused(self, text, pos):
+        """The cap is checked before the term is expanded."""
+        with pytest.raises(ParseError, match=f"multiplicity above the cap of {MAX_MULT}") as info:
+            parse_input(text)
+        assert info.value.pos == pos
+        code, out, err = run(["dual", text])
+        assert code == 1 and out == ""
+        assert err.startswith("error: at position") and err.count("\n") == 1
+
+    def test_multiplicity_at_the_cap_is_read(self):
+        assert len(parse_input(f"{MAX_MULT}*[0,0]")) == MAX_MULT
+        assert len(parse_input("007*[0,0]")) == 7
 
 
 LINES_DOC = [{"id": "rho", "class": "good", "grid": "integral"}]

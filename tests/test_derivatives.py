@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import azdual.derivatives
 from azdual.segments import (
     BAD,
     GOOD,
@@ -362,3 +363,21 @@ class TestReducedReport:
         rep = reduced_report(fam)
         assert rep["reduced"] is True
         assert rep["rho"]["zero_chunk_order"] == 0
+
+    def test_each_derivative_is_computed_once(self, monkeypatch):
+        """The zero-chunk order reuses the twist orders the report already
+        has instead of recomputing the negative ones."""
+        calls = []
+        real = azdual.derivatives.derivative
+
+        def counting(s, ln, x):
+            calls.append((ln, half(x)))
+            return real(s, ln, x)
+
+        monkeypatch.setattr(azdual.derivatives, "derivative", counting)
+        states = [sym([(-2, 0), (0, 2)]), sym([(-3, -1), (1, 3), (0, 0)])]
+        states += list(enumerate_symm(B, 2, 2, 2))
+        for s in states:
+            calls.clear()
+            reduced_report(s)
+            assert len(calls) == len(set(calls))

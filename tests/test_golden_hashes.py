@@ -7,11 +7,13 @@ Segment-based implementation and must not be edited to make a test pass.
 The full ``check`` report and the reports under injected faults were
 recorded before the property suites shared one dual per state; the
 derivative digest before the derivatives moved from Segment objects to int
-pairs.
+pairs; the GL digest before ``mw_gl`` did.
 """
 import hashlib
 import io
+import itertools
 import json
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -26,6 +28,7 @@ from azdual.segments import (
     DomainError,
     HalfInt,
     Line,
+    Segment,
 )
 from azdual.langdata import (
     LanglandsData,
@@ -36,6 +39,7 @@ from azdual.langdata import (
 from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
 from azdual.cli import main, render_output
 from azdual.derivatives import derivative, derivative_L, reduced_report
+from azdual.mw_gl import kz_capacity, kz_capacity_labeled, mw_step, mw_transpose
 from azdual.verify import enumerate_data, enumerate_symm, run_properties, standard_sweep
 
 LINES = [
@@ -54,6 +58,7 @@ STEPS_SHA256 = "71ee26c90f59c54d7b0a6e3e9df9d6279d51c7dae504197db216a88674cbf172
 CHECK_SHA256 = "1205cc97d63b33bfce3303a7543ce29f003925c6773f3647ca8f6bda41562b05"
 FULL_CHECK_SHA256 = "f89ce377fd4b12a302fe5268176da98d7b729f4c149be5f9eef1d9a5ec315980"
 DERIVATIVES_SHA256 = "b54ae2eda14448697ca14f8253a26261ffad4d6a8b6825b4142802a3927fe306"
+GL_SHA256 = "b05983f17249617844c2676b6463168ca3eacdc3d48773f9affd038a964a8dac"
 
 
 def _samples():
@@ -187,3 +192,86 @@ def test_derivatives_are_byte_identical():
     the reduced report, over 8124 states."""
     records = (r for s in _derivative_states() for r in _derivative_records(s))
     assert _digest(records) == DERIVATIVES_SHA256
+
+
+def _gl_seg(ln, b2, e2, side=None):
+    return Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2), side)
+
+
+def _gl_targets(ln, side, lo2, hi2):
+    """Every target [b, e] on (ln, side) with lo2 <= 2b, 2e <= hi2, the
+    empty ones (e = b - 1) included."""
+    for b2 in range(lo2, hi2 + 1, 2):
+        for e2 in range(b2 - 2, hi2 + 1, 2):
+            yield _gl_seg(ln, b2, e2, side)
+
+
+def _labeled_capacity_records():
+    states = list(standard_sweep(1, 3, 3)) + list(enumerate_symm(LINES[4], 2, 3, 2))
+    for s in states:
+        yield str(s)
+        if not s.m:
+            continue
+        (ln,) = s.lines()
+        emax2 = max(d.e.twice for d in s.m)
+        for side in (0, 1) if ln.cls == UGLY else (None,):
+            for t in _gl_targets(ln, side, -emax2, emax2):
+                yield f"{t} {kz_capacity_labeled(s, t)}"
+
+
+def _gl_inputs():
+    """Seeded multisegments over all five lines, both ugly sides included."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        segs = []
+        for _ in range(rng.randint(1, 8)):
+            ln = rng.choice(LINES)
+            b2 = 2 * rng.randint(-3, 3) + (ln.grid == GRID_HALF)
+            segs.append(_gl_seg(ln, b2, b2 + 2 * rng.randint(0, 3),
+                                rng.randint(0, 1) if ln.cls == UGLY else None))
+        yield Multisegment(segs)
+
+
+def _gl_records(m):
+    yield f"{m} -> {mw_transpose(m)}"
+    keys = sorted({d.key() for d in m}, key=lambda k: (k[0].id, k[1] or 0))
+    for part in [m] + [Multisegment(d for d in m if d.key() == k) for k in keys]:
+        try:
+            top, rest = mw_step(part)
+            yield f"step {top} {rest}"
+        except DomainError as err:
+            yield f"step ! {err}"
+    for key in keys:
+        b2s = [d.b.twice for d in m if d.key() == key]
+        e2s = [d.e.twice for d in m if d.key() == key]
+        for t in _gl_targets(*key, min(b2s) - 2, max(e2s) + 2):
+            yield f"{t} {kz_capacity(m, t)}"
+
+
+def test_gl_transpose_steps_and_capacities_are_byte_identical():
+    """kz_capacity_labeled at every target within each state's end range,
+    and mw_transpose, mw_step (whole and per line) and kz_capacity on 3000
+    seeded multi-line multisegments."""
+    records = itertools.chain(
+        _labeled_capacity_records(),
+        (r for m in _gl_inputs() for r in _gl_records(m)),
+    )
+    assert _digest(records) == GL_SHA256
+
+
+def test_capacity_compares_the_whole_line():
+    """A target on a line with the same id but another class meets nothing."""
+    g = LINES[0]
+    twin = Line(g.id, BAD, g.grid)
+    s = transfer(LanglandsData(Multisegment([_gl_seg(g, -2, 0)]), []))
+    assert kz_capacity_labeled(s, _gl_seg(g, -2, 0)) == 1
+    assert kz_capacity_labeled(s, _gl_seg(twin, -2, 0)) == 0
+    assert kz_capacity(s.m, _gl_seg(g, -2, 0)) == 1
+    assert kz_capacity(s.m, _gl_seg(twin, -2, 0)) == 0
+
+
+def test_an_empty_target_has_capacity_0_before_validation():
+    bad = SignedSymMultisegment(Multisegment([_gl_seg(LINES[0], 0, 2)]))
+    assert kz_capacity_labeled(bad, _gl_seg(LINES[0], 2, 0)) == 0
+    with pytest.raises(DomainError):
+        kz_capacity_labeled(bad, _gl_seg(LINES[0], 0, 0))

@@ -21,13 +21,12 @@ from azdual.langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _line_ints,
+    _section,
     from_counter,
-    labeled_cmp,
-    labeled_dual,
     line_project,
     plus_product,
     require_valid,
-    section_s,
     sign_product,
     transfer,
     untransfer,
@@ -306,11 +305,11 @@ class TestLabeled:
         s = SignedSymMultisegment(
             Multisegment([seg(GI, -1, 1)] * 3 + [seg(GI, 0, 1), seg(GI, -1, 0)])
         )
-        lab = section_s(s)
+        cnt = _line_ints(s)[GI.id][0]
         labels = sorted(
-            (x.label, str(x.seg)) for x in lab if x.seg.is_centered
+            (lab, pair, k) for _, pair, lab, k in _section(cnt) if sum(pair) == 0
         )
-        assert labels == [(-1, "[-1,1]@rho"), (0, "[-1,1]@rho"), (1, "[-1,1]@rho")]
+        assert labels == [(-1, (-2, 2), 1), (0, (-2, 2), 1), (1, (-2, 2), 1)]
 
     def test_forced_labels(self):
         assert LabeledSeg(seg(GI, 0, 1), 1).label == 1
@@ -320,16 +319,12 @@ class TestLabeled:
             LabeledSeg(seg(GI, -1, 0), 1)
 
     def test_labeled_cmp_classes(self):
-        lo = LabeledSeg(seg(GI, -1, 0), -1)
-        mid = LabeledSeg(seg(GI, -1, 1), 0)
-        hi = LabeledSeg(seg(GI, 0, 1), 1)
-        assert labeled_cmp(lo, mid) < 0 < labeled_cmp(hi, mid)
-        assert labeled_cmp(mid, mid) == 0
-
-    def test_labeled_dual(self):
-        x = LabeledSeg(seg(GI, 0, 1), 1)
-        assert labeled_dual(x) == LabeledSeg(seg(GI, -1, 0), -1)
-        z = LabeledSeg(seg(GI, -1, 1), 1)
-        assert labeled_dual(z) == LabeledSeg(seg(GI, -1, 1), 1)
-        zz = LabeledSeg(seg(GI, -1, 1), 0)
-        assert labeled_dual(zz) == LabeledSeg(seg(GI, -1, 1), 0)
+        """+1 copies come first, then =0, then -1; descending beginning and
+        ascending end inside +1 and -1, descending end inside =0."""
+        cnt = {(-2, 0): 1, (-4, -2): 1, (-2, 2): 1, (-4, 4): 1,
+               (0, 2): 1, (2, 4): 1, (0, 4): 1}
+        assert [(pair, lab) for _, pair, lab, _ in _section(cnt)] == [
+            ((2, 4), 1), ((0, 2), 1), ((0, 4), 1),
+            ((-4, 4), 0), ((-2, 2), 0),
+            ((-2, 0), -1), ((-4, -2), -1),
+        ]

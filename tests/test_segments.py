@@ -14,9 +14,7 @@ from azdual.segments import (
     half,
     line,
     seg,
-    seg_contains,
     seg_dual,
-    seg_lt,
     seg_precedes,
     seg_props,
     seg_sort_key,
@@ -171,28 +169,18 @@ class TestDualAndTrunc:
 
 
 class TestOrders:
-    def test_algorithmic_order(self):
-        assert seg_lt(seg(GI, 0, 5), seg(GI, 1, 2))
-        assert seg_lt(seg(GI, 0, 5), seg(GI, 0, 3))
-        assert not seg_lt(seg(GI, 0, 3), seg(GI, 0, 3))
-        assert not seg_lt(seg(GI, 1, 2), seg(GI, 0, 5))
-
     def test_order_needs_one_line(self):
         other = line("psi", GOOD, GRID_INT)
         with pytest.raises(DomainError):
-            seg_lt(seg(GI, 0, 1), seg(other, 0, 1))
+            seg_precedes(seg(GI, 0, 1), seg(other, 1, 2))
         with pytest.raises(DomainError):
-            seg_lt(seg(UG, 0, 1, side=0), seg(UG, 0, 1, side=1))
+            seg_precedes(seg(UG, 0, 1, side=0), seg(UG, 1, 2, side=1))
 
     def test_classical_precedence(self):
         assert seg_precedes(seg(GI, 0, 1), seg(GI, 1, 2))
         assert not seg_precedes(seg(GI, 0, 1), seg(GI, 3, 4))
         assert not seg_precedes(seg(GI, 0, 3), seg(GI, 1, 2))
         assert not seg_precedes(seg(GI, 0, 1), seg(GI, 0, 2))
-
-    def test_contains(self):
-        assert seg_contains(seg(GI, -2, 2), seg(GI, -1, 1))
-        assert not seg_contains(seg(GI, -1, 1), seg(GI, -2, 2))
 
     def test_sort_key_descends(self):
         ds = [seg(GI, 1, 1), seg(GI, 0, 2), seg(GI, -1, 1), seg(GI, 0, 1)]
