@@ -8,29 +8,38 @@ left computes the dual; conjugating by the data transfer computes the dual
 of parameter data.
 
 The step loop runs on the int line form of :mod:`langdata`, one line at a
-time.  A line is a counter ``{(2b, 2e): multiplicity}`` (keys
-``(2b, 2e, side)`` on ugly lines), its centered values signed -1 are a set
-of such pairs, and a good line's labeled section is a sorted list of
-``(pair, label, copies)`` groups.  ``Segment`` objects are read once when a
+time, in one engine (``_Engine``) that keeps the line's state across its
+steps: the counter ``{(2b, 2e): multiplicity}``, changed in place; an end
+index ``{2e: sorted beginnings 2b}``, updated only for the pairs a step
+takes to or from multiplicity 0; the set of centered pairs signed -1; the
+running degree and sign parity.  ``Segment`` objects are read once when a
 line is entered and built once when it is left.
 
-Good lines run on the labeled section with sign bookkeeping; bad lines run
-on plain copies with a multiplicity guard forbidding a copy and its own dual
-from chaining simultaneously; ugly lines run the GL chain on the primary
-side and mirror it on the partner side.
+A step visits only the ends top, top - 2, ...  On good lines it picks at
+each end the first group of the labeled section after the previous pick,
+skipping a centered copy whose sign repeats the previous centered one's,
+and keeps the signs; on bad lines it picks the largest beginning below the
+previous one, where a copy joins beside its own dual only when it has a
+second copy.  The checks are local to the entries a step touched: the
+degree the cut copies lose must equal the emitted piece's degree, and the
+sign parity before the step must equal the piece's plus that of the new
+minus set, summed while the set is built.  Ugly lines run their own GL
+chain on the primary side and mirror it on the partner side
+(``_plain_chain``, ``_consume``), apart from :mod:`mw_gl`, so that the
+mirror-line property compares two independent codes.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .segments import BAD, GOOD, GRID_INT, DomainError, InvariantError, Line
+from .segments import GOOD, GRID_INT, UGLY, DomainError, InvariantError, Line
 from .langdata import (
     LabeledSeg,
     LanglandsData,
     SignedSymMultisegment,
     _degree,
     _dual,
-    _in_section,
     _labeled_dual,
     _line_ints,
     _section,
@@ -68,133 +77,311 @@ def _parity(cnt, minus) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Good lines
+# The per-line engine
 # ---------------------------------------------------------------------------
 
 
-def _good_step(cnt, minus, same_type):
-    section = _section(cnt)
+class _Engine:
+    """One line's state across the steps of the dual.
 
-    # The chain: one copy per end, top end first, each later in the
-    # enumeration than the one before; consecutive centered copies must
-    # carry opposite signs.  Only the first copy of a group can be picked.
-    chain = []
-    target = max(e2 for _, e2 in cnt)
-    prev = None
-    terminal = False
-    for _, pair, lab, _ in section:
-        b2, e2 = pair
-        if e2 != target:
-            continue
-        if (
-            prev is not None
-            and b2 + e2 == 0
-            and prev[0] + prev[1] == 0
-            and (pair in minus) == (prev in minus)
-        ):
-            continue
-        chain.append((pair, lab))
-        prev = pair
-        target -= 2
-        if same_type:
-            terminal = pair == (0, 0) and lab >= 0
-        else:
-            terminal = pair == (1, 1) or (
-                pair == (-1, 1) and lab >= 0 and pair in minus
-            )
-        if terminal:
-            break
+    ``cnt`` is the line's counter, changed in place, and ``degree`` its
+    degree.  ``ends`` maps each end 2e to the sorted beginnings 2b of the
+    pairs ending there.  ``minus`` is the set of centered pairs signed -1,
+    ``centered`` the centered pairs present, ``n0`` their number of copies
+    and ``parity`` that of the sign product (0 for +1).  The emitted pieces
+    add up in ``dual`` and ``dual_minus``.  Ugly lines keep ``cnt``,
+    ``degree`` and the dual only.
+    """
 
-    eps0 = -1 if terminal else 1
-    e1 = chain[0][0][1]
-    el = chain[-1][0][1]
-    if terminal:
-        top = (-e1, e1)
-        m1_cnt = {top: 1}
-        n0 = sum(k for (b2, e2), k in cnt.items() if b2 + e2 == 0)
-        if same_type:
-            s1 = (1 if n0 % 2 else -1) * (-1 if (0, 0) in minus else 1)
-        else:
-            s1 = -1 if n0 % 2 else 1
-        m1_minus = {top} if s1 == -1 else set()
-    else:
-        if e1 + el == 0:
-            raise InvariantError("open chain produced a centered initial pair")
-        m1_cnt = {(el, e1): 1, (-e1, -el): 1}
-        m1_minus = set()
+    __slots__ = ("cls", "same_type", "cnt", "degree", "ends", "minus",
+                 "centered", "n0", "parity", "dual", "dual_minus")
 
-    last, last_lab = chain[-1]
-    if (last == (0, 0) and last_lab == 1) or last == (1, 1):
-        for j, (pair, _) in enumerate(chain):
-            if pair != (e1 - 2 * j, e1 - 2 * j):
-                raise InvariantError("chain into the corner is not a staircase")
+    def __init__(self, ln: Line, cnt, minus):
+        self.cls = ln.cls
+        self.same_type = ln.grid == GRID_INT
+        self.cnt = cnt
+        self.degree = _degree(cnt)
+        self.ends = {}
+        if self.cls != UGLY:
+            for b2, e2 in cnt:
+                self.ends.setdefault(e2, []).append(b2)
+            for lst in self.ends.values():
+                lst.sort()
+        self.minus = minus
+        self.centered = {v for v in cnt if v[0] + v[1] == 0} if self.cls == GOOD else set()
+        self.n0 = sum(cnt[v] for v in self.centered)
+        self.parity = _parity(cnt, minus)
+        self.dual = {}
+        self.dual_minus = set()
 
-    # The first copy of each chain group loses its end (bit 1), the first
-    # copy of each dual group its beginning (bit 2); a copy can be both.
-    cut = dict.fromkeys(chain, 1)
-    for entry in chain:
-        dual_entry = _labeled_dual(*entry)
-        if not _in_section(cnt, *dual_entry):
-            raise InvariantError(
-                f"dual copy (2b, 2e, label) = {dual_entry} missing from the section"
-            )
-        cut[dual_entry] = cut.get(dual_entry, 0) | 2
+    def step(self):
+        """One extraction step, in place; the piece joins the dual.  Returns
+        the chain and its sign eps0."""
+        if self.cls == GOOD:
+            chain, eps0 = self._good_chain()
+            self._good_piece(chain, eps0)
+            return chain, eps0
+        dual = self.dual
+        if self.cls == UGLY:
+            m1_cnt, new_cnt, chain = _ugly_step(self.cnt)
+            new_degree = _degree(new_cnt)
+            if _degree(m1_cnt) + new_degree != self.degree:
+                raise InvariantError("degree not preserved across the step")
+            self.cnt, self.degree = new_cnt, new_degree
+            for v in m1_cnt:
+                dual[v] = dual.get(v, 0) + 1
+            return chain, 1
+        chain = self._bad_chain()
+        e1, el = chain[0][1], chain[-1][1]
+        lost = self._cut([(v, 1) for v in chain] + [(_dual(v), 2) for v in chain])[1]
+        # The degree the cut copies lost, against the piece's own degree.
+        if lost != e1 - el + 2:
+            raise InvariantError("degree not preserved across the step")
+        self.degree -= lost
+        for v in ((el, e1), (-e1, -el)):
+            dual[v] = dual.get(v, 0) + 1
+        return chain, 1
 
-    new_cnt = dict(cnt)
-    shortened = {}
-    for entry, bits in cut.items():
-        pair = entry[0]
-        b2 = pair[0] + (2 if bits & 2 else 0)
-        e2 = pair[1] - (2 if bits & 1 else 0)
-        k = new_cnt.pop(pair) - 1
-        if k:
-            new_cnt[pair] = k
-        t = (b2, e2) if b2 <= e2 else None
-        if t is not None:
-            new_cnt[t] = new_cnt.get(t, 0) + 1
-        shortened[entry] = t
+    def _good_chain(self):
+        """One copy per end, top end first, each the first group after the
+        one before in the section; consecutive centered copies must carry
+        opposite signs.  Returns the chain of (pair, label) and eps0, which
+        is -1 exactly when the chain stopped on a terminal form.
 
-    source = {}
-    for entry in chain:
-        t = shortened[entry]
-        if t is not None and t[0] + t[1] == 0:
-            if t in source:
-                raise InvariantError(
-                    f"two chain copies collapsed onto centered (2b, 2e) = {t}"
+        At end e the section runs through the beginnings downward: the
+        copies labeled +1 (beginning above -e), the groups of the centered
+        pair (-e, e) labeled +1, 0 and -1 that its multiplicity has, and the
+        copies labeled -1.  A bisection skips the copies that come before
+        the previous pick; the centered groups are compared with it by
+        their section keys."""
+        ends, cnt, minus = self.ends, self.cnt, self.minus
+        chain = []
+        e = max(ends)
+        prev = prev_key = None
+        while e in ends:
+            bucket = ends[e]
+            c = -e
+            if prev is None:
+                i = len(bucket)
+            else:
+                # After a pick labeled +1: the +1 copies below its beginning,
+                # then everything from the centered pair down; after label 0:
+                # from the centered pair down; after -1: below its beginning.
+                (pb, _), plab = prev
+                bound = max(pb, c + 1) if plab > 0 else c + 1 if plab == 0 else pb
+                i = bisect_left(bucket, bound)
+            pick = None
+            while i and pick is None:
+                i -= 1
+                b2 = bucket[i]
+                if b2 != c:
+                    pick = ((b2, e), 1 if b2 > c else -1)
+                    key = (-pick[1], -b2, e)
+                    break
+                pair = (c, e)
+                if prev is not None and prev[0][0] + prev[0][1] == 0 and (
+                    (pair in minus) == (prev[0] in minus)
+                ):
+                    continue
+                k = cnt[pair]
+                for lab, key in ((1, (-1, e, e)), (0, (0, c, 0)), (-1, (1, e, e))):
+                    if (k % 2 if lab == 0 else k > 1) and (prev is None or key > prev_key):
+                        pick = (pair, lab)
+                        break
+            if pick is None:
+                break
+            chain.append(pick)
+            prev, prev_key = pick, key
+            pair, lab = pick
+            e -= 2
+            if self.same_type:
+                terminal = pair == (0, 0) and lab >= 0
+            else:
+                terminal = pair == (1, 1) or (
+                    pair == (-1, 1) and lab >= 0 and pair in minus
                 )
-            source[t] = entry[0]
-    new_minus = set()
-    for v in new_cnt:
-        if v[0] + v[1]:
-            continue
-        dj = source.get(v)
-        if dj is None:
-            if v not in cnt:
-                raise InvariantError(
-                    f"centered (2b, 2e) = {v} appeared without a chain source"
-                )
-            s = -eps0 if v in minus else eps0
-        elif dj[0] + dj[1] == 0:
-            s = -eps0 if dj in minus else eps0
-        elif dj[0] + dj[1] == 2:
-            s = (eps0 if v in minus else -eps0) if v in cnt else eps0
+            if terminal:
+                return chain, -1
+        return chain, 1
+
+    def _good_piece(self, chain, eps0):
+        """Emit the piece of a good chain into the dual, cut the chain and
+        dual copies, and carry the signs over."""
+        cnt, minus = self.cnt, self.minus
+        e1 = chain[0][0][1]
+        el = chain[-1][0][1]
+        if eps0 == -1:
+            if self.same_type:
+                s1 = (1 if self.n0 % 2 else -1) * (-1 if (0, 0) in minus else 1)
+            else:
+                s1 = -1 if self.n0 % 2 else 1
+            piece = [(-e1, e1)]
+            piece_degree = e1 + 1
         else:
-            raise InvariantError(
-                f"chain copy with center {dj[0] + dj[1]}/2 became centered"
-            )
-        if s == -1:
-            new_minus.add(v)
+            if e1 + el == 0:
+                raise InvariantError("open chain produced a centered initial pair")
+            s1 = 1
+            piece = [(el, e1), (-e1, -el)]
+            piece_degree = e1 - el + 2
 
-    if _parity(cnt, minus) != (
-        _parity(m1_cnt, m1_minus) + _parity(new_cnt, new_minus)
-    ) % 2:
-        raise InvariantError("sign product not preserved across the step")
+        last, last_lab = chain[-1]
+        if (last == (0, 0) and last_lab == 1) or last == (1, 1):
+            for j, (pair, _) in enumerate(chain):
+                if pair != (e1 - 2 * j, e1 - 2 * j):
+                    raise InvariantError("chain into the corner is not a staircase")
 
-    return m1_cnt, m1_minus, new_cnt, new_minus, chain, eps0
+        # The first copy of each chain group loses its end (bit 1), the first
+        # copy of each dual group its beginning (bit 2), the chain copies
+        # first.  A copy is cut once when it is its own dual (a centered
+        # group labeled 0 or +1) or the dual of another chain copy; the dual
+        # of a centered group labeled -1 is the one labeled +1.
+        pairs = {pair for pair, _ in chain}
+        cuts, duals = [], []
+        for pair, lab in chain:
+            b2, e2 = pair
+            if b2 + e2 == 0:
+                if lab < 0:
+                    cuts.append((pair, 1))
+                    duals.append((pair, 2))
+                else:
+                    cuts.append((pair, 3))
+            elif (-e2, -b2) in pairs:
+                cuts.append((pair, 3))
+            elif cnt.get((-e2, -b2)):
+                cuts.append((pair, 1))
+                duals.append(((-e2, -b2), 2))
+            else:
+                raise InvariantError(
+                    f"dual copy (2b, 2e, label) = {((-e2, -b2), -lab)} missing from the section"
+                )
+        before = set(self.centered)
+        shortened, lost = self._cut(cuts + duals)
+        # The degree the cut copies lost, against the piece's own degree.
+        if lost != piece_degree:
+            raise InvariantError("degree not preserved across the step")
+        self.degree -= lost
+        self._signs(chain, shortened, before, eps0, 1 if s1 == -1 else 0)
+        dual = self.dual
+        for v in piece:
+            dual[v] = dual.get(v, 0) + 1
+        if s1 == -1:
+            self.dual_minus.add(piece[0])
+
+    def _bad_chain(self):
+        """Top end first, the largest beginning below the one before at each
+        end.  A value joins beside its own dual only when it has a second
+        copy."""
+        ends, cnt = self.ends, self.cnt
+        chain = []
+        picked = set()
+        target = max(ends)
+        prev_b = None
+        while target in ends:
+            bucket = ends[target]
+            top = len(bucket) if prev_b is None else bisect_left(bucket, prev_b)
+            for i in range(top - 1, -1, -1):
+                v = (bucket[i], target)
+                if cnt[v] > 1 or _dual(v) not in picked:
+                    break
+            else:
+                break
+            chain.append(v)
+            picked.add(v)
+            prev_b = v[0]
+            target -= 2
+        return chain
+
+    def _cut(self, cuts):
+        """Take out one copy of each cut pair, then put each back with its end
+        (bit 1) and its beginning (bit 2) cut off.  Returns the shortened
+        pairs (None when nothing is left) and the degree the copies lost."""
+        cnt, ends = self.cnt, self.ends
+        centered = self.centered if self.cls == GOOD else None
+        lost = 0
+        for pair, _ in cuts:
+            k = cnt.get(pair, 0)
+            if k > 1:
+                cnt[pair] = k - 1
+            elif k:
+                del cnt[pair]
+                b2, e2 = pair
+                lst = ends[e2]
+                if len(lst) == 1:
+                    del ends[e2]
+                else:
+                    del lst[bisect_left(lst, b2)]
+                if centered is not None and b2 + e2 == 0:
+                    centered.discard(pair)
+            else:
+                raise InvariantError("chain consumed more copies than available")
+            lost += (pair[1] - pair[0]) // 2 + 1
+        shortened = []
+        for (b2, e2), bits in cuts:
+            b2 += bits & 2
+            e2 -= 2 * (bits & 1)
+            if b2 > e2:
+                shortened.append(None)
+                continue
+            t = (b2, e2)
+            k = cnt.get(t, 0)
+            cnt[t] = k + 1
+            if not k:
+                lst = ends.get(e2)
+                if lst is None:
+                    ends[e2] = [b2]
+                else:
+                    insort(lst, b2)
+                if centered is not None and b2 + e2 == 0:
+                    centered.add(t)
+            lost -= (e2 - b2) // 2 + 1
+            shortened.append(t)
+        return shortened, lost
+
+    def _signs(self, chain, shortened, before, eps0, piece_parity):
+        """The signs after a good step, ``before`` being the centered pairs
+        present before it.  A centered copy cut out of a chain copy takes its
+        sign from that copy; every other centered value keeps its sign times
+        eps0.  The parity of the new minus set is summed as the set is
+        built, and with the piece's it must give the parity before."""
+        source = {}
+        for (pair, _), t in zip(chain, shortened):
+            if t is not None and t[0] + t[1] == 0:
+                if t in source:
+                    raise InvariantError(
+                        f"two chain copies collapsed onto centered (2b, 2e) = {t}"
+                    )
+                source[t] = pair
+        cnt, minus = self.cnt, self.minus
+        new_minus = set()
+        parity = n0 = 0
+        for v in self.centered:
+            k = cnt[v]
+            n0 += k
+            dj = source.get(v)
+            if dj is None:
+                if v not in before:
+                    raise InvariantError(
+                        f"centered (2b, 2e) = {v} appeared without a chain source"
+                    )
+                s = -eps0 if v in minus else eps0
+            elif dj[0] + dj[1] == 0:
+                s = -eps0 if dj in minus else eps0
+            elif dj[0] + dj[1] == 2:
+                s = (eps0 if v in minus else -eps0) if v in before else eps0
+            else:
+                raise InvariantError(
+                    f"chain copy with center {dj[0] + dj[1]}/2 became centered"
+                )
+            if s == -1:
+                new_minus.add(v)
+                parity += k
+        if self.parity != (piece_parity + parity) % 2:
+            raise InvariantError("sign product not preserved across the step")
+        self.minus, self.parity, self.n0 = new_minus, parity % 2, n0
 
 
 # ---------------------------------------------------------------------------
-# Bad and ugly lines
+# Ugly lines
 # ---------------------------------------------------------------------------
 
 
@@ -202,18 +389,14 @@ def _plain_order(v):
     return (-v[0],) + v[1:]
 
 
-def _plain_chain(cnt, keys):
-    """The greedy chain over ``keys`` in canonical descending order: ends
-    drop by one and beginnings strictly drop at each link.  A value joins
-    beside its own dual only when it has a second copy (on ugly lines the
-    chain keeps to side 0, so this never applies)."""
+def _plain_chain(keys):
+    """The greedy GL chain over ``keys`` in canonical descending order: ends
+    drop by one and beginnings strictly drop at each link."""
     chain = []
     target = max(v[1] for v in keys)
     prev_b = None
     for v in sorted(keys, key=_plain_order):
         if v[1] != target or (prev_b is not None and v[0] >= prev_b):
-            continue
-        if _dual(v) in chain and cnt[v] < 2:
             continue
         chain.append(v)
         prev_b = v[0]
@@ -221,16 +404,16 @@ def _plain_chain(cnt, keys):
     return chain
 
 
-def _consume(cnt, chain, missing: str):
-    """Take out each chain copy and its dual copy, and put them back with
-    the chain copy's end and the dual copy's beginning cut off."""
+def _consume(cnt, chain):
+    """Take out each chain copy and its mirror copy, and put them back with
+    the chain copy's end and the mirror copy's beginning cut off."""
     new_cnt = dict(cnt)
     for v in chain:
         dv = _dual(v)
         new_cnt[v] -= 1
         new_cnt[dv] = new_cnt.get(dv, 0) - 1
         if new_cnt[v] < 0 or new_cnt[dv] < 0:
-            raise InvariantError(missing)
+            raise InvariantError("mirror copies missing on the partner side")
     for v in chain:
         if v[0] < v[1]:
             short = (v[0], v[1] - 2) + v[2:]
@@ -239,24 +422,15 @@ def _consume(cnt, chain, missing: str):
     return {v: k for v, k in new_cnt.items() if k}
 
 
-def _bad_step(cnt):
-    chain = _plain_chain(cnt, cnt)
-    e1, el = chain[0][1], chain[-1][1]
-    m1_cnt = {(el, e1): 1}
-    m1_cnt[(-e1, -el)] = m1_cnt.get((-e1, -el), 0) + 1
-    new_cnt = _consume(cnt, chain, "chain consumed more copies than available")
-    return m1_cnt, new_cnt, chain
-
-
 def _ugly_step(cnt):
+    """The GL chain on the primary side (0), mirrored on the partner side."""
     side0 = [v for v in cnt if v[2] == 0]
     if not side0:
         raise InvariantError("ugly step with an empty primary side")
-    chain = _plain_chain(cnt, side0)
+    chain = _plain_chain(side0)
     e1, el = chain[0][1], chain[-1][1]
     m1_cnt = {(el, e1, 0): 1, (-e1, -el, 1): 1}
-    new_cnt = _consume(cnt, chain, "mirror copies missing on the partner side")
-    return m1_cnt, new_cnt, chain
+    return m1_cnt, _consume(cnt, chain), chain
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +438,8 @@ def _ugly_step(cnt):
 # ---------------------------------------------------------------------------
 
 
-def _step(ln: Line, cnt, minus, degree: int):
-    """One step on one line's ints, ``degree`` being the degree of ``cnt``.
-    Returns the emitted piece and the rest, each as a counter and a minus
-    set, then the rest's degree, the chain and its sign eps0."""
-    if ln.cls == GOOD:
-        m1_cnt, m1_minus, new_cnt, new_minus, chain, eps0 = _good_step(
-            cnt, minus, ln.grid == GRID_INT
-        )
-    else:
-        step = _bad_step if ln.cls == BAD else _ugly_step
-        m1_cnt, new_cnt, chain = step(cnt)
-        m1_minus, new_minus, eps0 = set(), set(), 1
-    new_degree = _degree(new_cnt)
-    if _degree(m1_cnt) + new_degree != degree:
-        raise InvariantError("degree not preserved across the step")
-    return m1_cnt, m1_minus, new_cnt, new_minus, new_degree, chain, eps0
-
-
-def _first_step(s: SignedSymMultisegment, what: str):
+def _single_line(s: SignedSymMultisegment, what: str):
+    """The line of a single-line input and its engine before the first step."""
     require_valid(s)
     if not s.m:
         raise DomainError(f"{what} on the zero multisegment")
@@ -290,21 +447,22 @@ def _first_step(s: SignedSymMultisegment, what: str):
     if len(lines) != 1:
         raise DomainError("this operation needs data supported on exactly one line")
     ln = lines[0]
-    cnt, minus = _line_ints(s)[ln.id]
-    return ln, cnt, _step(ln, cnt, minus, _degree(cnt))
+    return ln, _Engine(ln, *_line_ints(s)[ln.id])
 
 
 def ad_step(s: SignedSymMultisegment):
     """One extraction step on a single-line signed symmetric multisegment.
     Returns (initial part, remaining part) as signed symmetric multisegments."""
-    ln, _, (m1_cnt, m1_minus, new_cnt, new_minus, *_) = _first_step(s, "ad_step")
-    return _signed([(ln, m1_cnt, m1_minus)]), _signed([(ln, new_cnt, new_minus)])
+    ln, eng = _single_line(s, "ad_step")
+    eng.step()
+    return _signed([(ln, eng.dual, eng.dual_minus)]), _signed([(ln, eng.cnt, eng.minus)])
 
 
 def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
     """The chain data of the first step on a single-line input."""
-    ln, cnt, step = _first_step(s, "ad_initial_sequence")
-    chain, eps0 = step[-2:]
+    ln, eng = _single_line(s, "ad_initial_sequence")
+    cnt = dict(eng.cnt)
+    chain, eps0 = eng.step()
     if ln.cls == GOOD:
         enum = [(pair, lab) for _, pair, lab, k in _section(cnt) for _ in range(k)]
         idx = tuple(enum.index(entry) for entry in chain)
@@ -335,18 +493,13 @@ def ad_symm(s: SignedSymMultisegment) -> SignedSymMultisegment:
     ints = _line_ints(s)
     parts = []
     for ln in s.lines():
-        cnt, minus = ints[ln.id]
-        degree = _degree(cnt)
-        dual_cnt, dual_minus = {}, set()
-        while cnt:
-            m1_cnt, m1_minus, cnt, minus, new_degree, _, _ = _step(ln, cnt, minus, degree)
-            if new_degree >= degree:
+        eng = _Engine(ln, *ints[ln.id])
+        while eng.cnt:
+            degree = eng.degree
+            eng.step()
+            if eng.degree >= degree:
                 raise InvariantError("degree failed to decrease across a step")
-            degree = new_degree
-            for v, k in m1_cnt.items():
-                dual_cnt[v] = dual_cnt.get(v, 0) + k
-            dual_minus |= m1_minus
-        parts.append((ln, dual_cnt, dual_minus))
+        parts.append((ln, eng.dual, eng.dual_minus))
     result = _signed(parts)
     report = validate(result)
     if report:

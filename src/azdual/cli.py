@@ -79,6 +79,16 @@ MAX_MULT = 10_000
 """The largest ``N`` of an ``N*`` term; a larger one is refused before the
 term is expanded."""
 
+MAX_DEGREE = 100_000
+"""The largest total degree of a parsed input: the degree of the symmetric
+multisegment the dual runs on (for parameter data, twice the degree of its
+segments plus its block sizes).  A larger input is refused once parsed,
+before anything runs on it."""
+
+MAX_DIGITS = len(str(MAX_DEGREE))
+"""The most digits a number of the input may have; a longer one is refused
+before ``int()`` reads it."""
+
 _ITEM_RE = re.compile(
     r"""^
     (?:(?P<mult>\d+)\*)?
@@ -129,6 +139,14 @@ def _scan_items(text: str, offset: int):
     return items
 
 
+def _digits(text: str, pos: int | None = None) -> str:
+    """``text`` itself, or a ParseError when its integer part is longer than
+    MAX_DIGITS digits."""
+    if sum(ch.isdigit() for ch in text.partition("/")[0]) > MAX_DIGITS:
+        raise ParseError(f"number {text[:12]}... has more than {MAX_DIGITS} digits", pos)
+    return text
+
+
 def _grid_of_twice(t: int) -> str:
     return GRID_INT if t % 2 == 0 else GRID_HALF
 
@@ -148,9 +166,9 @@ def _dsl_lines(all_items):
         if prev is None or prev == GOOD:
             cls_by_id[ident] = cls
         if m.group("b") is not None:
-            t = HalfInt.parse(m.group("b")).twice
+            t = HalfInt.parse(_digits(m.group("b"), pos)).twice
         else:
-            t = int(m.group("a")) - 1
+            t = int(_digits(m.group("a"), pos)) - 1
         grid = _grid_of_twice(t)
         if cls_by_id[ident] == UGLY:
             if grid != GRID_INT:
@@ -172,8 +190,8 @@ def _dsl_lines(all_items):
 
 def _dsl_segment(m, pos, lines):
     ln = lines[m.group("ident") or "rho"]
-    b = HalfInt.parse(m.group("b"))
-    e = HalfInt.parse(m.group("e"))
+    b = HalfInt.parse(_digits(m.group("b"), pos))
+    e = HalfInt.parse(_digits(m.group("e"), pos))
     side = None
     if ln.cls == UGLY:
         side = 1 if m.group("mirror") else 0
@@ -243,7 +261,7 @@ def parse_dsl(text: str):
 def _json_half(v, what):
     if isinstance(v, str):
         try:
-            return HalfInt.parse(v)
+            return HalfInt.parse(_digits(v))
         except DomainError as err:
             raise ParseError(f"{what}: {err}") from None
     if type(v) is int:
@@ -327,11 +345,19 @@ def _parse_text(text: str):
     stripped = text.strip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            obj = json.loads(stripped, parse_int=lambda t: int(_digits(t)))
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, err.pos) from None
-        return parse_json(obj)
-    return parse_dsl(stripped)
+        out = parse_json(obj)
+    else:
+        out = parse_dsl(stripped)
+    if isinstance(out, LanglandsData):
+        degree = 2 * out.n.degree + sum(p.a for p in out.phi)
+    else:
+        degree = out.degree
+    if degree > MAX_DEGREE:
+        raise ParseError(f"total degree {degree} above the cap of {MAX_DEGREE}")
+    return out
 
 
 def parse_input(text: str):
@@ -479,7 +505,7 @@ def _cmd_derive(args) -> int:
     else:
         if args.x is None:
             raise DomainError("derive needs --x or --L-chunk")
-        res = derivative(x, ln, HalfInt.parse(args.x))
+        res = derivative(x, ln, HalfInt.parse(_digits(args.x)))
     print(json.dumps({"k": res.k, "result": render_doc(res.result)},
                      separators=(",", ":")))
     return 0
@@ -582,6 +608,17 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    """An argparse type: a non-negative int."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a size: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="azdual",
@@ -613,9 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_derive)
 
     p = sub.add_parser("check", help="run property suites over the standard sweep")
-    p.add_argument("--max-coeff", type=int, default=2)
-    p.add_argument("--max-pairs", type=int, default=3)
-    p.add_argument("--max-centered", type=int, default=3)
+    p.add_argument("--max-coeff", type=_size, default=2)
+    p.add_argument("--max-pairs", type=_size, default=3)
+    p.add_argument("--max-centered", type=_size, default=3)
     p.add_argument("--suite", action="append", choices=sorted(SUITES),
                    help="repeatable; default is every suite")
     p.add_argument("--seed", type=int, default=None,
@@ -623,10 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("dataset", help="sampled corpus of data and their duals")
-    p.add_argument("--N", type=int, default=5)
-    p.add_argument("--km", type=int, default=5)
-    p.add_argument("--kphi", type=int, default=3)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--N", type=_size, default=5)
+    p.add_argument("--km", type=_size, default=5)
+    p.add_argument("--kphi", type=_size, default=3)
+    p.add_argument("--count", type=_size, default=1000)
     p.add_argument("--seed", type=int, default=None,
                    help="default: AZDUAL_SEED or 0")
     p.add_argument("--out", default=None,

@@ -271,15 +271,6 @@ def _section(cnt):
     return groups
 
 
-def _in_section(cnt, pair, lab) -> bool:
-    """Whether the labeled section of ``cnt`` has a copy of (pair, lab)."""
-    k = cnt.get(pair, 0)
-    c2 = pair[0] + pair[1]
-    if c2:
-        return k > 0 and lab == (1 if c2 > 0 else -1)
-    return k % 2 == 1 if lab == 0 else k > 1
-
-
 def _labeled_dual(pair, lab):
     b2, e2 = pair
     c2 = b2 + e2

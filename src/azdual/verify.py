@@ -159,7 +159,8 @@ def enumerate_data(
     and then a beginning uniform among those making the center negative
     (slots with no room are skipped); each block slot draws a size uniformly
     (drawn in mirrored pairs on bad lines); signs are uniform per distinct
-    good block.
+    good block.  No slot has room when no grid point or block fits in
+    [-n, n], as on a half-integral line with n = 0.
     """
     lines = sorted(lines, key=lambda ln: ln.id)
     if mode == "exhaustive":
@@ -175,7 +176,7 @@ def enumerate_data(
             ln = lines[rng.randrange(len(lines))]
             grid = list(_grid_range(ln, -2 * n, 2 * n))
             entries = []
-            for _ in range(k_m):
+            for _ in range(k_m if grid else 0):
                 e2 = rng.choice(grid)
                 hi2 = min(e2, -e2 - 2)
                 cand = [b2 for b2 in grid if b2 <= hi2]
@@ -186,7 +187,7 @@ def enumerate_data(
                 entries.append(_mk(ln, b2, e2, side))
             sizes = _block_sizes(ln, n)
             blocks = []
-            draws = k_phi // 2 if ln.cls == BAD else k_phi
+            draws = (k_phi // 2 if ln.cls == BAD else k_phi) if sizes else 0
             for _ in range(draws):
                 a = rng.choice(sizes)
                 blocks.append(PhiComponent(ln, a))

@@ -7,6 +7,7 @@ from azdual.segments import (
     GRID_INT,
     UGLY,
     DomainError,
+    InvariantError,
     Line,
     Segment,
     half,
@@ -18,7 +19,7 @@ from azdual.langdata import (
     SignedSymMultisegment,
     transfer,
 )
-from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
+from azdual.ad_core import _Engine, ad_data, ad_initial_sequence, ad_step, ad_symm
 
 G = Line("rho", GOOD, GRID_INT)
 GH = Line("rho", GOOD, GRID_HALF)
@@ -199,3 +200,39 @@ class TestSymm:
         assert out.m.restrict(other) == Multisegment(
             [seg(-1, -1, other), seg(1, 1, other), seg(0, 0, other), seg(0, 0, other)]
         )
+
+
+class TestEngineChecks:
+    """Hand-built line states that no valid input gives, fed straight to the
+    engine, so that each check a state can reach raises."""
+
+    @pytest.mark.parametrize("ln, cnt, minus, msg", [
+        # Integral pairs on a half-integral line: the copy [0,0] is its own
+        # dual and loses one point, not two, but no terminal form stops there.
+        pytest.param(GH, {(0, 0): 1, (0, 2): 1, (-2, 0): 1}, (),
+                     "degree not preserved across the step", id="degree"),
+        # Half-integral pairs on an integral line: [-3/2,3/2] signed -1 is
+        # shortened to [-1/2,1/2], which then leaves with a plus piece.
+        pytest.param(G, {(-3, 3): 1}, {(-3, 3)},
+                     "sign product not preserved across the step", id="parity"),
+        pytest.param(G, {(0, 2): 1}, (),
+                     r"dual copy \(2b, 2e, label\) = \(\(-2, 0\), -1\) missing", id="dual"),
+        pytest.param(G, {(-2, 0): 1}, (),
+                     "open chain produced a centered initial pair", id="open-chain"),
+        pytest.param(B, {(0, 0): 1}, (),
+                     "chain consumed more copies than available", id="bad-copies"),
+        pytest.param(U, {(0, 0, 0): 1}, (),
+                     "mirror copies missing on the partner side", id="ugly-mirror"),
+    ])
+    def test_check_fires(self, ln, cnt, minus, msg):
+        eng = _Engine(ln, dict(cnt), set(minus))
+        with pytest.raises(InvariantError, match=msg):
+            while eng.cnt:
+                eng.step()
+
+    def test_the_parity_state_passes_its_first_step(self):
+        """The parity check fires on the second step, not on the first."""
+        eng = _Engine(G, {(-3, 3): 1}, {(-3, 3)})
+        eng.step()
+        assert (eng.cnt, eng.minus, eng.parity) == ({(-1, 1): 1}, {(-1, 1)}, 1)
+        assert (eng.dual, eng.dual_minus, eng.degree) == ({(3, 3): 1, (-3, -3): 1}, set(), 2)

@@ -27,6 +27,8 @@ from azdual.langdata import (
     SignedSymMultisegment,
 )
 from azdual.cli import (
+    MAX_DEGREE,
+    MAX_DIGITS,
     MAX_MULT,
     ParseError,
     main,
@@ -200,6 +202,81 @@ class TestStrictJson:
             got = parse_input(json.dumps(_datum_doc(**block)))
             assert bool(got.eta_minus) is minus
             assert render_doc(got)["phi"][0]["eta"] == (-1 if minus else 1)
+
+
+LONG = "1" * 5000
+
+
+class TestInputSize:
+    """The total degree and the length of each number are capped when the
+    input is parsed, so no dual ever runs on an input over the cap."""
+
+    @pytest.mark.parametrize("text, degree", [
+        pytest.param(f" ; S{MAX_DEGREE + 1}", MAX_DEGREE + 1, id="block"),
+        pytest.param(f"{MAX_MULT}*[0,9]+[0,0]", MAX_DEGREE + 1, id="segments"),
+        pytest.param(f"{MAX_MULT}*[-4,0] ; S1", MAX_DEGREE + 1, id="data"),
+    ])
+    def test_degree_above_the_cap_is_refused(self, text, degree, monkeypatch):
+        def never(*args):
+            raise AssertionError("the dual ran")
+
+        monkeypatch.setattr("azdual.cli.ad_data", never)
+        monkeypatch.setattr("azdual.cli.ad_symm", never)
+        with pytest.raises(ParseError, match=f"total degree {degree} above the cap"):
+            parse_input(text)
+        code, out, err = run(["dual", text])
+        assert code == 1 and out == ""
+        assert err == f"error: total degree {degree} above the cap of {MAX_DEGREE}\n"
+
+    def test_json_degree_above_the_cap_is_refused(self):
+        doc = {"lines": LINES_DOC, "m": [],
+               "phi": [{"line": "rho", "a": MAX_DEGREE + 1}]}
+        with pytest.raises(ParseError, match="above the cap"):
+            parse_input(json.dumps(doc))
+
+    def test_degree_at_the_cap_is_read(self):
+        assert 2 * parse_input(f"{MAX_MULT // 2}*[-9,0] ; ").n.degree == MAX_DEGREE
+        x = parse_input(f" ; S{MAX_DEGREE - 1}+S1")
+        assert sum(p.a for p in x.phi) == MAX_DEGREE
+
+    @pytest.mark.parametrize("text, pos", [
+        pytest.param(f"[0,{LONG}]", 0, id="segment-end"),
+        pytest.param(f"[0,0]+[-{LONG}/2,0]", 6, id="half-beginning"),
+        pytest.param(f"; S{LONG}", 2, id="block"),
+        pytest.param("; S2000000001", 2, id="ten-digit-block"),
+        pytest.param("[0,0000001]", 0, id="leading-zeros"),
+    ])
+    def test_long_dsl_number_is_refused(self, text, pos):
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits") as info:
+            parse_input(text)
+        assert info.value.pos == pos
+        code, out, err = run(["dual", text])
+        assert code == 1 and out == ""
+        assert err.startswith("error: at position") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param({"lines": LINES_DOC, "m": [], "phi": [{"line": "rho", "a": "LONG"}]},
+                     id="json-int"),
+        pytest.param({"lines": LINES_DOC, "m": [{"line": "rho", "b": "0", "e": LONG}]},
+                     id="string-end"),
+        pytest.param({"lines": LINES_DOC, "m": [{"line": "rho", "b": "LONG", "e": 0}]},
+                     id="json-int-beginning"),
+    ])
+    def test_long_json_number_is_refused(self, doc):
+        text = json.dumps(doc).replace('"LONG"', LONG)
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            parse_input(text)
+        code, out, err = run(["validate", text])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_long_twist_is_refused(self):
+        code, out, err = run(["derive", "[0,0]", f"--x={LONG}"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: number 1111") and err.count("\n") == 1
+
+    def test_six_digit_coordinates_are_read(self):
+        assert parse_input("[999999,999999]").entries[0].e == HalfInt(999999)
 
 
 class TestRender:
@@ -397,6 +474,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "[-2,-2]+[-1,-1]+[0,0]+[1,1]"
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["dataset", "--N", "-1"], id="N"),
+        pytest.param(["dataset", "--km", "-1"], id="km"),
+        pytest.param(["dataset", "--kphi", "-1"], id="kphi"),
+        pytest.param(["dataset", "--count", "-3"], id="count"),
+        pytest.param(["check", "--max-coeff", "-1"], id="max-coeff"),
+        pytest.param(["check", "--max-pairs", "-1"], id="max-pairs"),
+        pytest.param(["check", "--max-centered", "-1"], id="max-centered"),
+        pytest.param(["dataset", "--count", "3.5"], id="not-an-int"),
+    ])
+    def test_negative_size_is_a_usage_error(self, argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+        assert info.value.code == 2 and out.getvalue() == ""
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(f"azdual {argv[0]}: error: argument {argv[1]}: ")
+        assert "Traceback" not in err.getvalue()
 
     def test_env_seed_crosses_the_process_boundary(self, tmp_path):
         env = dict(os.environ, AZDUAL_SEED="11")

@@ -1,0 +1,127 @@
+"""Hypothesis properties of the text edge: parsing the rendering of random
+valid data of all three kinds gives the data back, and random text into
+``parse_input`` ends in a value, a ``ParseError`` or a ``DomainError``,
+never in another exception."""
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from azdual.segments import (  # noqa: E402
+    BAD,
+    GOOD,
+    GRID_HALF,
+    GRID_INT,
+    UGLY,
+    DomainError,
+    HalfInt,
+    Line,
+    Segment,
+)
+from azdual.langdata import LanglandsData, Multisegment, transfer  # noqa: E402
+from azdual.ad_core import ad_symm  # noqa: E402
+from azdual.cli import ParseError, parse_input, render_output  # noqa: E402
+from azdual.verify import enumerate_data  # noqa: E402
+
+LINES = [
+    Line("g", GOOD, GRID_INT),
+    Line("gh", GOOD, GRID_HALF),
+    Line("b", BAD, GRID_INT),
+    Line("bh", BAD, GRID_HALF),
+    Line("u", UGLY, GRID_INT),
+]
+
+FAST = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def data(draw):
+    """Parameter data on one to three lines, each part drawn by the seeded
+    sampler of the property sweeps."""
+    lines = draw(st.lists(st.sampled_from(LINES), min_size=1, max_size=3,
+                          unique_by=lambda ln: ln.id))
+    n, phi, eta_minus = [], [], set()
+    for ln in lines:
+        (d,) = enumerate_data(
+            draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3)),
+            [ln], mode="sampled", count=1, seed=draw(st.integers(0, 2**32)),
+        )
+        n += d.n
+        phi += d.phi
+        eta_minus |= d.eta_minus
+    return LanglandsData(n, phi, eta_minus=eta_minus)
+
+
+@st.composite
+def segment(draw):
+    ln = draw(st.sampled_from(LINES))
+    b2 = draw(st.integers(-12, 12).map(lambda t: 2 * t + (ln.grid == GRID_HALF)))
+    e2 = b2 + 2 * draw(st.integers(0, 6))
+    side = draw(st.integers(0, 1)) if ln.cls == UGLY else None
+    return Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2), side)
+
+
+@FAST
+@given(data())
+def test_parse_of_render_is_identity_on_data(d):
+    assert parse_input(render_output(d)) == d
+
+
+@FAST
+@given(data(), st.booleans())
+def test_parse_of_render_is_identity_on_signed_states(d, dual):
+    s = transfer(d)
+    if dual:
+        s = ad_symm(s)
+    assert parse_input(render_output(s)) == s
+
+
+@FAST
+@given(st.lists(segment(), max_size=8))
+def test_parse_of_render_is_identity_on_multisegments(segs):
+    m = Multisegment(segs)
+    assert parse_input(render_output(m)) == m
+
+
+def _parses_or_refuses(text):
+    try:
+        parse_input(text)
+    except (ParseError, DomainError):
+        pass
+
+
+DSL_CHARS = "[]0123456789,-/+*;S@:!~ rhogub"
+
+
+@FAST
+@given(st.text(max_size=40))
+def test_random_text_ends_in_a_parse_or_domain_error(text):
+    _parses_or_refuses(text)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.text(alphabet=DSL_CHARS, max_size=40))
+def test_random_dsl_ends_in_a_parse_or_domain_error(text):
+    _parses_or_refuses(text)
+
+
+KEYS = ["lines", "m", "phi", "eps", "id", "class", "grid", "line", "b", "e",
+        "a", "side", "eta", "sign"]
+WORDS = ["rho", "good", "bad", "ugly", "integral", "half-integral", "0", "-1",
+         "3/2", "-5/2", "x"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats(allow_nan=False)
+    | st.sampled_from(WORDS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(KEYS), JSON_VALUES, max_size=4))
+def test_random_json_ends_in_a_parse_or_domain_error(doc):
+    _parses_or_refuses(json.dumps(doc))
+

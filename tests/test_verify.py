@@ -128,6 +128,13 @@ class TestEnumeration:
         for d in a:
             assert not validate(transfer(d))
 
+    def test_sampled_skips_slots_with_no_room(self):
+        """On a half-integral line with n = 0 no grid point and no block fits
+        in [-n, n]: every slot is skipped and the data are empty."""
+        for ln in (Line("gh", GOOD, GRID_HALF), Line("bh", BAD, GRID_HALF)):
+            got = list(enumerate_data(0, 2, 3, [ln], mode="sampled", count=5, seed=1))
+            assert got == [LanglandsData()] * 5
+
     def test_sampled_needs_a_count(self):
         with pytest.raises(DomainError, match="count"):
             list(enumerate_data(1, 1, 1, [G], mode="sampled"))
