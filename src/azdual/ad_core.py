@@ -12,8 +12,9 @@ time, in one engine (``_Engine``) that keeps the line's state across its
 steps: the counter ``{(2b, 2e): multiplicity}``, changed in place; an end
 index ``{2e: sorted beginnings 2b}``, updated only for the pairs a step
 takes to or from multiplicity 0; the set of centered pairs signed -1; the
-running degree and sign parity.  ``Segment`` objects are read once when a
-line is entered and built once when it is left.
+running degree and sign parity.  The engine starts from a copy of the
+line's counter in the input's int form, and the dual it adds up is the
+result's int form; no ``Segment`` is built.
 
 A step visits only the ends top, top - 2, ...  On good lines it picks at
 each end the first group of the labeled section after the previous pick,
@@ -41,7 +42,7 @@ from .langdata import (
     _degree,
     _dual,
     _labeled_dual,
-    _line_ints,
+    _parity,
     _section,
     _segment,
     _signed,
@@ -69,11 +70,6 @@ class InitialSequence:
     idx: tuple
     idx_dual: tuple
     eps0: int
-
-
-def _parity(cnt, minus) -> int:
-    """0 when the product of the signs, with multiplicity, is +1; else 1."""
-    return sum(cnt.get(v, 0) for v in minus) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +443,8 @@ def _single_line(s: SignedSymMultisegment, what: str):
     if len(lines) != 1:
         raise DomainError("this operation needs data supported on exactly one line")
     ln = lines[0]
-    return ln, _Engine(ln, *_line_ints(s)[ln.id])
+    cnt, minus = s._ints[ln]
+    return ln, _Engine(ln, dict(cnt), minus)
 
 
 def ad_step(s: SignedSymMultisegment):
@@ -490,10 +487,10 @@ def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
 def ad_symm(s: SignedSymMultisegment) -> SignedSymMultisegment:
     """The dual of a signed symmetric multisegment (an involution)."""
     require_valid(s)
-    ints = _line_ints(s)
     parts = []
     for ln in s.lines():
-        eng = _Engine(ln, *ints[ln.id])
+        cnt, minus = s._ints[ln]
+        eng = _Engine(ln, dict(cnt), minus)
         while eng.cnt:
             degree = eng.degree
             eng.step()

@@ -209,10 +209,11 @@ def _mult(m, pos) -> int:
 
 
 def parse_dsl(text: str):
-    src = text.strip()
-    if not src:
+    """Read DSL text; error positions index ``text`` itself, leading blanks
+    included."""
+    if not text.strip():
         return LanglandsData(Multisegment([]), [])
-    m_text, sep, phi_text = src.partition(";")
+    m_text, sep, phi_text = text.partition(";")
     m_items = _scan_items(m_text, 0) if m_text.strip() else []
     phi_items = (
         _scan_items(phi_text, len(m_text) + 1) if sep and phi_text.strip() else []
@@ -342,15 +343,14 @@ def parse_json(obj):
 
 def _parse_text(text: str):
     """Parse JSON or DSL text into an object, not yet validated."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            obj = json.loads(stripped, parse_int=lambda t: int(_digits(t)))
+            obj = json.loads(text, parse_int=lambda t: int(_digits(t)))
         except json.JSONDecodeError as err:
             raise ParseError(err.msg, err.pos) from None
         out = parse_json(obj)
     else:
-        out = parse_dsl(stripped)
+        out = parse_dsl(text)
     if isinstance(out, LanglandsData):
         degree = 2 * out.n.degree + sum(p.a for p in out.phi)
     else:

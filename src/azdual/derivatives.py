@@ -31,7 +31,6 @@ from .langdata import (
     SignedSymMultisegment,
     _degree,
     _dual,
-    _line_ints,
     _segment,
     _signed,
     require_valid,
@@ -239,13 +238,14 @@ def _deriv_bad(ln: Line, cnt, x2: int):
     return unprot, new_cnt
 
 
-def _result(s, ints, ln: Line, cnt, minus, k: int, what: str) -> DerivativeResult:
+def _result(s, ln: Line, cnt, minus, k: int, what: str) -> DerivativeResult:
     """``s`` with the line ``ln`` replaced (zero counts dropped) and order
     k; ``s`` itself when k is 0."""
     if k == 0:
         return DerivativeResult(s, 0)
-    ints[ln.id] = (cnt, minus)
-    result = _signed([(l, *ints[l.id]) for l in s.lines()])
+    ints = dict(s._ints)
+    ints[ln] = (cnt, minus)
+    result = _signed((l, *ints[l]) for l in s.lines())
     report = validate(result)
     if report:
         raise InvariantError(
@@ -266,10 +266,9 @@ def derivative(s: SignedSymMultisegment, ln: Line, x) -> DerivativeResult:
         raise DomainError("twist derivatives need x != 0; use the zero-chunk form")
     if not ln.grid_ok(x):
         raise DomainError(f"x = {x} is off the {ln.grid} grid of line {ln.id}")
-    if ln not in s.lines():
+    if ln not in s._ints:
         return DerivativeResult(s, 0)
-    ints = _line_ints(s)
-    cnt, minus = ints[ln.id]
+    cnt, minus = s._ints[ln]
     new_minus = set()
     if ln.cls == GOOD:
         unprot, new_cnt, new_minus = _deriv_good(ln, cnt, minus, x.twice)
@@ -281,7 +280,7 @@ def derivative(s: SignedSymMultisegment, ln: Line, x) -> DerivativeResult:
     else:
         raise DomainError(f"unknown line class {ln.cls!r}")
     k = sum(unprot.values())
-    return _result(s, ints, ln, new_cnt, new_minus, k, "derivative")
+    return _result(s, ln, new_cnt, new_minus, k, "derivative")
 
 
 def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
@@ -297,22 +296,20 @@ def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
         raise DomainError("zero-chunk derivative needs a good or bad line")
     if ln.grid != GRID_INT:
         raise DomainError("zero-chunk derivative needs an integral grid")
-    if ln not in s.lines():
+    if ln not in s._ints:
         return DerivativeResult(s, 0)
-    ints = _line_ints(s)
-    emax2 = max(v[1] for v in ints[ln.id][0])
+    emax2 = max(v[1] for v in s._ints[ln][0])
     for y2 in range(-emax2 + 2, 0, 2):
         if derivative(s, ln, HalfInt.from_twice(y2)).k != 0:
             raise DomainError(
                 f"zero-chunk derivative undefined: not reduced at {HalfInt.from_twice(y2)}"
             )
-    return _zero_chunk(s, ints, ln)
+    return _zero_chunk(s, ln)
 
 
-def _zero_chunk(s, ints, ln: Line) -> DerivativeResult:
-    """:func:`derivative_L` once its hypotheses hold; ``ints`` is
-    ``_line_ints(s)`` and is updated in place."""
-    cnt, minus = ints[ln.id]
+def _zero_chunk(s, ln: Line) -> DerivativeResult:
+    """:func:`derivative_L` once its hypotheses hold."""
+    cnt, minus = s._ints[ln]
     zero, m10, z01 = (0, 0), (-2, 0), (0, 2)
     q = max(cnt.get(m10, 0) - cnt.get((-4, -4), 0) + cnt.get((-2, -2), 0), 0)
     if q > cnt.get(m10, 0):
@@ -340,7 +337,7 @@ def _zero_chunk(s, ints, ln: Line) -> DerivativeResult:
     removed = _degree(cnt) - _degree(new_cnt)
     if removed % 4:
         raise InvariantError("zero-chunk removal is not a whole number of chunk pairs")
-    return _result(s, ints, ln, new_cnt, minus, removed // 4, "zero-chunk derivative")
+    return _result(s, ln, new_cnt, minus, removed // 4, "zero-chunk derivative")
 
 
 def reduced_report(s: SignedSymMultisegment) -> dict:
@@ -356,7 +353,7 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
     for ln in s.lines():
         if ln.cls not in (GOOD, BAD):
             continue
-        emax2 = max(d.e.twice for d in s.m if d.line == ln)
+        emax2 = max(v[1] for v in s._ints[ln][0])
         ks = {
             x2: derivative(s, ln, HalfInt.from_twice(x2)).k
             for x2 in range(-emax2, emax2 + 1, 2) if x2 != 0
@@ -369,7 +366,7 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
             # derivative_L's hypothesis, read off the orders already known
             if not any(ks[y2] for y2 in range(-emax2 + 2, 0, 2)):
                 try:
-                    l_order = _zero_chunk(s, _line_ints(s), ln).k
+                    l_order = _zero_chunk(s, ln).k
                 except DomainError:
                     pass
             line_reduced = x_reduced and l_order == 0

@@ -3,10 +3,12 @@ Langlands-style parameter data, plus the transfer between the two pictures.
 
 Symmetric multisegments carry signs only on centered segments; signs are
 stored sparsely as the set of centered values signed -1, everything else
-being +1 by convention.
+being +1 by convention.  A signed symmetric multisegment holds the per-line
+int form below and builds its ``Segment`` view (``.m``) on demand.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .segments import (
@@ -86,9 +88,7 @@ class Multisegment:
 
     def lines(self):
         """Distinct lines present, sorted by id."""
-        seen = {}
-        for d in self.entries:
-            seen[d.line.id] = d.line
+        seen = {d.line.id: d.line for d in self.entries}
         return [seen[k] for k in sorted(seen)]
 
     def restrict(self, ln: Line) -> "Multisegment":
@@ -111,116 +111,129 @@ class Multisegment:
 
 
 def from_counter(cnt: dict) -> Multisegment:
-    out = []
-    for d, k in cnt.items():
-        if k:
-            out.extend([d] * k)
-    return Multisegment(out)
+    return Multisegment(d for d, k in cnt.items() for _ in range(k))
 
 
 class SignedSymMultisegment:
     """A multisegment together with signs on its centered segments.
 
-    Only the -1 signs are stored (``minus``); every centered segment not
-    listed there carries +1, as does every non-centered segment.  ``_valid``
-    is set once :func:`validate` has found nothing wrong with the object.
+    It holds ``{line: (counter, minus set)}`` in the per-line int form below
+    and builds ``m`` and ``minus`` (the segments signed -1) on first access.
+    Built from Segments, it reads them on first use of the int form, once,
+    and keeps the conflicting line declarations found then.  ``_valid`` is
+    set once :func:`validate` has found nothing wrong with the object.  The
+    views have no setters and the slots are private: the object is immutable.
     """
 
-    __slots__ = ("m", "minus", "_valid")
+    __slots__ = ("_form", "_m", "_minus", "_conflicts", "_valid", "_hash")
 
-    def __init__(self, m=(), eps=None, minus=()):
+    def __init__(self, m=(), minus=()):
         if not isinstance(m, Multisegment):
             m = Multisegment(m)
-        mset = set()
-        for d in minus:
-            self._check_sign_key(d)
-            mset.add(d)
-        if eps:
-            for d, s in eps.items():
-                self._check_sign_key(d)
-                if s not in (1, -1):
-                    raise DomainError(f"sign for {d} must be +1 or -1, got {s!r}")
-                if s == -1:
-                    mset.add(d)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "minus", frozenset(mset))
-        object.__setattr__(self, "_valid", False)
+        mset = frozenset(minus)
+        for d in mset:
+            if not isinstance(d, Segment):
+                raise TypeError(f"sign key {d!r} is not a Segment")
+            if not d.is_centered:
+                raise DomainError(f"sign attached to non-centered segment {d}")
+        _fill(self, None, m, mset)
 
-    @staticmethod
-    def _check_sign_key(d):
-        if not isinstance(d, Segment):
-            raise TypeError(f"sign key {d!r} is not a Segment")
-        if not d.is_centered:
-            raise DomainError(f"sign attached to non-centered segment {d}")
+    @property
+    def _ints(self) -> dict:
+        if self._form is None:
+            self._form, self._conflicts = _read(self._m, self._minus)
+        return self._form
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedSymMultisegment is immutable")
+    @property
+    def m(self) -> Multisegment:
+        if self._m is None:
+            self._m = Multisegment([_segment(ln, v) for ln, (cnt, _) in self._ints.items()
+                                    for v, k in cnt.items() for _ in range(k)])
+        return self._m
+
+    @property
+    def minus(self) -> frozenset:
+        if self._minus is None:
+            self._minus = frozenset(_segment(ln, v) for ln, (_, minus) in self._ints.items()
+                                    for v in minus)
+        return self._minus
 
     def eps(self, d: Segment) -> int:
         return -1 if d in self.minus else 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SignedSymMultisegment)
-            and self.m == other.m
-            and self.minus == other.minus
-        )
+        return isinstance(other, SignedSymMultisegment) and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.m, self.minus))
+        if self._hash is None:
+            self._hash = hash(frozenset((ln, frozenset(cnt.items()), frozenset(minus))
+                                        for ln, (cnt, minus) in self._ints.items()))
+        return self._hash
 
     def __bool__(self):
-        return bool(self.m)
+        return any(cnt for cnt, _ in self._ints.values())
 
     @property
     def degree(self) -> int:
-        return self.m.degree
+        return sum(_degree(cnt) for cnt, _ in self._ints.values())
 
     def lines(self):
-        return self.m.lines()
+        return sorted((ln for ln, (cnt, _) in self._ints.items() if cnt),
+                      key=lambda ln: ln.id)
 
     def max_end(self, ln=None):
-        return self.m.max_end(ln)
+        ends = [v[1] for l, (cnt, _) in self._ints.items() if ln is None or l == ln
+                for v in cnt]
+        return HalfInt.from_twice(max(ends)) if ends else None
 
     def restrict(self, ln: Line) -> "SignedSymMultisegment":
-        return SignedSymMultisegment(
-            self.m.restrict(ln), minus={d for d in self.minus if d.line == ln}
-        )
+        entry = self._ints.get(ln)
+        return _signed([(ln, *entry)] if entry else [])
 
     def __str__(self):
-        if not self.m:
-            return "0"
-        parts = []
-        for d in self.m:
-            if d.is_centered and d.line.cls == GOOD:
-                parts.append(f"{d}:{'-' if d in self.minus else '+'}")
-            else:
-                parts.append(str(d))
-        return "+".join(parts)
+        return "+".join(
+            f"{d}:{'-' if d in self.minus else '+'}"
+            if d.is_centered and d.line.cls == GOOD else str(d)
+            for d in self.m
+        ) or "0"
 
     __repr__ = __str__
+
+
+def _fill(s: SignedSymMultisegment, form, m=None, minus=None) -> SignedSymMultisegment:
+    s._form, s._m, s._minus, s._conflicts, s._valid, s._hash = form, m, minus, (), False, None
+    return s
 
 
 # ---------------------------------------------------------------------------
 # Per-line int form
 # ---------------------------------------------------------------------------
 #
-# The dual's step loop, the derivatives and the GL layer run on plain ints,
-# one line at a time: a counter ``{(2b, 2e): multiplicity}`` (keys
-# ``(2b, 2e, side)`` on ugly lines) and the set of centered pairs signed -1.
-# A line's labeled section is a sorted list of ``(key, pair, label, copies)``
-# groups; copy i precedes copy j in it exactly when key_i < key_j.
+# The signed multisegments, their validation and transfer, the dual's step
+# loop, the derivatives and the GL layer run on plain ints, one line at a
+# time: a counter ``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on
+# ugly lines) and the set of centered keys signed -1.  Readers never change
+# an object's counters; the step loop cuts a copy.  A line's labeled section
+# is a sorted list of ``(key, pair, label, copies)`` groups; copy i precedes
+# copy j in it exactly when key_i < key_j.
 
 
-def _line_ints(s: SignedSymMultisegment):
-    """{line id: (counter, minus set)} with int keys."""
-    out = {}
-    for d, k in s.m.counter().items():
-        key = (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
-        out.setdefault(d.line.id, ({}, set()))[0][key] = k
-    for d in s.minus:
-        out[d.line.id][1].add((d.b.twice, d.e.twice))
-    return out
+def _key(d: Segment):
+    """The int key of a segment: (2b, 2e), with the side on ugly lines."""
+    return (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
+
+
+def _read(m: Multisegment, minus):
+    """{line: (counter, minus set)} of Segments, and the conflicting line
+    declarations among them."""
+    ints = {}
+    for d in m.entries:
+        cnt = ints.setdefault(d.line, ({}, set()))[0]
+        v = _key(d)
+        cnt[v] = cnt.get(v, 0) + 1
+    for d in minus:
+        ints.setdefault(d.line, ({}, set()))[1].add(_key(d))
+    return ints, _line_conflicts(d.line for d in m)
 
 
 def _segment(ln: Line, v) -> Segment:
@@ -228,14 +241,14 @@ def _segment(ln: Line, v) -> Segment:
 
 
 def _signed(parts) -> SignedSymMultisegment:
-    """Back to Segments from one (line, counter, minus set) per line."""
-    return SignedSymMultisegment(
-        Multisegment([
-            _segment(ln, v) for ln, cnt, _ in parts
-            for v, k in cnt.items() for _ in range(k)
-        ]),
-        minus=[_segment(ln, v) for ln, _, minus in parts for v in minus],
-    )
+    """The signed multisegment of one (line, counter, minus set) per line,
+    zero counts dropped.  The minus sets are kept, not copied."""
+    ints = {}
+    for ln, cnt, minus in parts:
+        cnt = {v: k for v, k in cnt.items() if k}
+        if cnt or minus:
+            ints[ln] = (cnt, minus)
+    return _fill(object.__new__(SignedSymMultisegment), ints)
 
 
 def _dual(v):
@@ -245,6 +258,11 @@ def _dual(v):
 
 def _degree(cnt) -> int:
     return sum(((v[1] - v[0]) // 2 + 1) * k for v, k in cnt.items())
+
+
+def _parity(cnt, minus) -> int:
+    """0 when the product of the signs, with multiplicity, is +1; else 1."""
+    return sum(cnt.get(v, 0) for v in minus) % 2
 
 
 def _section(cnt):
@@ -358,27 +376,20 @@ class LanglandsData:
 
     __slots__ = ("n", "phi", "eta_minus")
 
-    def __init__(self, n=(), phi=(), eta=None, eta_minus=()):
+    def __init__(self, n=(), phi=(), eta_minus=()):
         if not isinstance(n, Multisegment):
             n = Multisegment(n)
         phi = tuple(sorted(phi, key=_phi_key))
         for p in phi:
             if not isinstance(p, PhiComponent):
                 raise TypeError(f"{p!r} is not a PhiComponent")
-        mset = set()
+        eta_minus = frozenset(eta_minus)
         for p in eta_minus:
             if not isinstance(p, PhiComponent):
                 raise TypeError(f"sign key {p!r} is not a PhiComponent")
-            mset.add(p)
-        if eta:
-            for p, s in eta.items():
-                if s not in (1, -1):
-                    raise DomainError(f"sign for {p} must be +1 or -1, got {s!r}")
-                if s == -1:
-                    mset.add(p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "eta_minus", frozenset(mset))
+        object.__setattr__(self, "eta_minus", eta_minus)
 
     def __setattr__(self, name, value):
         raise AttributeError("LanglandsData is immutable")
@@ -386,23 +397,13 @@ class LanglandsData:
     def eta(self, p: PhiComponent) -> int:
         return -1 if p in self.eta_minus else 1
 
-    def phi_mult(self, p: PhiComponent) -> int:
-        return sum(1 for q in self.phi if q == p)
-
     def lines(self):
-        seen = {}
-        for d in self.n:
-            seen[d.line.id] = d.line
-        for p in self.phi:
-            seen[p.line.id] = p.line
+        seen = {x.line.id: x.line for x in (*self.n, *self.phi)}
         return [seen[k] for k in sorted(seen)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LanglandsData)
-            and self.n == other.n
-            and self.phi == other.phi
-            and self.eta_minus == other.eta_minus
+        return isinstance(other, LanglandsData) and (
+            (self.n, self.phi, self.eta_minus) == (other.n, other.phi, other.eta_minus)
         )
 
     def __hash__(self):
@@ -412,14 +413,11 @@ class LanglandsData:
         return bool(self.n) or bool(self.phi)
 
     def __str__(self):
-        left = str(self.n)
         right = "+".join(
-            f"{p}:{'-' if p in self.eta_minus else '+'}"
-            if p.line.cls == GOOD
-            else str(p)
+            f"{p}:{'-' if p in self.eta_minus else '+'}" if p.line.cls == GOOD else str(p)
             for p in self.phi
         )
-        return f"{left} ; {right or '0'}"
+        return f"{self.n} ; {right or '0'}"
 
     __repr__ = __str__
 
@@ -432,10 +430,11 @@ class LanglandsData:
 def _line_conflicts(lines) -> list:
     by_id: dict = {}
     out = []
+    prev = None
     for ln in lines:
-        if ln.id in by_id and by_id[ln.id] != ln:
+        if ln is not prev and by_id.get(ln.id, ln) != ln:
             out.append(f"conflicting declarations for line {ln.id!r}")
-        by_id[ln.id] = ln
+        by_id[ln.id] = prev = ln
     return out
 
 
@@ -446,29 +445,33 @@ def validate(x) -> list:
     if isinstance(x, SignedSymMultisegment):
         if x._valid:
             return []
-        out = _line_conflicts(d.line for d in x.m)
-        cnt = x.m.counter()
-        for value, mult in sorted(cnt.items(), key=lambda kv: seg_sort_key(kv[0])):
-            if cnt.get(seg_dual(value), 0) != mult:
-                out.append(f"symmetry violation at {value}")
-            if value.is_centered and value.line.cls == BAD and mult % 2:
-                out.append(f"odd multiplicity {mult} of centered {value} on bad line")
-        for d in sorted(x.minus, key=seg_sort_key):
-            if d not in cnt:
-                out.append(f"sign attached to absent segment {d}")
-            if d.line.cls != GOOD:
-                out.append(f"explicit -1 sign on non-good line at {d}")
-        object.__setattr__(x, "_valid", not out)
+        found = []  # (0 for a value or 1 for a sign, line, key, text)
+        for ln, (cnt, minus) in x._ints.items():  # also sets x._conflicts
+            for v, k in cnt.items():
+                if cnt.get(_dual(v), 0) != k:
+                    found.append((0, ln, v, f"symmetry violation at {_segment(ln, v)}"))
+                if ln.cls == BAD and k % 2 and v[0] + v[1] == 0:
+                    found.append((0, ln, v, f"odd multiplicity {k} of centered "
+                                            f"{_segment(ln, v)} on bad line"))
+            for v in minus:
+                if v not in cnt:
+                    found.append((1, ln, v, f"sign attached to absent segment {_segment(ln, v)}"))
+                if ln.cls != GOOD:
+                    found.append((1, ln, v, f"explicit -1 sign on non-good line at {_segment(ln, v)}"))
+        # values first, then signs, each in seg_sort_key order:
+        # (line id, side or -1, -2b, 2e)
+        found.sort(key=lambda r: (r[0], r[1].id, r[2][2] if len(r[2]) == 3 else -1,
+                                  -r[2][0], r[2][1]))
+        out = [*x._conflicts, *(r[3] for r in found)]
+        x._valid = not out
         return out
     if isinstance(x, LanglandsData):
         out = _line_conflicts(list(d.line for d in x.n) + [p.line for p in x.phi])
         for d in x.n:
             if d.b.twice + d.e.twice >= 0:
                 out.append(f"segment {d} does not have negative center")
-        counts: dict = {}
-        for p in x.phi:
-            counts[p] = counts.get(p, 0) + 1
-        for p, k in sorted(counts.items(), key=lambda kv: _phi_key(kv[0])):
+        counts = Counter(x.phi)  # in _phi_key order, as phi is
+        for p, k in counts.items():
             if p.line.cls == BAD and k % 2:
                 out.append(f"odd multiplicity {k} of block {p} on bad line")
         for p in sorted(x.eta_minus, key=_phi_key):
@@ -500,19 +503,20 @@ def transfer(d: LanglandsData) -> SignedSymMultisegment:
     Block signs become segment signs.
     """
     require_valid(d)
-    entries = []
+    ints = {}
     for dd in d.n:
-        entries.append(dd)
-        entries.append(seg_dual(dd))
-    minus = set()
+        cnt = ints.setdefault(dd.line, ({}, set()))[0]
+        v = _key(dd)
+        for w in (v, _dual(v)):
+            cnt[w] = cnt.get(w, 0) + 1
     for p in d.phi:
-        s0 = p.centered_segment()
-        entries.append(s0)
-        if p.line.cls == UGLY:
-            entries.append(seg_dual(s0))
+        cnt = ints.setdefault(p.line, ({}, set()))[0]
+        y2 = p.a - 1
+        for w in ((-y2, y2, 0), (-y2, y2, 1)) if p.line.cls == UGLY else ((-y2, y2),):
+            cnt[w] = cnt.get(w, 0) + 1
     for p in d.eta_minus:
-        minus.add(p.centered_segment())
-    return SignedSymMultisegment(Multisegment(entries), minus=minus)
+        ints[p.line][1].add((1 - p.a, p.a - 1))
+    return _signed((ln, cnt, minus) for ln, (cnt, minus) in ints.items())
 
 
 def untransfer(s: SignedSymMultisegment) -> LanglandsData:
@@ -522,19 +526,16 @@ def untransfer(s: SignedSymMultisegment) -> LanglandsData:
     n_entries = []
     phi = []
     eta_minus = set()
-    for value, mult in s.m.counter().items():
-        c2 = value.b.twice + value.e.twice
-        if c2 == 0:
-            if value.line.cls == UGLY:
-                if value.side == 0:
-                    phi.extend([PhiComponent(value.line, value.length)] * mult)
-            else:
-                p = PhiComponent(value.line, value.length)
-                phi.extend([p] * mult)
-                if value.line.cls == GOOD and s.eps(value) == -1:
+    for ln, (cnt, minus) in s._ints.items():
+        for v, k in cnt.items():
+            c2 = v[0] + v[1]
+            if c2 < 0:
+                n_entries.extend([_segment(ln, v)] * k)
+            elif c2 == 0 and (len(v) == 2 or v[2] == 0):
+                p = PhiComponent(ln, (v[1] - v[0]) // 2 + 1)
+                phi.extend([p] * k)
+                if v in minus:
                     eta_minus.add(p)
-        elif c2 < 0:
-            n_entries.extend([value] * mult)
     return LanglandsData(Multisegment(n_entries), phi, eta_minus=eta_minus)
 
 
@@ -545,9 +546,7 @@ def untransfer(s: SignedSymMultisegment) -> LanglandsData:
 
 def line_project(x, ln: Line):
     """Restrict to one line (both sides of an ugly pair), same kind out."""
-    if isinstance(x, Multisegment):
-        return x.restrict(ln)
-    if isinstance(x, SignedSymMultisegment):
+    if isinstance(x, (Multisegment, SignedSymMultisegment)):
         return x.restrict(ln)
     if isinstance(x, LanglandsData):
         return LanglandsData(
@@ -563,12 +562,8 @@ def sign_product(s: SignedSymMultisegment, ln: Line) -> int:
     counted with multiplicity."""
     if ln.cls != GOOD:
         raise DomainError(f"sign_product needs a good line, got {ln.id} ({ln.cls})")
-    flips = 0
-    cnt = s.m.counter()
-    for d in s.minus:
-        if d.line == ln:
-            flips += cnt.get(d, 0)
-    return -1 if flips % 2 else 1
+    entry = s._ints.get(ln)
+    return -1 if entry and _parity(*entry) else 1
 
 
 def plus_product(s: SignedSymMultisegment) -> int:

@@ -15,7 +15,6 @@ from .segments import DomainError, Segment
 from .langdata import (
     Multisegment,
     SignedSymMultisegment,
-    _line_ints,
     _section,
     _segment,
     require_valid,
@@ -205,7 +204,7 @@ def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
     if target.is_empty:
         return 0
     require_valid(s)
-    cnt = _line_ints(s)[target.line.id][0] if target.line in s.lines() else {}
+    cnt = s._ints[target.line][0] if target.line in s._ints else {}
     if target.side is not None:
         cnt = {v[:2]: k for v, k in cnt.items() if v[2] == target.side}
     items = [pair + (key,) for key, pair, _, k in _section(cnt) for _ in range(k)]

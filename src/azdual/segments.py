@@ -128,10 +128,6 @@ class HalfInt:
 
     # -- misc ---------------------------------------------------------------
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_int(self) -> int:
         if self.twice % 2:
             raise DomainError(f"{self} is not an integer")

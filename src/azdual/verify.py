@@ -971,7 +971,7 @@ def first_start_prediction(d: LanglandsData, dual: LanglandsData = None):
     to be preserved by the duality.  None when the datum is empty.
     """
     s = transfer(d)
-    if not s.m:
+    if not s:
         return None
     return first_starts(s, transfer(ad_data(d) if dual is None else dual))
 
@@ -980,8 +980,8 @@ def first_starts(s: SignedSymMultisegment, t: SignedSymMultisegment):
     """(observed, predicted) of :func:`first_start_prediction`, from the
     symmetric forms ``s`` of a datum and ``t`` of its dual.  None when ``s``
     is empty."""
-    if not s.m:
+    if not s:
         return None
-    observed = min(x.b.twice for x in t.m)
-    predicted = min(x.b.twice for x in s.m)
+    observed = min(v[0] for cnt, _ in t._ints.values() for v in cnt)
+    predicted = min(v[0] for cnt, _ in s._ints.values() for v in cnt)
     return HalfInt.from_twice(observed), HalfInt.from_twice(predicted)

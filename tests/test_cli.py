@@ -107,6 +107,23 @@ class TestParse:
         assert info.value.pos == 6
         assert str(info.value).startswith("at position 6")
 
+    @pytest.mark.parametrize("text, pos", [
+        pytest.param("   [0,0]+?", 9, id="segment-part"),
+        pytest.param("\t [0,0] + [1,1]?", 10, id="segment-part-tab"),
+        pytest.param("  [-1,1] ;  S3+?", 15, id="block-part"),
+        pytest.param("  [-1,1] ;  S3+S1;", 15, id="block-part-separator"),
+    ])
+    def test_error_positions_count_leading_blanks(self, text, pos):
+        with pytest.raises(ParseError) as info:
+            parse_input(text)
+        assert info.value.pos == pos
+        assert str(info.value).startswith(f"at position {pos}:")
+
+    def test_json_error_positions_count_leading_blanks(self):
+        with pytest.raises(ParseError) as info:
+            parse_input('  {"m": ]}')
+        assert info.value.pos == 8
+
     def test_blocks_belong_after_the_separator(self):
         with pytest.raises(ParseError, match="blocks belong after ';'"):
             parse_input("S3+[0,0]")
@@ -427,6 +444,18 @@ class TestCommands:
         assert len(rows) == 15
         rec = json.loads(rows[0])
         assert set(rec) == {"input", "dual", "degree", "e_max", "sign_products"}
+
+    def test_dataset_builds_no_segment_view(self, tmp_path, monkeypatch):
+        """A dataset row reads its symmetric states in their int form: no
+        transfer or dual result builds its ``.m``."""
+        seen = []
+        view = SignedSymMultisegment.m
+        monkeypatch.setattr(SignedSymMultisegment, "m",
+                            property(lambda s: seen.append(s) or view.fget(s)))
+        code, _, _ = run(["dataset", "--count", "200",
+                          "--out", str(tmp_path / "rows.jsonl")])
+        assert code == 0 and seen == []
+        assert str(parse_input("[0,0]:-")) == "[0,0]@rho:-" and seen
 
     def test_dataset_csv_header(self, tmp_path):
         p = tmp_path / "rows.csv"

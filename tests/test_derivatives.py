@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import azdual.derivatives
+import azdual.langdata
 from azdual.segments import (
     BAD,
     GOOD,
@@ -26,7 +27,7 @@ from azdual.derivatives import (
     reduced_report,
 )
 from azdual.ad_core import ad_symm
-from azdual.verify import enumerate_symm
+from azdual.verify import enumerate_symm, standard_sweep
 
 G = Line("rho", GOOD, GRID_INT)
 GH = Line("rho", GOOD, GRID_HALF)
@@ -381,3 +382,17 @@ class TestReducedReport:
             calls.clear()
             reduced_report(s)
             assert len(calls) == len(set(calls))
+
+    def test_each_state_is_read_into_ints_once(self, monkeypatch):
+        """The reports over the 6608-state sweep read each state's Segments
+        into ints once and build no Multisegment counter."""
+        reads, counters = [], []
+        read, counter = azdual.langdata._read, Multisegment.counter
+        monkeypatch.setattr(azdual.langdata, "_read",
+                            lambda *a: reads.append(1) or read(*a))
+        monkeypatch.setattr(Multisegment, "counter",
+                            lambda m: counters.append(1) or counter(m))
+        states = list(standard_sweep(2, 3, 3))
+        for s in states:
+            reduced_report(s)
+        assert len(reads) == 6608 and counters == []

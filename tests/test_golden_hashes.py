@@ -7,7 +7,8 @@ Segment-based implementation and must not be edited to make a test pass.
 The full ``check`` report and the reports under injected faults were
 recorded before the property suites shared one dual per state; the
 derivative digest before the derivatives moved from Segment objects to int
-pairs; the GL digest before ``mw_gl`` did.
+pairs; the GL digest before ``mw_gl`` did; the validate-report digest before
+the signed multisegments held their int line form.
 """
 import hashlib
 import io
@@ -29,12 +30,14 @@ from azdual.segments import (
     HalfInt,
     Line,
     Segment,
+    seg_dual,
 )
 from azdual.langdata import (
     LanglandsData,
     Multisegment,
     SignedSymMultisegment,
     transfer,
+    validate,
 )
 from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
 from azdual.cli import main, render_output
@@ -59,6 +62,7 @@ CHECK_SHA256 = "1205cc97d63b33bfce3303a7543ce29f003925c6773f3647ca8f6bda41562b05
 FULL_CHECK_SHA256 = "f89ce377fd4b12a302fe5268176da98d7b729f4c149be5f9eef1d9a5ec315980"
 DERIVATIVES_SHA256 = "b54ae2eda14448697ca14f8253a26261ffad4d6a8b6825b4142802a3927fe306"
 GL_SHA256 = "b05983f17249617844c2676b6463168ca3eacdc3d48773f9affd038a964a8dac"
+VALIDATE_SHA256 = "b5bf23499c87a67106371b6126d5a981e7d05aff2efe850b3bd3f80bd70c5fd9"
 
 
 def _samples():
@@ -151,6 +155,56 @@ def test_a_dual_that_leaves_the_class_raises_from_the_first_suite(monkeypatch):
     with pytest.raises(DomainError) as err:
         run_properties(standard_sweep(1, 3, 3))
     assert str(err.value) == "invalid input:\n  symmetry violation at [1,1]@g"
+
+
+def _invalid_states():
+    """Seeded signed states built from Segments that break symmetry, leave
+    a centered bad-line multiplicity odd, sign absent or non-good values and
+    declare one line id twice.  The twin declarations use the other grid,
+    so no two values of a state share a sort key."""
+    rng = random.Random(77)
+    pool = LINES + [Line("g", BAD, GRID_HALF), Line("bh", GOOD, GRID_INT)]
+    for _ in range(1500):
+        entries, minus = [], set()
+        for ln in rng.sample(pool, rng.randint(1, 3)):
+            par = ln.grid == GRID_HALF
+
+            def mk(b2, e2, side=None):
+                if ln.cls == UGLY and side is None:
+                    side = rng.randint(0, 1)
+                return _gl_seg(ln, b2, e2, side)
+            for _ in range(rng.randint(0, 3)):
+                b2 = 2 * rng.randint(-3, 2) + par
+                d = mk(b2, b2 + 2 * rng.randint(0, 3))
+                entries += [d, seg_dual(d)]
+            for _ in range(rng.randint(0, 3)):
+                y2 = 2 * rng.randint(0, 2) + par
+                entries += [mk(-y2, y2)] * rng.randint(1, 3)
+            if entries and rng.random() < 0.6:
+                entries.pop(rng.randrange(len(entries)))
+            if rng.random() < 0.4:
+                b2 = 2 * rng.randint(-3, 2) + par
+                entries.append(mk(b2, b2 + 2 * rng.randint(0, 2)))
+            for _ in range(rng.randint(0, 2)):
+                y2 = 2 * rng.randint(0, 3) + par
+                minus.add(mk(-y2, y2))
+        yield SignedSymMultisegment(Multisegment(entries), minus=minus)
+
+
+def test_validate_reports_are_byte_identical():
+    """The validate report, texts and order, of every corruption of every
+    dual of the 6608-state sweep, and of 1500 seeded invalid states that
+    reach each report text, several to a state."""
+    records, texts = [], set()
+    for s in standard_sweep():
+        for name, bad in azdual.verify._corruptions(ad_symm(s)):
+            records.append(f"{name} {json.dumps(validate(bad))}")
+    for s in _invalid_states():
+        report = validate(s)
+        records.append(json.dumps(report))
+        texts.update(r.split(" ")[0] for r in report)
+    assert texts == {"symmetry", "odd", "sign", "explicit", "conflicting"}
+    assert _digest(records) == VALIDATE_SHA256
 
 
 def _derivative_states():

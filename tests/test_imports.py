@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-every top-level function or class of the package is used somewhere in it
-or exported.
+"""Every name a module of the package imports is used in that module, every
+top-level function or class of the package is used somewhere in it or
+exported, and every public method of its classes is read somewhere.
 
 Stdlib only: each module under ``src/azdual`` is parsed with ``ast``, and a
-name counts as used when a module loads it somewhere as a plain name.
+name counts as used when a module loads it somewhere as a plain name.  A
+method counts as read when some file under ``src/``, ``tests/`` or
+``perfbench/`` reads its name as an attribute.
 """
 import ast
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import azdual
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "azdual"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "azdual"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -45,16 +48,34 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _attributes_read():
+    return {node.attr
+            for top in ("src", "tests", "perfbench")
+            for path in (ROOT / top).rglob("*.py")
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_dead_definitions():
     """A top-level function or class that no module of the package loads and
-    that the package does not export is dead code."""
+    that the package does not export is dead code, and so is a public method
+    whose name no file reads as an attribute."""
     used = set(azdual.__all__)
     for path in PACKAGE.glob("*.py"):
         used |= _loaded(_tree(path))
+    read = _attributes_read()
     dead = sorted(
         f"{path.name}:{node.lineno}: {node.name}"
         for path in MODULES
         for node in _tree(path).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    )
+    dead += sorted(
+        f"{path.name}:{meth.lineno}: {node.name}.{meth.name}"
+        for path in MODULES
+        for node in _tree(path).body if isinstance(node, ast.ClassDef)
+        for meth in node.body
+        if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_")
+        and meth.name not in read
     )
     assert dead == []

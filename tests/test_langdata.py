@@ -21,7 +21,6 @@ from azdual.langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
-    _line_ints,
     _section,
     from_counter,
     line_project,
@@ -32,6 +31,10 @@ from azdual.langdata import (
     untransfer,
     validate,
 )
+from azdual.ad_core import ad_initial_sequence, ad_step, ad_symm
+from azdual.derivatives import derivative, derivative_L, reduced_report
+from azdual.mw_gl import kz_capacity_labeled
+from azdual.verify import enumerate_symm, standard_sweep
 
 GI = line("rho", GOOD, GRID_INT)
 GH = line("sig", GOOD, GRID_HALF)
@@ -159,10 +162,10 @@ class TestValidate:
         assert validate(d) == []
 
     def test_a_valid_object_is_checked_once(self, monkeypatch):
-        orig = azdual.langdata.seg_dual
+        orig = azdual.langdata._dual
         calls = []
-        monkeypatch.setattr(azdual.langdata, "seg_dual",
-                            lambda d: calls.append(d) or orig(d))
+        monkeypatch.setattr(azdual.langdata, "_dual",
+                            lambda v: calls.append(v) or orig(v))
         good = sym((-2, 0), (0, 0))
         bad = SignedSymMultisegment(good.m + Multisegment([seg(GI, 0, 1)]))
         assert validate(good) == [] and calls
@@ -305,7 +308,7 @@ class TestLabeled:
         s = SignedSymMultisegment(
             Multisegment([seg(GI, -1, 1)] * 3 + [seg(GI, 0, 1), seg(GI, -1, 0)])
         )
-        cnt = _line_ints(s)[GI.id][0]
+        cnt = s._ints[GI][0]
         labels = sorted(
             (lab, pair, k) for _, pair, lab, k in _section(cnt) if sum(pair) == 0
         )
@@ -328,3 +331,36 @@ class TestLabeled:
             ((-4, 4), 0), ((-2, 2), 0),
             ((-2, 0), -1), ((-4, -2), -1),
         ]
+
+
+def _snapshot(s):
+    return {ln: (dict(cnt), set(minus)) for ln, (cnt, minus) in s._ints.items()}
+
+
+class TestIntForm:
+    def test_readers_leave_the_int_form_unchanged(self):
+        """The dual, its first step, the derivatives, the report and the
+        labeled capacity read a state's int form and change none of it."""
+        states = list(standard_sweep(1, 3, 3)) + list(enumerate_symm(UG, 1, 2, 0))
+        for s in states[::3]:
+            if not s:
+                continue
+            before = _snapshot(s)
+            (ln,) = s.lines()
+            ad_symm(s)
+            ad_step(s)
+            ad_initial_sequence(s)
+            emax2 = s.max_end().twice
+            for x2 in range(-emax2, emax2 + 1, 2):
+                if x2:
+                    derivative(s, ln, _h(x2))
+            if ln.cls != UGLY and ln.grid == GRID_INT:
+                try:
+                    derivative_L(s, ln)
+                except DomainError:
+                    pass
+            reduced_report(s)
+            for b2 in range(-emax2, emax2 + 1, 2):
+                for side in (0, 1) if ln.cls == UGLY else (None,):
+                    kz_capacity_labeled(s, seg(ln, _h(b2), _h(emax2), side))
+            assert _snapshot(s) == before

@@ -1,7 +1,8 @@
 """Hypothesis properties of the text edge: parsing the rendering of random
 valid data of all three kinds gives the data back, and random text into
 ``parse_input`` ends in a value, a ``ParseError`` or a ``DomainError``,
-never in another exception."""
+never in another exception.  Also: a signed multisegment built from its int
+form is the one built from the same Segments."""
 import json
 
 import pytest
@@ -20,7 +21,14 @@ from azdual.segments import (  # noqa: E402
     Line,
     Segment,
 )
-from azdual.langdata import LanglandsData, Multisegment, transfer  # noqa: E402
+from azdual.langdata import (  # noqa: E402
+    LanglandsData,
+    Multisegment,
+    SignedSymMultisegment,
+    _segment,
+    _signed,
+    transfer,
+)
 from azdual.ad_core import ad_symm  # noqa: E402
 from azdual.cli import ParseError, parse_input, render_output  # noqa: E402
 from azdual.verify import enumerate_data  # noqa: E402
@@ -125,3 +133,54 @@ JSON_VALUES = st.recursive(
 def test_random_json_ends_in_a_parse_or_domain_error(doc):
     _parses_or_refuses(json.dumps(doc))
 
+
+
+@st.composite
+def int_parts(draw):
+    """One (line, counter, minus set) per line, valid or not; the minus set
+    holds centered keys, present or absent."""
+    parts = []
+    for ln in draw(st.lists(st.sampled_from(LINES), max_size=3, unique=True)):
+        par = ln.grid == GRID_HALF
+        sides = (0, 1) if ln.cls == UGLY else (None,)
+        cnt = {}
+        for _ in range(draw(st.integers(0, 5))):
+            b2 = 2 * draw(st.integers(-4, 4)) + par
+            v = (b2, b2 + 2 * draw(st.integers(0, 3)))
+            side = draw(st.sampled_from(sides))
+            v += () if side is None else (side,)
+            cnt[v] = draw(st.integers(0, 3))
+        minus = set()
+        for _ in range(draw(st.integers(0, 2))):
+            y2 = 2 * draw(st.integers(0, 3)) + par
+            side = draw(st.sampled_from(sides))
+            minus.add((-y2, y2) + (() if side is None else (side,)))
+        parts.append((ln, cnt, minus))
+    return parts
+
+
+def _from_segments(parts):
+    segs = [_segment(ln, v) for ln, cnt, _ in parts for v, k in cnt.items()
+            for _ in range(k)]
+    minus = {_segment(ln, v) for ln, _, minus in parts for v in minus}
+    return SignedSymMultisegment(Multisegment(segs), minus=minus)
+
+
+@FAST
+@given(int_parts())
+def test_int_built_and_segment_built_states_agree(parts):
+    a, b = _signed(parts), _from_segments(parts)
+    assert a == b and hash(a) == hash(b)
+    assert a.m == b.m and a.minus == b.minus
+    assert str(a) == str(b) and render_output(a) == render_output(b)
+    assert a.lines() == b.lines() and a.degree == b.degree
+
+
+@FAST
+@given(data(), st.booleans())
+def test_transfer_and_dual_agree_with_their_segments(d, dual):
+    s = transfer(d)
+    if dual:
+        s = ad_symm(s)
+    t = SignedSymMultisegment(s.m, minus=s.minus)
+    assert s == t and hash(s) == hash(t) and str(s) == str(t)
