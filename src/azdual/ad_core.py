@@ -24,10 +24,11 @@ previous one, where a copy joins beside its own dual only when it has a
 second copy.  The checks are local to the entries a step touched: the
 degree the cut copies lose must equal the emitted piece's degree, and the
 sign parity before the step must equal the piece's plus that of the new
-minus set, summed while the set is built.  Ugly lines run their own GL
-chain on the primary side and mirror it on the partner side
-(``_plain_chain``, ``_consume``), apart from :mod:`mw_gl`, so that the
-mirror-line property compares two independent codes.
+minus set, summed while the set is built.  A mirror line is the GL
+transpose of its primary side (0), mirrored onto the partner side (1): its
+chains come from the chain extractor of :mod:`mw_gl` over the side-0
+copies, and the step cuts each chain copy and its mirror copy as on a bad
+line.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .segments import GOOD, GRID_INT, UGLY, DomainError, InvariantError, Line
+from .mw_gl import _buckets, _chains
 from .langdata import (
     LabeledSeg,
     LanglandsData,
@@ -85,11 +87,11 @@ class _Engine:
     pairs ending there.  ``minus`` is the set of centered pairs signed -1,
     ``centered`` the centered pairs present, ``n0`` their number of copies
     and ``parity`` that of the sign product (0 for +1).  The emitted pieces
-    add up in ``dual`` and ``dual_minus``.  Ugly lines keep ``cnt``,
-    ``degree`` and the dual only.
+    add up in ``dual`` and ``dual_minus``.  A mirror line has no ``ends``:
+    ``chains`` extracts its GL chains from buckets of its side-0 copies.
     """
 
-    __slots__ = ("cls", "same_type", "cnt", "degree", "ends", "minus",
+    __slots__ = ("cls", "same_type", "cnt", "degree", "ends", "chains", "minus",
                  "centered", "n0", "parity", "dual", "dual_minus")
 
     def __init__(self, ln: Line, cnt, minus):
@@ -97,12 +99,13 @@ class _Engine:
         self.same_type = ln.grid == GRID_INT
         self.cnt = cnt
         self.degree = _degree(cnt)
-        self.ends = {}
-        if self.cls != UGLY:
-            for b2, e2 in cnt:
-                self.ends.setdefault(e2, []).append(b2)
-            for lst in self.ends.values():
-                lst.sort()
+        if self.cls == UGLY:
+            self.ends = None
+            self.chains = _chains(_buckets(
+                v[:2] for v, k in cnt.items() if v[2] == 0 for _ in range(k)
+            ))
+        else:
+            self.ends = _buckets(cnt)
         self.minus = minus
         self.centered = {v for v in cnt if v[0] + v[1] == 0} if self.cls == GOOD else set()
         self.n0 = sum(cnt[v] for v in self.centered)
@@ -117,24 +120,22 @@ class _Engine:
             chain, eps0 = self._good_chain()
             self._good_piece(chain, eps0)
             return chain, eps0
-        dual = self.dual
         if self.cls == UGLY:
-            m1_cnt, new_cnt, chain = _ugly_step(self.cnt)
-            new_degree = _degree(new_cnt)
-            if _degree(m1_cnt) + new_degree != self.degree:
-                raise InvariantError("degree not preserved across the step")
-            self.cnt, self.degree = new_cnt, new_degree
-            for v in m1_cnt:
-                dual[v] = dual.get(v, 0) + 1
-            return chain, 1
-        chain = self._bad_chain()
+            chain = next(self.chains, None)
+            if chain is None:
+                raise InvariantError("ugly step with an empty primary side")
+            chain = [v + (0,) for v in chain]
+        else:
+            chain = self._bad_chain()
         e1, el = chain[0][1], chain[-1][1]
         lost = self._cut([(v, 1) for v in chain] + [(_dual(v), 2) for v in chain])[1]
         # The degree the cut copies lost, against the piece's own degree.
         if lost != e1 - el + 2:
             raise InvariantError("degree not preserved across the step")
         self.degree -= lost
-        for v in ((el, e1), (-e1, -el)):
+        top = (el, e1) + chain[0][2:]
+        dual = self.dual
+        for v in (top, _dual(top)):
             dual[v] = dual.get(v, 0) + 1
         return chain, 1
 
@@ -290,7 +291,9 @@ class _Engine:
     def _cut(self, cuts):
         """Take out one copy of each cut pair, then put each back with its end
         (bit 1) and its beginning (bit 2) cut off.  Returns the shortened
-        pairs (None when nothing is left) and the degree the copies lost."""
+        pairs (None when nothing is left) and the degree the copies lost.
+        The end index follows the pairs that reach or leave multiplicity 0;
+        a mirror line has none, its chain extractor cuts its own buckets."""
         cnt, ends = self.cnt, self.ends
         centered = self.centered if self.cls == GOOD else None
         lost = 0
@@ -300,28 +303,31 @@ class _Engine:
                 cnt[pair] = k - 1
             elif k:
                 del cnt[pair]
-                b2, e2 = pair
-                lst = ends[e2]
-                if len(lst) == 1:
-                    del ends[e2]
-                else:
-                    del lst[bisect_left(lst, b2)]
-                if centered is not None and b2 + e2 == 0:
-                    centered.discard(pair)
+                if ends is not None:
+                    b2, e2 = pair
+                    lst = ends[e2]
+                    if len(lst) == 1:
+                        del ends[e2]
+                    else:
+                        del lst[bisect_left(lst, b2)]
+                    if centered is not None and b2 + e2 == 0:
+                        centered.discard(pair)
+            elif ends is None:
+                raise InvariantError("mirror copies missing on the partner side")
             else:
                 raise InvariantError("chain consumed more copies than available")
             lost += (pair[1] - pair[0]) // 2 + 1
         shortened = []
-        for (b2, e2), bits in cuts:
-            b2 += bits & 2
-            e2 -= 2 * (bits & 1)
+        for pair, bits in cuts:
+            b2 = pair[0] + (bits & 2)
+            e2 = pair[1] - 2 * (bits & 1)
             if b2 > e2:
                 shortened.append(None)
                 continue
-            t = (b2, e2)
+            t = (b2, e2) + pair[2:]
             k = cnt.get(t, 0)
             cnt[t] = k + 1
-            if not k:
+            if not k and ends is not None:
                 lst = ends.get(e2)
                 if lst is None:
                     ends[e2] = [b2]
@@ -377,59 +383,6 @@ class _Engine:
 
 
 # ---------------------------------------------------------------------------
-# Ugly lines
-# ---------------------------------------------------------------------------
-
-
-def _plain_order(v):
-    return (-v[0],) + v[1:]
-
-
-def _plain_chain(keys):
-    """The greedy GL chain over ``keys`` in canonical descending order: ends
-    drop by one and beginnings strictly drop at each link."""
-    chain = []
-    target = max(v[1] for v in keys)
-    prev_b = None
-    for v in sorted(keys, key=_plain_order):
-        if v[1] != target or (prev_b is not None and v[0] >= prev_b):
-            continue
-        chain.append(v)
-        prev_b = v[0]
-        target -= 2
-    return chain
-
-
-def _consume(cnt, chain):
-    """Take out each chain copy and its mirror copy, and put them back with
-    the chain copy's end and the mirror copy's beginning cut off."""
-    new_cnt = dict(cnt)
-    for v in chain:
-        dv = _dual(v)
-        new_cnt[v] -= 1
-        new_cnt[dv] = new_cnt.get(dv, 0) - 1
-        if new_cnt[v] < 0 or new_cnt[dv] < 0:
-            raise InvariantError("mirror copies missing on the partner side")
-    for v in chain:
-        if v[0] < v[1]:
-            short = (v[0], v[1] - 2) + v[2:]
-            for w in (short, _dual(short)):
-                new_cnt[w] = new_cnt.get(w, 0) + 1
-    return {v: k for v, k in new_cnt.items() if k}
-
-
-def _ugly_step(cnt):
-    """The GL chain on the primary side (0), mirrored on the partner side."""
-    side0 = [v for v in cnt if v[2] == 0]
-    if not side0:
-        raise InvariantError("ugly step with an empty primary side")
-    chain = _plain_chain(side0)
-    e1, el = chain[0][1], chain[-1][1]
-    m1_cnt = {(el, e1, 0): 1, (-e1, -el, 1): 1}
-    return m1_cnt, _consume(cnt, chain), chain
-
-
-# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
@@ -470,7 +423,8 @@ def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
         )
     # A value may be picked twice (by the chain and as a dual): each pick
     # takes the first copy not yet taken.
-    enum = sorted((v for v, k in cnt.items() for _ in range(k)), key=_plain_order)
+    enum = sorted((v for v, k in cnt.items() for _ in range(k)),
+                  key=lambda v: (-v[0],) + v[1:])
     taken = set()
 
     def take(v):

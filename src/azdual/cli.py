@@ -564,7 +564,8 @@ def _cmd_dataset(args) -> int:
             em_s, em_t = s.max_end(), t.max_end()
             if em_s != em_t:
                 emax_bad += 1
-            if s.degree != t.degree:
+            degree = t.degree
+            if s.degree != degree:
                 degree_bad += 1
             fp = first_starts(s, t)
             if fp is not None:
@@ -579,7 +580,7 @@ def _cmd_dataset(args) -> int:
                 writer.writerow([
                     render_output(d),
                     render_output(dd),
-                    t.degree,
+                    degree,
                     str(em_t) if em_t is not None else "",
                     json.dumps(products, separators=(",", ":")),
                 ])
@@ -587,7 +588,7 @@ def _cmd_dataset(args) -> int:
                 rows_out.write(json.dumps({
                     "input": render_doc(d),
                     "dual": render_doc(dd),
-                    "degree": t.degree,
+                    "degree": degree,
                     "e_max": str(em_t) if em_t is not None else None,
                     "sign_products": products,
                 }, separators=(",", ":")) + "\n")

@@ -45,14 +45,14 @@ def _buckets(pairs) -> dict:
     return buckets
 
 
-def _extract(buckets) -> list:
-    """Pop one chain of strictly descending ends and put its copies back
-    with their final coefficient cut off; returns the chain, top first.
+def _extract(buckets, e) -> list:
+    """Pop one chain of strictly descending ends from the top end e and put
+    its copies back with their final coefficient cut off; returns the
+    chain, top first.
 
-    The chain starts from the biggest copy at the top end and goes on with
-    the biggest copy one end lower whose beginning strictly drops.
+    The chain starts from the biggest copy at end e and goes on with the
+    biggest copy one end lower whose beginning strictly drops.
     """
-    e = max(e2 for e2, lst in buckets.items() if lst)
     cur_b = buckets[e].pop()
     chain = [(cur_b, e)]
     while True:
@@ -71,6 +71,21 @@ def _extract(buckets) -> list:
     return chain
 
 
+def _chains(buckets):
+    """Extract chains until no copy is left.  Cut copies go back one end
+    lower than they were, so the top end only walks down, from the highest
+    end to the lowest beginning."""
+    if not buckets:
+        return
+    e = max(buckets)
+    lo = min(lst[0] for lst in buckets.values())
+    while e >= lo:
+        if buckets.get(e):
+            yield _extract(buckets, e)
+        else:
+            e -= 2
+
+
 def mw_step(m: Multisegment):
     """One extraction step: returns (initial segment, remaining multisegment).
 
@@ -84,7 +99,7 @@ def mw_step(m: Multisegment):
         raise DomainError("mw_step needs a multisegment on exactly one line")
     ((key, pairs),) = groups.items()
     buckets = _buckets(pairs)
-    chain = _extract(buckets)
+    chain = _extract(buckets, max(buckets))
     rest = [(b2, e2) for e2, lst in buckets.items() for b2 in lst]
     (initial,) = _segments(key, [(chain[-1][1], chain[0][1])])
     return initial, Multisegment(_segments(key, rest))
@@ -92,12 +107,7 @@ def mw_step(m: Multisegment):
 
 def transpose_pairs(pairs):
     """Full transpose on (2b, 2e) pairs of one line; returns sorted pairs."""
-    buckets = _buckets(pairs)
-    out = []
-    while any(buckets.values()):
-        chain = _extract(buckets)
-        out.append((chain[-1][1], chain[0][1]))
-    return sorted(out)
+    return sorted((chain[-1][1], chain[0][1]) for chain in _chains(_buckets(pairs)))
 
 
 def mw_transpose(m: Multisegment) -> Multisegment:

@@ -33,6 +33,7 @@ from azdual.mw_gl import containment_count, kz_capacity, mw_transpose
 from azdual.verify import (
     closed_form_dual,
     closed_form_instances,
+    enumerate_symm,
     run_properties,
     standard_sweep,
 )
@@ -224,6 +225,32 @@ def test_c7_mirror_line_reduces_to_the_transpose():
         f"C7 PASS: one-sided duals equal the symmetrized transpose on "
         f"{entry['checked']} mirror-line states"
     )
+
+
+def test_c7_mirror_line_duals_meet_the_kz_capacity():
+    """Side 0 of the dual of a mirror line is the GL transpose of side 0,
+    checked against the Knight-Zelevinsky path capacity, a max-flow that
+    shares no code with the chain extraction: at every target [b, e] in
+    the window of side 0, the dual's side 0 has as many segments
+    containing it as side 0 has vertex-disjoint paths across it."""
+    states = targets = 0
+    for s in enumerate_symm(U, 3, 3, 0):
+        states += 1
+        side0 = Multisegment([d for d in s.m if d.side == 0])
+        if not side0:
+            continue
+        dual0 = Multisegment([d for d in ad_symm(s).m if d.side == 0])
+        lo2 = min(d.b.twice for d in side0)
+        hi2 = max(d.e.twice for d in side0)
+        for b2 in range(lo2, hi2 + 1, 2):
+            for e2 in range(b2, hi2 + 1, 2):
+                t = seg(b2 // 2, e2 // 2, ln=U)
+                assert containment_count(dual0, t) == kz_capacity(side0, t), (s, t)
+                targets += 1
+    assert states == 4495
+    assert targets == 85_815
+    print(f"C7 PASS: the capacity identity holds on {targets} targets over "
+          f"{states} mirror-line states")
 
 
 def test_c8_dataset_run_completes_cleanly(tmp_path):

@@ -223,6 +223,8 @@ class TestEngineChecks:
                      "chain consumed more copies than available", id="bad-copies"),
         pytest.param(U, {(0, 0, 0): 1}, (),
                      "mirror copies missing on the partner side", id="ugly-mirror"),
+        pytest.param(U, {(0, 0, 1): 1}, (),
+                     "ugly step with an empty primary side", id="ugly-primary"),
     ])
     def test_check_fires(self, ln, cnt, minus, msg):
         eng = _Engine(ln, dict(cnt), set(minus))

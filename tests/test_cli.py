@@ -457,6 +457,16 @@ class TestCommands:
         assert code == 0 and seen == []
         assert str(parse_input("[0,0]:-")) == "[0,0]@rho:-" and seen
 
+    @pytest.mark.parametrize("name", ["rows.jsonl", "rows.csv"])
+    def test_dataset_reads_each_degree_once(self, tmp_path, monkeypatch, name):
+        """A row reads the degree of its state and of its dual once each."""
+        seen = []
+        degree = SignedSymMultisegment.degree
+        monkeypatch.setattr(SignedSymMultisegment, "degree",
+                            property(lambda s: seen.append(s) or degree.fget(s)))
+        code, _, _ = run(["dataset", "--count", "50", "--out", str(tmp_path / name)])
+        assert code == 0 and len(seen) == 100
+
     def test_dataset_csv_header(self, tmp_path):
         p = tmp_path / "rows.csv"
         code, _, _ = run([

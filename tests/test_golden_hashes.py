@@ -8,7 +8,8 @@ The full ``check`` report and the reports under injected faults were
 recorded before the property suites shared one dual per state; the
 derivative digest before the derivatives moved from Segment objects to int
 pairs; the GL digest before ``mw_gl`` did; the validate-report digest before
-the signed multisegments held their int line form.
+the signed multisegments held their int line form; the wide mirror-line
+digest before mirror lines ran on the GL chain extractor of ``mw_gl``.
 """
 import hashlib
 import io
@@ -63,6 +64,7 @@ FULL_CHECK_SHA256 = "f89ce377fd4b12a302fe5268176da98d7b729f4c149be5f9eef1d9a5ec3
 DERIVATIVES_SHA256 = "b54ae2eda14448697ca14f8253a26261ffad4d6a8b6825b4142802a3927fe306"
 GL_SHA256 = "b05983f17249617844c2676b6463168ca3eacdc3d48773f9affd038a964a8dac"
 VALIDATE_SHA256 = "b5bf23499c87a67106371b6126d5a981e7d05aff2efe850b3bd3f80bd70c5fd9"
+WIDE_MIRROR_SHA256 = "aa33cdf26a40f190f2d28d7be323218f3435af75370b2e71c9e92ccf8473a6d7"
 
 
 def _samples():
@@ -329,3 +331,33 @@ def test_an_empty_target_has_capacity_0_before_validation():
     assert kz_capacity_labeled(bad, _gl_seg(LINES[0], 2, 0)) == 0
     with pytest.raises(DomainError):
         kz_capacity_labeled(bad, _gl_seg(LINES[0], 0, 0))
+
+
+def _wide_mirror_states():
+    """200 seeded mirror-line states, each with 20 to 200 side-0 segments
+    whose ends lie on a sparse random set of [-50, 50], so that a chain and
+    the walk down from the top end cross ends that hold no copy."""
+    rng = random.Random(4495)
+    u = LINES[4]
+    for _ in range(200):
+        ends = rng.sample(range(-50, 51), rng.randint(3, 25))
+        segs = []
+        for _ in range(rng.randint(20, 200)):
+            e = rng.choice(ends)
+            b = max(-50, e - rng.choice((0, 1, 2, 5, 10, 30, 100)))
+            b = rng.randint(b, e)
+            segs.append(_gl_seg(u, 2 * b, 2 * e, 0))
+        side0 = Multisegment(segs)
+        yield SignedSymMultisegment(side0 + side0.dual())
+
+
+def test_wide_mirror_line_duals_and_steps_are_byte_identical():
+    """ad_symm, ad_step and ad_initial_sequence on 200 wide mirror-line
+    states, recorded before mirror lines ran on the GL chain extractor."""
+    lines = []
+    for s in _wide_mirror_states():
+        piece, rest = ad_step(s)
+        lines.append(render_output(ad_symm(s)))
+        lines.append(render_output(piece) + render_output(rest))
+        lines.append(repr(ad_initial_sequence(s)))
+    assert _digest(lines) == WIDE_MIRROR_SHA256

@@ -2,7 +2,8 @@
 valid data of all three kinds gives the data back, and random text into
 ``parse_input`` ends in a value, a ``ParseError`` or a ``DomainError``,
 never in another exception.  Also: a signed multisegment built from its int
-form is the one built from the same Segments."""
+form is the one built from the same Segments, and the GL transpose of copies
+far apart is an involution that meets the path capacity."""
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from azdual.langdata import (  # noqa: E402
     transfer,
 )
 from azdual.ad_core import ad_symm  # noqa: E402
+from azdual.mw_gl import containment_count, kz_capacity, mw_transpose  # noqa: E402
 from azdual.cli import ParseError, parse_input, render_output  # noqa: E402
 from azdual.verify import enumerate_data  # noqa: E402
 
@@ -184,3 +186,39 @@ def test_transfer_and_dual_agree_with_their_segments(d, dual):
         s = ad_symm(s)
     t = SignedSymMultisegment(s.m, minus=s.minus)
     assert s == t and hash(s) == hash(t) and str(s) == str(t)
+
+
+@st.composite
+def sparse_multisegment(draw):
+    """Copies on one line in one to four clusters, the clusters spread over
+    [-200, 200]: the transpose's top end walks across the wide gaps between
+    them.  Also returns targets near the clusters."""
+    ln = draw(st.sampled_from(LINES))
+    par = ln.grid == GRID_HALF
+    side = draw(st.integers(0, 1)) if ln.cls == UGLY else None
+
+    def mk(b, length):
+        return Segment(ln, HalfInt.from_twice(2 * b + par),
+                       HalfInt.from_twice(2 * (b + length) + par), side)
+
+    centers = draw(st.lists(st.integers(-200, 200), min_size=1, max_size=4))
+    segs, targets = [], []
+    for c in centers:
+        for _ in range(draw(st.integers(1, 4))):
+            copy = mk(c + draw(st.integers(-3, 3)), draw(st.integers(0, 3)))
+            segs += [copy] * draw(st.integers(1, 2))
+        for _ in range(draw(st.integers(1, 3))):
+            targets.append(mk(c + draw(st.integers(-4, 4)), draw(st.integers(0, 4))))
+    return Multisegment(segs), targets
+
+
+@FAST
+@given(sparse_multisegment())
+def test_transpose_of_sparse_wide_multisegments(mt):
+    """The transpose is an involution and meets the Knight-Zelevinsky
+    capacity at every target, on copies far apart."""
+    m, targets = mt
+    t = mw_transpose(m)
+    assert mw_transpose(t) == m
+    for tgt in targets + list(m):
+        assert containment_count(t, tgt) == kz_capacity(m, tgt)
