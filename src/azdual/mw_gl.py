@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from heapq import heapify, heappop, heappush
 
 from .segments import DomainError, Segment
 from .langdata import (
@@ -45,45 +46,55 @@ def _buckets(pairs) -> dict:
     return buckets
 
 
-def _extract(buckets, e) -> list:
+def _extract(buckets, e, tops) -> list:
     """Pop one chain of strictly descending ends from the top end e and put
     its copies back with their final coefficient cut off; returns the
     chain, top first.
 
     The chain starts from the biggest copy at end e and goes on with the
-    biggest copy one end lower whose beginning strictly drops.
+    biggest copy one end lower whose beginning strictly drops.  A bucket
+    the chain empties is deleted, and the end of each bucket a cut copy
+    opens is pushed on the heap ``tops`` of negated ends.
     """
-    cur_b = buckets[e].pop()
+    lst = buckets[e]
+    cur_b = lst.pop()
+    if not lst:
+        del buckets[e]
     chain = [(cur_b, e)]
     while True:
         e -= 2
         lst = buckets.get(e)
-        if not lst:
+        if lst is None:
             break
         i = bisect_left(lst, cur_b) - 1
         if i < 0:
             break
         cur_b = lst.pop(i)
+        if not lst:
+            del buckets[e]
         chain.append((cur_b, e))
     for b2, e2 in chain:
         if e2 - 2 >= b2:
+            if e2 - 2 not in buckets:
+                heappush(tops, 2 - e2)
             insort(buckets.setdefault(e2 - 2, []), b2)
     return chain
 
 
 def _chains(buckets):
-    """Extract chains until no copy is left.  Cut copies go back one end
-    lower than they were, so the top end only walks down, from the highest
-    end to the lowest beginning."""
-    if not buckets:
-        return
-    e = max(buckets)
-    lo = min(lst[0] for lst in buckets.values())
-    while e >= lo:
-        if buckets.get(e):
-            yield _extract(buckets, e)
-        else:
-            e -= 2
+    """Extract chains until no copy is left, each from the highest end.
+
+    The heap ``tops`` holds every end that has had a bucket, negated; an
+    end whose bucket is gone is popped when it comes to the top.  So the
+    cost is one heap entry per bucket opened, whatever the gaps between
+    the ends.  Cut copies go back one end lower, so the top only walks
+    down."""
+    tops = [-e for e in buckets]
+    heapify(tops)
+    while buckets:
+        while -tops[0] not in buckets:
+            heappop(tops)
+        yield _extract(buckets, -tops[0], tops)
 
 
 def mw_step(m: Multisegment):
@@ -99,7 +110,7 @@ def mw_step(m: Multisegment):
         raise DomainError("mw_step needs a multisegment on exactly one line")
     ((key, pairs),) = groups.items()
     buckets = _buckets(pairs)
-    chain = _extract(buckets, max(buckets))
+    chain = next(_chains(buckets))
     rest = [(b2, e2) for e2, lst in buckets.items() for b2 in lst]
     (initial,) = _segments(key, [(chain[-1][1], chain[0][1])])
     return initial, Multisegment(_segments(key, rest))

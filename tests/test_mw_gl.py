@@ -16,6 +16,8 @@ from azdual.segments import (
 )
 from azdual.langdata import Multisegment, SignedSymMultisegment
 from azdual.mw_gl import (
+    _buckets,
+    _chains,
     containment_count,
     kz_capacity,
     kz_capacity_labeled,
@@ -190,3 +192,25 @@ class TestPairs:
         t = transpose_pairs(pairs)
         assert t == [(-4, -4), (-2, -2), (-2, -2), (0, 0), (0, 0), (2, 2)]
         assert transpose_pairs(t) == sorted(pairs)
+
+    def test_chains_jump_the_gaps_between_far_ends(self):
+        """The top end jumps from end to end: the bucket probes grow with
+        the copies, not with the span of about 4,000,000 half-steps."""
+
+        class Probed(dict):
+            probes = 0
+
+            def __contains__(self, key):
+                self.probes += 1
+                return super().__contains__(key)
+
+            def get(self, key, default=None):
+                self.probes += 1
+                return super().get(key, default)
+
+        pairs = [(-1999998, -1999998), (-1999998, -1999996), (0, 0), (0, 2),
+                 (1999998, 1999998)]
+        buckets = Probed(_buckets(pairs))
+        tops = sorted((c[-1][1], c[0][1]) for c in _chains(buckets))
+        assert tops == transpose_pairs(pairs)
+        assert not buckets and buckets.probes < 40
