@@ -390,7 +390,7 @@ class _Engine:
 def _single_line(s: SignedSymMultisegment, what: str):
     """The line of a single-line input and its engine before the first step."""
     require_valid(s)
-    if not s.m:
+    if not s:
         raise DomainError(f"{what} on the zero multisegment")
     lines = s.lines()
     if len(lines) != 1:

@@ -10,7 +10,8 @@ degree sitting at the origin once all strictly negative twists vanish.
 
 Both operators run on the int line form of :mod:`langdata`, the one the
 dual's step loop uses: a copy is a ``(2b, 2e)`` pair (``(2b, 2e, side)`` on
-ugly lines) with a multiplicity.
+ugly lines) with a multiplicity.  Each is a kernel on one line's counter and
+minus set; callers that need only the order build no derived state.
 """
 from __future__ import annotations
 
@@ -79,25 +80,27 @@ def best_matching(xs, ys, rel, drop=None) -> MatchingResult:
                             "matching relation violates the staircase condition"
                         )
     if drop is not None:
-        for i, x in enumerate(xs):
-            if x == drop[1]:
-                for j, y in enumerate(ys):
-                    if y == drop[0]:
-                        r[i][j] = False
-    used = set()
-    f = {}
-    for i in range(len(xs) - 1, -1, -1):
-        for j in range(len(ys)):
-            if j not in used and r[i][j]:
-                used.add(j)
-                f[i] = j
-                break
+        r = [[ok and (y, x) != drop for y, ok in zip(ys, row)] for x, row in zip(xs, r)]
+    used = _greedy(r)
+    f = {i: j for j, i in used.items()}
     x0 = tuple(xs[i] for i in sorted(f))
     pairs = tuple((xs[i], ys[f[i]]) for i in sorted(f))
     xc = tuple(xs[i] for i in range(len(xs)) if i not in f)
     y0 = tuple(ys[j] for j in sorted(used))
     yc = tuple(ys[j] for j in range(len(ys)) if j not in used)
     return MatchingResult(x0, pairs, xc, y0, yc)
+
+
+def _greedy(r) -> dict:
+    """The greedy matching of :func:`best_matching` as ``{target: source}``,
+    on its relation matrix ``r[source][target]`` with the barred pair out."""
+    used: dict = {}
+    for i in range(len(r) - 1, -1, -1):
+        for j, ok in enumerate(r[i]):
+            if ok and j not in used:
+                used[j] = i
+                break
+    return used
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,13 @@ def _unprotected(cnt, x2: int, ugly: bool, star=False, drop=None):
     """The copies ending at x2 left unmatched by the best matching against
     the copies ending at x2 - 2 (on side 0 only on ugly lines), as
     ``{value: count}``.  A copy is a ``(2b, copy index)`` item.  ``star``
-    holds back the first copy of [-x, x] and of [-x+1, x-1]."""
+    holds back the first copy of [-x, x] and of [-x+1, x-1].
+
+    The matching skips :func:`best_matching`'s staircase check, which
+    :func:`_begin_lt` on lists sorted by beginning cannot fail: a violation
+    needs sources x2 <= x1 and targets y2 <= y1 with y1 pointing at x1 but
+    not at x2, that is x2.b <= x1.b < y1.b <= x2.b.
+    """
 
     def copies(e2):
         keys = sorted(v for v in cnt if v[1] == e2 and (not ugly or v[2] == 0))
@@ -143,9 +152,11 @@ def _unprotected(cnt, x2: int, ugly: bool, star=False, drop=None):
     if star:
         ys.remove((-x2, 0))
         xs = [it for it in xs if it != (-x2 + 2, 0)]
+    used = _greedy([[_begin_lt(y, x) and (y, x) != drop for y in ys] for x in xs])
     unprot: dict = {}
-    for b2, _ in best_matching(xs, ys, _begin_lt, drop=drop).yc:
-        _addk(unprot, (b2, x2, 0) if ugly else (b2, x2))
+    for j, (b2, _) in enumerate(ys):
+        if j not in used:
+            _addk(unprot, (b2, x2, 0) if ugly else (b2, x2))
     return unprot
 
 
@@ -170,7 +181,10 @@ def _cut(ln: Line, cnt, unprot):
     return new_cnt
 
 
-def _deriv_good(ln: Line, cnt, minus, x2: int):
+def _derive_line(ln: Line, cnt, minus, x2: int):
+    """The twist derivative at x = x2/2 of one line's counter and minus
+    set, as (order, counter, minus set); the counter may keep zero counts."""
+
     def eps(v):
         return -1 if v in minus else 1
 
@@ -179,11 +193,24 @@ def _deriv_good(ln: Line, cnt, minus, x2: int):
     toff = cnt.get(lower, 0)
     mW = 1 if x2 == 1 else cnt.get(W, 0)
     w_sign = eps(V) if toff % 2 == 0 else -eps(V)  # of a W the cut creates
-    star = cnt.get(V, 0) > 0 and mW > 0 and eps(W) == -w_sign
+    star = ln.cls == GOOD and cnt.get(V, 0) > 0 and mW > 0 and eps(W) == -w_sign
+    # A copy may not protect its own mirror on a bad line.  The t mirror pairs
+    # between the two boundary values can dodge that ban pairwise only when t
+    # is even; for odd t one pair is stuck, and the greedy scan meets it at
+    # the last copy of the upper value against the first copy of the lower one.
+    drop = ((-x2 + 2, toff - 1), (-x2, 0)) if ln.cls == BAD and toff % 2 else None
 
-    unprot = _unprotected(cnt, x2, False, star=star)
-    c = unprot.get(V, 0)
+    unprot = _unprotected(cnt, x2, ln.cls == UGLY, star=star, drop=drop)
+    k, c = sum(unprot.values()), unprot.get(V, 0)
     new_cnt = _cut(ln, cnt, unprot)
+    if c % 2 == 1 and (star or ln.cls == BAD):
+        _sub(ln, new_cnt, V)
+        if W is not None:
+            _sub(ln, new_cnt, W)
+        _addk(new_cnt, upper)
+        _addk(new_cnt, lower)
+    if ln.cls != GOOD:
+        return k, new_cnt, set()
 
     eps_new = {}
     for v, count in new_cnt.items():
@@ -207,38 +234,22 @@ def _deriv_good(ln: Line, cnt, minus, x2: int):
             _addk(new_cnt, W)
             if W not in eps_new:
                 eps_new[W] = eps(W) if W in cnt else w_sign
-    elif star and c % 2 == 1:
-        _sub(ln, new_cnt, V)
-        if W is not None:
-            _sub(ln, new_cnt, W)
-        _addk(new_cnt, upper)
-        _addk(new_cnt, lower)
 
     new_minus = {v for v, sg in eps_new.items() if sg == -1 and new_cnt.get(v)}
-    return unprot, new_cnt, new_minus
+    return k, new_cnt, new_minus
 
 
-def _deriv_bad(ln: Line, cnt, x2: int):
-    V, upper, lower = (-x2, x2), (-x2 + 2, x2), (-x2, x2 - 2)
-    toff = cnt.get(lower, 0)
-    # A copy may not protect its own mirror.  The t mirror pairs between the
-    # two boundary values can dodge that ban pairwise only when t is even;
-    # for odd t one pair is stuck, and the greedy scan meets it at the last
-    # copy of the upper value against the first copy of the lower one.
-    drop = ((-x2 + 2, toff - 1), (-x2, 0)) if toff % 2 else None
-
-    unprot = _unprotected(cnt, x2, False, drop=drop)
-    new_cnt = _cut(ln, cnt, unprot)
-    if unprot.get(V, 0) % 2 == 1:
-        if x2 > 1:
-            _sub(ln, new_cnt, (-x2 + 2, x2 - 2))
-        _sub(ln, new_cnt, V)
-        _addk(new_cnt, lower)
-        _addk(new_cnt, upper)
-    return unprot, new_cnt
+def _twist(ln: Line, x) -> int:
+    """2x for a twist derivative at x on ``ln``: x != 0 and on its grid."""
+    x = half(x)
+    if x.twice == 0:
+        raise DomainError("twist derivatives need x != 0; use the zero-chunk form")
+    if not ln.grid_ok(x):
+        raise DomainError(f"x = {x} is off the {ln.grid} grid of line {ln.id}")
+    return x.twice
 
 
-def _result(s, ln: Line, cnt, minus, k: int, what: str) -> DerivativeResult:
+def _result(s, ln: Line, k: int, cnt, minus, what: str) -> DerivativeResult:
     """``s`` with the line ``ln`` replaced (zero counts dropped) and order
     k; ``s`` itself when k is 0."""
     if k == 0:
@@ -261,26 +272,10 @@ def derivative(s: SignedSymMultisegment, ln: Line, x) -> DerivativeResult:
     on the primary side mirrored by beginning removal on the partner side.
     """
     require_valid(s)
-    x = half(x)
-    if x.twice == 0:
-        raise DomainError("twist derivatives need x != 0; use the zero-chunk form")
-    if not ln.grid_ok(x):
-        raise DomainError(f"x = {x} is off the {ln.grid} grid of line {ln.id}")
+    x2 = _twist(ln, x)
     if ln not in s._ints:
         return DerivativeResult(s, 0)
-    cnt, minus = s._ints[ln]
-    new_minus = set()
-    if ln.cls == GOOD:
-        unprot, new_cnt, new_minus = _deriv_good(ln, cnt, minus, x.twice)
-    elif ln.cls == BAD:
-        unprot, new_cnt = _deriv_bad(ln, cnt, x.twice)
-    elif ln.cls == UGLY:
-        unprot = _unprotected(cnt, x.twice, True)
-        new_cnt = _cut(ln, cnt, unprot)
-    else:
-        raise DomainError(f"unknown line class {ln.cls!r}")
-    k = sum(unprot.values())
-    return _result(s, ln, new_cnt, new_minus, k, "derivative")
+    return _result(s, ln, *_derive_line(ln, *s._ints[ln], x2), "derivative")
 
 
 def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
@@ -298,18 +293,19 @@ def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
         raise DomainError("zero-chunk derivative needs an integral grid")
     if ln not in s._ints:
         return DerivativeResult(s, 0)
-    emax2 = max(v[1] for v in s._ints[ln][0])
+    cnt, minus = s._ints[ln]
+    emax2 = max(v[1] for v in cnt)
     for y2 in range(-emax2 + 2, 0, 2):
-        if derivative(s, ln, HalfInt.from_twice(y2)).k != 0:
+        if _derive_line(ln, cnt, minus, y2)[0] != 0:
             raise DomainError(
                 f"zero-chunk derivative undefined: not reduced at {HalfInt.from_twice(y2)}"
             )
-    return _zero_chunk(s, ln)
+    return _result(s, ln, *_zero_chunk(ln, cnt, minus), "zero-chunk derivative")
 
 
-def _zero_chunk(s, ln: Line) -> DerivativeResult:
-    """:func:`derivative_L` once its hypotheses hold."""
-    cnt, minus = s._ints[ln]
+def _zero_chunk(ln: Line, cnt, minus):
+    """:func:`derivative_L` of one line's counter and minus set once its
+    hypotheses hold, as (order, counter, minus set)."""
     zero, m10, z01 = (0, 0), (-2, 0), (0, 2)
     q = max(cnt.get(m10, 0) - cnt.get((-4, -4), 0) + cnt.get((-2, -2), 0), 0)
     if q > cnt.get(m10, 0):
@@ -337,7 +333,7 @@ def _zero_chunk(s, ln: Line) -> DerivativeResult:
     removed = _degree(cnt) - _degree(new_cnt)
     if removed % 4:
         raise InvariantError("zero-chunk removal is not a whole number of chunk pairs")
-    return _result(s, ln, new_cnt, minus, removed // 4, "zero-chunk derivative")
+    return removed // 4, new_cnt, minus
 
 
 def reduced_report(s: SignedSymMultisegment) -> dict:
@@ -345,7 +341,8 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
 
     For each line: the order at every grid twist x != 0 within the end
     range, whether all vanish, the zero-chunk order when its hypotheses
-    hold (None otherwise), and the combined verdict.
+    hold (None otherwise), and the combined verdict.  Only the orders are
+    computed: no derived multisegment is built.
     """
     require_valid(s)
     report: dict = {}
@@ -353,9 +350,10 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
     for ln in s.lines():
         if ln.cls not in (GOOD, BAD):
             continue
-        emax2 = max(v[1] for v in s._ints[ln][0])
+        cnt, minus = s._ints[ln]
+        emax2 = max(v[1] for v in cnt)
         ks = {
-            x2: derivative(s, ln, HalfInt.from_twice(x2)).k
+            x2: _derive_line(ln, cnt, minus, x2)[0]
             for x2 in range(-emax2, emax2 + 1, 2) if x2 != 0
         }
         orders = {str(HalfInt.from_twice(x2)): k for x2, k in ks.items()}
@@ -366,7 +364,7 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
             # derivative_L's hypothesis, read off the orders already known
             if not any(ks[y2] for y2 in range(-emax2 + 2, 0, 2)):
                 try:
-                    l_order = _zero_chunk(s, ln).k
+                    l_order = _zero_chunk(ln, cnt, minus)[0]
                 except DomainError:
                     pass
             line_reduced = x_reduced and l_order == 0

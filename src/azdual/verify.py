@@ -28,6 +28,9 @@ from .langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _degree,
+    _line_conflicts,
+    _signed,
     from_counter,
     line_project,
     plus_product,
@@ -39,7 +42,7 @@ from .langdata import (
 )
 from .mw_gl import mw_transpose
 from .ad_core import ad_data, ad_step, ad_symm
-from .derivatives import derivative
+from .derivatives import _derive_line, _twist, derivative
 
 
 def _mk(ln, b2, e2, side=None):
@@ -715,13 +718,19 @@ def inverse_derivative_search(
 ):
     """The unique preimage s with derivative (target, k) at x, searching all
     candidates with coefficients within the bound; None when there is none,
-    an error when several exist (k=0 returns the target itself)."""
+    an error when several exist (k=0 returns the target itself).  ``ln`` and
+    x get the checks of :func:`derivative`, once."""
     require_valid(target)
     if k < 0:
         raise DomainError("derivative order must be nonnegative")
     if k == 0:
         return target
-    part_deg = line_project(target, ln).degree + 2 * k
+    conflicts = _line_conflicts([*target._ints, ln])
+    if conflicts:
+        raise DomainError("invalid input:\n  " + "\n  ".join(conflicts))
+    x2 = _twist(ln, x)
+    want = target._ints.get(ln, ({}, set()))
+    part_deg = _degree(want[0]) + 2 * k
     hits = []
     for cand_part in enumerate_symm(
         ln,
@@ -732,12 +741,11 @@ def inverse_derivative_search(
     ):
         if cand_part.degree != part_deg:
             continue
-        entries = [d for d in target.m if d.line != ln] + list(cand_part.m)
-        minus = {d for d in target.minus if d.line != ln} | set(cand_part.minus)
-        cand = SignedSymMultisegment(Multisegment(entries), minus=minus)
-        res = derivative(cand, ln, x)
-        if res.k == k and res.result == target:
-            hits.append(cand)
+        cnt, minus = cand_part._ints[ln]
+        got, new_cnt, new_minus = _derive_line(ln, cnt, minus, x2)
+        if got == k and ({v: n for v, n in new_cnt.items() if n}, new_minus) == want:
+            hits.append(_signed([*((l, *e) for l, e in target._ints.items() if l != ln),
+                                 (ln, cnt, minus)]))
             if len(hits) > 1:
                 raise DomainError("multiple preimages within the bound")
     return hits[0] if hits else None
@@ -764,20 +772,16 @@ class _StateMemo:
         return self._duals[x]
 
     def longest(self):
-        """(line, top end, length of the longest top-end segment) of the
+        """(line, 2e, 2b) of the longest copy at the top end 2e of the
         first extraction step on each good or bad line of ``s``."""
         if self._longest is None:
             self._longest = []
             for ln in self.s.lines():
                 if ln.cls not in (GOOD, BAD):
                     continue
-                part = line_project(self.s, ln)
-                if not part.m:
-                    continue
-                m1, _ = ad_step(part)
-                etop = max(x.e.twice for x in m1.m)
-                l1 = max(x.length for x in m1.m if x.e.twice == etop)
-                self._longest.append((ln, etop, l1))
+                cnt = ad_step(line_project(self.s, ln))[0]._ints[ln][0]
+                etop = max(v[1] for v in cnt)
+                self._longest.append((ln, etop, min(v[0] for v in cnt if v[1] == etop)))
         return self._longest
 
 
@@ -802,9 +806,9 @@ def _pair_properties(s, d, memo):
             sign_ok = False
     checks.append(("sign_product", sign_ok))
     longest_ok = True
-    for ln, etop, l1 in memo.longest():
-        for x in d.m:
-            if x.line == ln and x.e.twice == etop and x.length > l1:
+    for ln, etop, b2 in memo.longest():
+        for v in d._ints.get(ln, ({},))[0]:
+            if v[1] == etop and v[0] < b2:
                 longest_ok = False
     checks.append(("longest_first", longest_ok))
     checks.append(("involution", d_valid and memo.dual(d) == s))
@@ -814,39 +818,28 @@ def _pair_properties(s, d, memo):
 def _corruptions(d: SignedSymMultisegment):
     """Deterministic single-sign and single-coefficient corruptions of a
     claimed dual; each must be caught by some property."""
+    ints = d._ints
+
+    def rebuilt(ln, cnt, minus):
+        return _signed((l, *((cnt, minus) if l == ln else ints[l])) for l in ints)
+
     out = []
-    for v in sorted({x for x in d.m if x.is_centered and x.line.cls == GOOD},
-                    key=lambda x: (x.line.id, x.e.twice)):
-        flipped = set(d.minus) ^ {v}
-        out.append(("sign_flip", SignedSymMultisegment(d.m, minus=flipped)))
-        break
-    if d.m:
-        first = d.m.entries[0]
-        entries = list(d.m.entries)
-        entries.remove(first)
-        stretched = Segment(
-            first.line,
-            first.b,
-            HalfInt.from_twice(first.e.twice + 2),
-            first.side,
-        )
-        out.append(
-            (
-                "coeff_stretch",
-                SignedSymMultisegment(
-                    Multisegment(entries + [stretched]),
-                    minus={v for v in d.minus if v != first},
-                ),
-            )
-        )
-        out.append(
-            (
-                "copy_drop",
-                SignedSymMultisegment(
-                    Multisegment(entries), minus={v for v in d.minus if v != first}
-                ),
-            )
-        )
+    centered = [(ln.id, v[1], ln, v) for ln, (cnt, _) in ints.items()
+                if ln.cls == GOOD for v in cnt if v[0] + v[1] == 0]
+    if centered:
+        _, _, ln, v = min(centered, key=lambda c: c[:2])
+        out.append(("sign_flip", rebuilt(ln, ints[ln][0], set(ints[ln][1]) ^ {v})))
+    if d:
+        # the first copy in seg_sort_key order: (line id, side or -1, -2b, 2e)
+        ln, v = min(((ln, v) for ln, (cnt, _) in ints.items() for v in cnt),
+                    key=lambda c: (c[0].id, c[1][2] if len(c[1]) == 3 else -1,
+                                   -c[1][0], c[1][1]))
+        cnt, minus = ints[ln]
+        minus = set(minus) - {v}
+        dropped = {**cnt, v: cnt[v] - 1}
+        w = (v[0], v[1] + 2) + v[2:]  # v one longer at its end
+        out.append(("coeff_stretch", rebuilt(ln, {**dropped, w: dropped.get(w, 0) + 1}, minus)))
+        out.append(("copy_drop", rebuilt(ln, dropped, minus)))
     return out
 
 
@@ -866,10 +859,7 @@ def _suite_commutation(s, memo):
     for ln in s.lines():
         if ln.cls not in (GOOD, BAD):
             continue
-        part = line_project(s, ln)
-        if not part.m:
-            continue
-        emax2 = max(x.e.twice for x in part.m)
+        emax2 = max(v[1] for v in s._ints[ln][0])
         for x2 in range(-emax2, emax2 + 1, 2):
             if x2 == 0:
                 continue

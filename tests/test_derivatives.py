@@ -103,6 +103,19 @@ class TestBestMatching:
         with pytest.raises(DomainError, match="staircase"):
             best_matching(xs, ys, rel)
 
+    def test_begin_lt_meets_the_staircase_condition(self):
+        """The derivatives match copies by beginning without the staircase
+        check, which _begin_lt on copy lists sorted by beginning cannot
+        fail."""
+        rng = random.Random(5)
+
+        def copies():
+            bs = [2 * rng.randint(-4, 4) for _ in range(rng.randint(0, 7))]
+            return sorted((b2, i) for b2 in set(bs) for i in range(bs.count(b2)))
+
+        for _ in range(400):
+            best_matching(copies(), copies(), azdual.derivatives._begin_lt)
+
     def test_matches_brute_force_maximum(self):
         rng = random.Random(11)
         accepted = 0
@@ -369,19 +382,34 @@ class TestReducedReport:
         """The zero-chunk order reuses the twist orders the report already
         has instead of recomputing the negative ones."""
         calls = []
-        real = azdual.derivatives.derivative
+        real = azdual.derivatives._derive_line
 
-        def counting(s, ln, x):
-            calls.append((ln, half(x)))
-            return real(s, ln, x)
+        def counting(ln, cnt, minus, x2):
+            calls.append((ln, x2))
+            return real(ln, cnt, minus, x2)
 
-        monkeypatch.setattr(azdual.derivatives, "derivative", counting)
+        monkeypatch.setattr(azdual.derivatives, "_derive_line", counting)
         states = [sym([(-2, 0), (0, 2)]), sym([(-3, -1), (1, 3), (0, 0)])]
         states += list(enumerate_symm(B, 2, 2, 2))
+        total = 0
         for s in states:
             calls.clear()
             reduced_report(s)
             assert len(calls) == len(set(calls))
+            total += len(calls)
+        assert total > 0
+
+    def test_reduced_report_builds_no_result(self, monkeypatch):
+        """The report needs only the orders: over the 6608-state sweep it
+        builds no derived multisegment."""
+        built = []
+        for module in (azdual.langdata, azdual.derivatives):
+            monkeypatch.setattr(module, "_signed",
+                                lambda parts, real=module._signed: built.append(1)
+                                or real(parts))
+        for s in standard_sweep(2, 3, 3):
+            reduced_report(s)
+        assert built == []
 
     def test_each_state_is_read_into_ints_once(self, monkeypatch):
         """The reports over the 6608-state sweep read each state's Segments

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
 top-level function or class of the package is used somewhere in it or
-exported, and every public method of its classes is read somewhere.
+exported, and every public method of its classes is read somewhere.  The
+dual, the derivatives and the GL layer read no ``Segment`` view.
 
 Stdlib only: each module under ``src/azdual`` is parsed with ``ast``, and a
 name counts as used when a module loads it somewhere as a plain name.  A
@@ -79,3 +80,13 @@ def test_no_dead_definitions():
         and meth.name not in read
     )
     assert dead == []
+
+
+@pytest.mark.parametrize("name", ["ad_core.py", "derivatives.py", "mw_gl.py"])
+def test_core_reads_no_segment_view(name):
+    """The dual's step loop, the derivatives and the GL layer run on the int
+    form: none of them reads a ``.m`` attribute, the ``Segment`` view of a
+    signed multisegment, which is built and sorted on first access."""
+    reads = [f"{name}:{node.lineno}" for node in ast.walk(_tree(PACKAGE / name))
+             if isinstance(node, ast.Attribute) and node.attr == "m"]
+    assert reads == []

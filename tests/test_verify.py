@@ -11,6 +11,7 @@ from azdual.segments import (
     GOOD,
     GRID_HALF,
     GRID_INT,
+    UGLY,
     DomainError,
     HalfInt,
     Line,
@@ -27,6 +28,7 @@ from azdual.langdata import (
     validate,
 )
 from azdual.ad_core import ad_data, ad_symm
+from azdual.derivatives import derivative
 from azdual.verify import (
     _line_cnt,
     closed_form_dual,
@@ -210,6 +212,33 @@ class TestInverseSearch:
     def test_negative_order_is_refused(self):
         with pytest.raises(DomainError, match="nonnegative"):
             inverse_derivative_search(sym([(0, 0)]), G, half(1), -1, 1)
+
+    @pytest.mark.parametrize("ln, x, match", [
+        (G, 0, "x != 0"),
+        (G, half("1/2"), "off the integral grid"),
+        (B, 1, "conflicting declarations for line 'rho'"),
+    ], ids=["zero", "off-grid", "conflicting-line"])
+    def test_edge_checks_of_the_derivative(self, ln, x, match):
+        with pytest.raises(DomainError, match=match):
+            inverse_derivative_search(sym([(-1, 1)]), ln, x, 1, 1)
+
+    @pytest.mark.parametrize("ln, cases", [
+        (G, 86), (Line("bh", BAD, GRID_HALF), 8), (Line("u", UGLY, GRID_INT), 22),
+    ], ids=["good-integral", "bad-half", "mirror"])
+    def test_recovers_every_derived_state(self, ln, cases):
+        """Every state of a small window on a good, a bad and a mirror line
+        is the preimage found for each of its nonzero twist derivatives."""
+        for s in enumerate_symm(ln, 1, 2, 2):
+            emax2 = s.max_end().twice if s else 0
+            for x2 in range(-emax2, emax2 + 1, 2):
+                if x2 == 0:
+                    continue
+                x = HalfInt.from_twice(x2)
+                res = derivative(s, ln, x)
+                if res.k:
+                    assert inverse_derivative_search(res.result, ln, x, res.k, 1) == s
+                    cases -= 1
+        assert cases == 0
 
 
 class TestPropertyHarness:
