@@ -4,7 +4,9 @@ Langlands-style parameter data, plus the transfer between the two pictures.
 Symmetric multisegments carry signs only on centered segments; signs are
 stored sparsely as the set of centered values signed -1, everything else
 being +1 by convention.  A signed symmetric multisegment holds the per-line
-int form below and builds its ``Segment`` view (``.m``) on demand.
+int form below and builds its ``Segment`` view (``.m``) on demand; a plain
+multisegment built by the GL layer holds the GL int form and builds its
+``entries`` on demand.
 """
 from __future__ import annotations
 
@@ -27,21 +29,49 @@ from .segments import (
 
 
 class Multisegment:
-    """A finite multiset of nonempty segments, stored in canonical order."""
+    """A finite multiset of nonempty segments, stored in canonical order.
 
-    __slots__ = ("entries",)
+    An object holds one of two forms.  Built from Segments, it holds
+    ``entries``.  Built by the GL layer through :func:`_plain`, it holds the
+    GL int form ``{(line, side): {(2b, 2e): multiplicity}}`` and builds
+    ``entries`` from it on first access.  ``_ints`` is the int form; a
+    Segment-built object computes it on each read and does not keep it.
+    Equality and hash compare the int form.  The views have no setters and
+    the slots are private: the object is immutable.
+    """
+
+    __slots__ = ("_entries", "_form")
 
     def __init__(self, entries=()):
-        items = tuple(sorted(entries, key=seg_sort_key))
+        items = list(entries)
         for d in items:
             if not isinstance(d, Segment):
                 raise TypeError(f"multisegment entry {d!r} is not a Segment")
+        items.sort(key=seg_sort_key)
+        for d in items:
             if d.is_empty:
                 raise DomainError(f"empty segment {d} cannot join a multisegment")
-        object.__setattr__(self, "entries", items)
+        self._entries, self._form = tuple(items), None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multisegment is immutable")
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple(sorted(
+                (_cached_segment(ln, b2, e2, side) for (ln, side), cnt in self._form.items()
+                 for (b2, e2), k in cnt.items() for _ in range(k)),
+                key=seg_sort_key))
+        return self._entries
+
+    @property
+    def _ints(self) -> dict:
+        if self._form is not None:
+            return self._form
+        form = {}
+        for d in self._entries:
+            cnt = form.setdefault((d.line, d.side), {})
+            v = (d.b.twice, d.e.twice)
+            cnt[v] = cnt.get(v, 0) + 1
+        return form
 
     def __len__(self):
         return len(self.entries)
@@ -50,13 +80,14 @@ class Multisegment:
         return iter(self.entries)
 
     def __bool__(self):
-        return bool(self.entries)
+        return bool(self._entries if self._form is None else self._form)
 
     def __eq__(self, other):
-        return isinstance(other, Multisegment) and self.entries == other.entries
+        return isinstance(other, Multisegment) and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(frozenset((key, frozenset(cnt.items()))
+                              for key, cnt in self._ints.items()))
 
     def __add__(self, other):
         if not isinstance(other, Multisegment):
@@ -84,7 +115,7 @@ class Multisegment:
 
     @property
     def degree(self) -> int:
-        return sum(d.length for d in self.entries)
+        return sum(_degree(cnt) for cnt in self._ints.values())
 
     def lines(self):
         """Distinct lines present, sorted by id."""
@@ -112,6 +143,14 @@ class Multisegment:
 
 def from_counter(cnt: dict) -> Multisegment:
     return Multisegment(d for d, k in cnt.items() for _ in range(k))
+
+
+def _plain(form) -> Multisegment:
+    """The plain multisegment of a GL int form, kept, not copied; it holds
+    no zero count and no empty line."""
+    m = object.__new__(Multisegment)
+    m._entries, m._form = None, form
+    return m
 
 
 class SignedSymMultisegment:
@@ -212,8 +251,9 @@ def _fill(s: SignedSymMultisegment, form, m=None, minus=None) -> SignedSymMultis
 # The signed multisegments, their validation and transfer, the dual's step
 # loop, the derivatives and the GL layer run on plain ints, one line at a
 # time: a counter ``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on
-# ugly lines) and the set of centered keys signed -1.  Readers never change
-# an object's counters; the step loop cuts a copy.  A line's labeled section
+# ugly lines, where the GL form keys the line by ``(line, side)`` instead)
+# and the set of centered keys signed -1.  Readers never change an
+# object's counters; the step loop cuts a copy.  A line's labeled section
 # is a sorted list of ``(key, pair, label, copies)`` groups; copy i precedes
 # copy j in it exactly when key_i < key_j.
 

@@ -1,39 +1,25 @@
 """The GL-side algorithm: chain extraction steps, the full transpose they
 generate, and path-capacity counts over juxtaposition graphs.
 
-Everything runs on the int line form of :mod:`langdata`: a multisegment is
-read once into ``(2b, 2e)`` pairs grouped by GL line ``(line, side)``, and
-results are built back through its cached segment builder.  The public API
-speaks Segment / Multisegment.
+Everything runs on the GL int form of :mod:`langdata`: a multisegment's
+``_ints``, ``{(line, side): {(2b, 2e): multiplicity}}``.  Results are built
+as that form and wrapped by ``_plain``, so no ``Segment`` is made until a
+caller reads ``entries``.  The public API speaks Segment / Multisegment.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from heapq import heapify, heappop, heappush
 
-from .segments import DomainError, Segment
+from .segments import DomainError, Segment, _cached_segment
 from .langdata import (
     Multisegment,
     SignedSymMultisegment,
+    _plain,
     _section,
-    _segment,
     require_valid,
 )
-
-
-def _groups(m: Multisegment) -> dict:
-    """{(line, side): [(2b, 2e), ...]}, in one pass over m."""
-    out: dict = {}
-    for d in m:
-        out.setdefault((d.line, d.side), []).append((d.b.twice, d.e.twice))
-    return out
-
-
-def _segments(key, pairs) -> list:
-    ln, side = key
-    tail = () if side is None else (side,)
-    return [_segment(ln, p + tail) for p in pairs]
 
 
 def _buckets(pairs) -> dict:
@@ -46,38 +32,61 @@ def _buckets(pairs) -> dict:
     return buckets
 
 
+def _copies(cnt):
+    """The pairs of a counter, each repeated by its multiplicity."""
+    return (v for v, k in cnt.items() for _ in range(k))
+
+
+def _counter(pairs) -> dict:
+    """The counter {(2b, 2e): multiplicity} of a list of pairs."""
+    cnt: dict = {}
+    for v in pairs:
+        cnt[v] = cnt.get(v, 0) + 1
+    return cnt
+
+
 def _extract(buckets, e, tops) -> list:
     """Pop one chain of strictly descending ends from the top end e and put
     its copies back with their final coefficient cut off; returns the
     chain, top first.
 
     The chain starts from the biggest copy at end e and goes on with the
-    biggest copy one end lower whose beginning strictly drops.  A bucket
-    the chain empties is deleted, and the end of each bucket a cut copy
-    opens is pushed on the heap ``tops`` of negated ends.
+    biggest copy one end lower whose beginning strictly drops.  Each cut
+    happens in place: when the chain picks (b', e - 2) below a copy (b, e),
+    the cut copy (b, e - 2) takes the picked copy's slot, since everything
+    before the slot is at most b' < b and everything after it at least b;
+    a copy of length 1 frees the slot instead.  The last copy's cut goes
+    first in the bucket one end lower, where every beginning is at least
+    its own.  A bucket the chain empties is deleted, and the end of a
+    bucket the last cut opens is pushed on the heap ``tops`` of negated
+    ends.
     """
     lst = buckets[e]
-    cur_b = lst.pop()
+    b = lst.pop()
     if not lst:
         del buckets[e]
-    chain = [(cur_b, e)]
+    chain = [(b, e)]
     while True:
         e -= 2
         lst = buckets.get(e)
-        if lst is None:
-            break
-        i = bisect_left(lst, cur_b) - 1
+        i = -1 if lst is None else bisect_left(lst, b) - 1
         if i < 0:
             break
-        cur_b = lst.pop(i)
-        if not lst:
-            del buckets[e]
-        chain.append((cur_b, e))
-    for b2, e2 in chain:
-        if e2 - 2 >= b2:
-            if e2 - 2 not in buckets:
-                heappush(tops, 2 - e2)
-            insort(buckets.setdefault(e2 - 2, []), b2)
+        picked = lst[i]
+        if b <= e:
+            lst[i] = b
+        else:
+            del lst[i]
+            if not lst:
+                del buckets[e]
+        b = picked
+        chain.append((b, e))
+    if b <= e:
+        if lst is None:
+            buckets[e] = [b]
+            heappush(tops, -e)
+        else:
+            lst.insert(0, b)
     return chain
 
 
@@ -103,17 +112,18 @@ def mw_step(m: Multisegment):
     The initial segment runs from the last chain element's end up to the top
     end; the chain elements lose their final coefficient.
     """
-    if not m:
+    form = m._ints
+    if not form:
         raise DomainError("mw_step on the zero multisegment")
-    groups = _groups(m)
-    if len(groups) != 1:
+    if len(form) != 1:
         raise DomainError("mw_step needs a multisegment on exactly one line")
-    ((key, pairs),) = groups.items()
-    buckets = _buckets(pairs)
+    ((key, cnt),) = form.items()
+    buckets = _buckets(_copies(cnt))
     chain = next(_chains(buckets))
-    rest = [(b2, e2) for e2, lst in buckets.items() for b2 in lst]
-    (initial,) = _segments(key, [(chain[-1][1], chain[0][1])])
-    return initial, Multisegment(_segments(key, rest))
+    rest = _counter((b2, e2) for e2, lst in buckets.items() for b2 in lst)
+    ln, side = key
+    initial = _cached_segment(ln, chain[-1][1], chain[0][1], side)
+    return initial, _plain({key: rest} if rest else {})
 
 
 def transpose_pairs(pairs):
@@ -124,10 +134,8 @@ def transpose_pairs(pairs):
 def mw_transpose(m: Multisegment) -> Multisegment:
     """Iterate extraction steps per line until exhausted.  Degree-preserving
     involution; the zero multisegment maps to itself."""
-    out = []
-    for key, pairs in _groups(m).items():
-        out.extend(_segments(key, transpose_pairs(pairs)))
-    return Multisegment(out)
+    return _plain({key: _counter(transpose_pairs(_copies(cnt)))
+                   for key, cnt in m._ints.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +223,8 @@ def kz_capacity(m: Multisegment, target: Segment) -> int:
     """
     if target.is_empty:
         return 0
-    return _capacity_graph(_groups(m).get(target.key(), []), target, _juxtaposed)
+    items = list(_copies(m._ints.get(target.key(), {})))
+    return _capacity_graph(items, target, _juxtaposed)
 
 
 def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
@@ -237,6 +246,5 @@ def containment_count(m: Multisegment, target: Segment) -> int:
     if target.is_empty:
         raise DomainError("containment of an empty target is not defined")
     tb2, te2 = target.b.twice, target.e.twice
-    return sum(
-        1 for b2, e2 in _groups(m).get(target.key(), ()) if b2 <= tb2 and te2 <= e2
-    )
+    return sum(k for (b2, e2), k in m._ints.get(target.key(), {}).items()
+               if b2 <= tb2 and te2 <= e2)

@@ -194,6 +194,12 @@ class Line:
             raise DomainError(f"unknown grid {self.grid!r}")
         if self.cls == UGLY and self.grid != GRID_INT:
             raise DomainError("ugly lines are normalized to the integral grid")
+        # Every int form is keyed by Line; the dataclass hash would re-hash
+        # the three fields on each lookup.  Equality and order stay on them.
+        object.__setattr__(self, "_hash", hash((self.id, self.cls, self.grid)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def same_type_as_g(self):

@@ -786,33 +786,22 @@ class _StateMemo:
 
 
 def _pair_properties(s, d, memo):
-    """Named checks a claimed dual d of s must pass.  Evaluated in order."""
-    checks = []
+    """Named checks a claimed dual d of s must pass, yielded in order; each
+    is computed only when it is pulled, so a caller that stops at the first
+    failure skips the rest."""
     d_valid = not validate(d)
-    checks.append(("membership", d_valid))
-    checks.append(("degree", d.degree == s.degree))
+    yield "membership", d_valid
+    yield "degree", d.degree == s.degree
     em_s = s.max_end()
     em_d = d.max_end()
-    checks.append(
-        ("emax", (em_s is None) == (em_d is None) and (em_s is None or em_s == em_d))
-    )
-    sign_ok = True
-    if d_valid:
-        for ln in s.lines():
-            if ln.cls == GOOD:
-                if sign_product(s, ln) != sign_product(d, ln):
-                    sign_ok = False
-        if plus_product(s) != plus_product(d):
-            sign_ok = False
-    checks.append(("sign_product", sign_ok))
-    longest_ok = True
-    for ln, etop, b2 in memo.longest():
-        for v in d._ints.get(ln, ({},))[0]:
-            if v[1] == etop and v[0] < b2:
-                longest_ok = False
-    checks.append(("longest_first", longest_ok))
-    checks.append(("involution", d_valid and memo.dual(d) == s))
-    return checks
+    yield "emax", (em_s is None) == (em_d is None) and (em_s is None or em_s == em_d)
+    yield "sign_product", not d_valid or (
+        all(sign_product(s, ln) == sign_product(d, ln) for ln in s.lines() if ln.cls == GOOD)
+        and plus_product(s) == plus_product(d))
+    yield "longest_first", not any(
+        v[1] == etop and v[0] < b2
+        for ln, etop, b2 in memo.longest() for v in d._ints.get(ln, ({},))[0])
+    yield "involution", d_valid and memo.dual(d) == s
 
 
 def _corruptions(d: SignedSymMultisegment):

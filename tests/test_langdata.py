@@ -65,6 +65,11 @@ class TestMultisegment:
         with pytest.raises(DomainError):
             Multisegment([seg(GI, 1, 0)])
 
+    @pytest.mark.parametrize("entry", [1, "[0,1]"])
+    def test_rejects_entries_that_are_not_segments(self, entry):
+        with pytest.raises(TypeError, match="is not a Segment"):
+            Multisegment([seg(GI, 0, 1), entry])
+
     def test_add_sub(self):
         a = Multisegment([seg(GI, 0, 1)])
         b = Multisegment([seg(GI, 0, 1), seg(GI, -1, 1)])

@@ -1,9 +1,15 @@
 import itertools
 import random
+from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import azdual.langdata
+import azdual.mw_gl
+import azdual.segments
+from azdual.cli import render_output
 from azdual.segments import (
     GOOD,
     GRID_HALF,
@@ -29,6 +35,7 @@ from azdual.mw_gl import (
 RHO = Line("rho", GOOD, GRID_INT)
 SIG = Line("sig", GOOD, GRID_INT)
 RHH = Line("rhh", GOOD, GRID_HALF)
+UGL = Line("ugl", UGLY, GRID_INT)
 
 
 def seg(b, e, ln=RHO):
@@ -98,6 +105,52 @@ class TestTranspose:
         got = mw_transpose(m)
         assert got.degree == m.degree
         assert mw_transpose(got) == m
+
+    def test_involution_builds_no_segment(self, monkeypatch):
+        """On a prebuilt multisegment the involution check runs int form to
+        int form: neither transpose nor the equality makes a Segment."""
+        made = []
+        orig = azdual.segments._cached_segment
+
+        def counted(*args):
+            made.append(args)
+            return orig(*args)
+
+        for mod in (azdual.segments, azdual.langdata, azdual.mw_gl):
+            monkeypatch.setattr(mod, "_cached_segment", counted)
+        ms = [mseg((-3, -1), (-2, -1), (-2, 0)), mseg((-2, 1), (0, 0), (0, 0)),
+              Multisegment([seg(-1, 0), seg(0, 1, SIG), seg("-3/2", "1/2", RHH)]),
+              Multisegment([Segment(UGL, half(-1), half(0), side=s) for s in (0, 1)]),
+              Multisegment([])]
+        for m in ms:
+            assert mw_transpose(mw_transpose(m)) == m
+        assert made == []
+
+    def test_form_built_result_matches_segment_built(self):
+        """A result held as an int form and the same segments passed to
+        Multisegment agree on equality, hash, entries, str and the JSON."""
+        m = Multisegment(
+            [seg(-2, 1), seg(-1, 0), seg(0, 2), seg(1, 1),
+             seg(-1, 1, SIG), seg(0, 1, SIG), seg(-1, 0, SIG),
+             seg("-3/2", "1/2", RHH), seg("-1/2", "-1/2", RHH), seg("-1/2", "3/2", RHH)]
+            + [Segment(UGL, half(b), half(e), side=0) for b, e in [(-2, 0), (-1, 1), (0, 0)]]
+            + [Segment(UGL, half(b), half(e), side=1) for b, e in [(0, 2), (1, 1), (-1, 2)]]
+        )
+        results = [lambda: mw_transpose(m),
+                   lambda: mw_step(mseg((-3, -1), (-2, -1), (-2, 0)))[1],
+                   lambda: mw_step(Multisegment([Segment(UGL, half(-1), half(1), side=1)]))[1]]
+        for result in results:
+            ref = Multisegment(list(result().entries))
+            t = result()  # compared while it holds only its int form
+            assert t == ref and ref == t
+            assert hash(t) == hash(ref)
+            assert t.entries == ref.entries
+            assert str(t) == str(ref)
+            assert render_output(t) == render_output(ref)
+        t = mw_transpose(m)
+        assert t.degree == m.degree
+        assert {(d.line, d.side) for d in t} == {(RHO, None), (SIG, None), (RHH, None),
+                                                 (UGL, 0), (UGL, 1)}
 
     def test_ugly_sides_kept(self):
         lu = Line("u", UGLY, GRID_INT)
@@ -214,3 +267,53 @@ class TestPairs:
         tops = sorted((c[-1][1], c[0][1]) for c in _chains(buckets))
         assert tops == transpose_pairs(pairs)
         assert not buckets and buckets.probes < 40
+
+
+def _reference_chains(buckets):
+    """The chains of ``_chains`` by the earlier extractor: pop the whole
+    chain first, then insort each cut copy into the bucket one end lower."""
+    tops = [-e for e in buckets]
+    heapify(tops)
+    while buckets:
+        while -tops[0] not in buckets:
+            heappop(tops)
+        e = -tops[0]
+        lst = buckets[e]
+        cur_b = lst.pop()
+        if not lst:
+            del buckets[e]
+        chain = [(cur_b, e)]
+        while True:
+            e -= 2
+            lst = buckets.get(e)
+            if lst is None:
+                break
+            i = bisect_left(lst, cur_b) - 1
+            if i < 0:
+                break
+            cur_b = lst.pop(i)
+            if not lst:
+                del buckets[e]
+            chain.append((cur_b, e))
+        for b2, e2 in chain:
+            if e2 - 2 >= b2:
+                if e2 - 2 not in buckets:
+                    heappush(tops, 2 - e2)
+                insort(buckets.setdefault(e2 - 2, []), b2)
+        yield chain
+
+
+def test_in_place_cut_gives_the_reference_chains():
+    """Random pair lists with repeated copies, copies of length 1 and ends
+    far apart: the in-place cut extracts the same chains, in the same order,
+    as popping the chain and inserting the cut copies afterwards."""
+    rng = random.Random(11)
+    for _ in range(3000):
+        span = rng.choice([3, 6, 40])
+        pairs = []
+        for _ in range(rng.randint(1, 12)):
+            b = rng.randint(-span, span)
+            e = b + rng.choice([0, 0, 1, 2, rng.randint(0, span)])
+            pairs.extend([(2 * b, 2 * e)] * rng.choice([1, 1, 2, 3]))
+        got = list(_chains(_buckets(pairs)))
+        assert got == list(_reference_chains(_buckets(pairs))), pairs
