@@ -21,9 +21,6 @@ from .segments import (
     line,
     seg,
     seg_dual,
-    seg_precedes,
-    seg_props,
-    seg_trunc,
 )
 from .langdata import (
     LanglandsData,
@@ -79,9 +76,6 @@ __all__ = [
     "line",
     "seg",
     "seg_dual",
-    "seg_precedes",
-    "seg_props",
-    "seg_trunc",
     "LanglandsData",
     "Multisegment",
     "PhiComponent",

@@ -50,12 +50,6 @@ class MatchingResult:
     y0: tuple
     yc: tuple
 
-    def target_of(self, x):
-        for a, b in self.f:
-            if a == x:
-                return b
-        raise KeyError(x)
-
 
 def best_matching(xs, ys, rel, drop=None) -> MatchingResult:
     """Greedy matching of sources to the targets they point at.

@@ -19,7 +19,6 @@ from .segments import (
     UGLY,
     DomainError,
     HalfInt,
-    InvariantError,
     Line,
     Segment,
     _cached_segment,
@@ -94,25 +93,6 @@ class Multisegment:
             return NotImplemented
         return Multisegment(self.entries + other.entries)
 
-    def __sub__(self, other):
-        if not isinstance(other, Multisegment):
-            return NotImplemented
-        cnt = self.counter()
-        for d in other:
-            cnt[d] = cnt.get(d, 0) - 1
-            if cnt[d] < 0:
-                raise InvariantError(f"negative multiplicity for {d} in subtraction")
-        return from_counter(cnt)
-
-    def counter(self) -> dict:
-        cnt: dict = {}
-        for d in self.entries:
-            cnt[d] = cnt.get(d, 0) + 1
-        return cnt
-
-    def multiplicity(self, d: Segment) -> int:
-        return sum(1 for x in self.entries if x == d)
-
     @property
     def degree(self) -> int:
         return sum(_degree(cnt) for cnt in self._ints.values())
@@ -128,21 +108,10 @@ class Multisegment:
     def dual(self) -> "Multisegment":
         return Multisegment(seg_dual(d) for d in self.entries)
 
-    def is_symmetric(self) -> bool:
-        return self.dual() == self
-
-    def max_end(self, ln: "Line | None" = None) -> "HalfInt | None":
-        ends = [d.e.twice for d in self.entries if ln is None or d.line == ln]
-        return HalfInt.from_twice(max(ends)) if ends else None
-
     def __str__(self):
         return "+".join(str(d) for d in self.entries) if self.entries else "0"
 
     __repr__ = __str__
-
-
-def from_counter(cnt: dict) -> Multisegment:
-    return Multisegment(d for d, k in cnt.items() for _ in range(k))
 
 
 def _plain(form) -> Multisegment:
@@ -220,9 +189,8 @@ class SignedSymMultisegment:
         return sorted((ln for ln, (cnt, _) in self._ints.items() if cnt),
                       key=lambda ln: ln.id)
 
-    def max_end(self, ln=None):
-        ends = [v[1] for l, (cnt, _) in self._ints.items() if ln is None or l == ln
-                for v in cnt]
+    def max_end(self):
+        ends = [v[1] for cnt, _ in self._ints.values() for v in cnt]
         return HalfInt.from_twice(max(ends)) if ends else None
 
     def restrict(self, ln: Line) -> "SignedSymMultisegment":
@@ -393,11 +361,6 @@ class PhiComponent:
             raise DomainError(
                 f"block size {self.a} off the {self.line.grid} grid of {self.line.id}"
             )
-
-    def centered_segment(self) -> Segment:
-        h = HalfInt.from_twice(self.a - 1)
-        side = 0 if self.line.cls == UGLY else None
-        return Segment(self.line, -h, h, side)
 
     def __str__(self):
         return f"S{self.a}@{self.line.id}"

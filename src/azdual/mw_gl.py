@@ -127,8 +127,9 @@ def mw_step(m: Multisegment):
 
 
 def transpose_pairs(pairs):
-    """Full transpose on (2b, 2e) pairs of one line; returns sorted pairs."""
-    return sorted((chain[-1][1], chain[0][1]) for chain in _chains(_buckets(pairs)))
+    """Full transpose on (2b, 2e) pairs of one line; returns a list of
+    pairs, one per chain, in chain order."""
+    return [(chain[-1][1], chain[0][1]) for chain in _chains(_buckets(pairs))]
 
 
 def mw_transpose(m: Multisegment) -> Multisegment:

@@ -1,4 +1,4 @@
-"""Exact half-integer arithmetic, supercuspidal lines, and segment primitives.
+"""Exact half-integers, supercuspidal lines, and segment primitives.
 
 Every numeric quantity in this package lives in (1/2)Z and is stored exactly
 as twice its value, so grid membership is a parity condition on plain ints
@@ -59,64 +59,15 @@ class HalfInt:
     def __setattr__(self, name, value):
         raise AttributeError("HalfInt is immutable")
 
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _twice_of(other) -> int:
-        if isinstance(other, HalfInt):
-            return other.twice
-        if isinstance(other, int):
-            return 2 * other
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt.from_twice(self.twice + t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt.from_twice(self.twice - t)
-
-    def __rsub__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else HalfInt.from_twice(t - self.twice)
-
     def __neg__(self):
         return HalfInt.from_twice(-self.twice)
 
-    def __abs__(self):
-        return HalfInt.from_twice(abs(self.twice))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- comparisons --------------------------------------------------------
-
     def __eq__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice == t
-
-    def __lt__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice < t
-
-    def __le__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice <= t
-
-    def __gt__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice > t
-
-    def __ge__(self, other):
-        t = self._twice_of(other)
-        return NotImplemented if t is NotImplemented else self.twice >= t
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, int):
+            return self.twice == 2 * other
+        return NotImplemented
 
     def __hash__(self):
         # An integral value equals the int it stands for, so it hashes as one.
@@ -125,13 +76,6 @@ class HalfInt:
 
     def __bool__(self):
         return self.twice != 0
-
-    # -- misc ---------------------------------------------------------------
-
-    def as_int(self) -> int:
-        if self.twice % 2:
-            raise DomainError(f"{self} is not an integer")
-        return self.twice // 2
 
     def __str__(self) -> str:
         return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
@@ -201,13 +145,6 @@ class Line:
     def __hash__(self):
         return self._hash
 
-    @property
-    def same_type_as_g(self):
-        """True for good+integral and bad+half-integral; None for ugly lines."""
-        if self.cls == UGLY:
-            return None
-        return (self.grid == GRID_INT) == (self.cls == GOOD)
-
     def grid_ok(self, h: HalfInt) -> bool:
         return h.twice % 2 == (0 if self.grid == GRID_INT else 1)
 
@@ -262,10 +199,6 @@ class Segment:
         return self._hash
 
     @property
-    def c(self) -> HalfInt:
-        return HalfInt.from_twice((self.b.twice + self.e.twice) // 2)
-
-    @property
     def length(self) -> int:
         return (self.e.twice - self.b.twice) // 2 + 1
 
@@ -293,11 +226,6 @@ def seg(ln: Line, b, e, side: "int | None" = None) -> Segment:
     return Segment(ln, half(b), half(e), side)
 
 
-def seg_props(d: Segment):
-    """(beginning, end, center, length) of a segment, empty ones included."""
-    return (d.b, d.e, d.c, d.length)
-
-
 _SEG_CACHE: dict = {}
 
 
@@ -315,56 +243,6 @@ def seg_dual(d: Segment) -> Segment:
     """The contragredient segment [-e, -b]; flips the side on ugly lines."""
     side = d.side if d.side is None else 1 - d.side
     return _cached_segment(d.line, -d.e.twice, -d.b.twice, side)
-
-
-_TRUNC_MODES = ("end", "begin", "both", "end2", "begin2")
-
-
-def seg_trunc(d: Segment, mode: str) -> Segment:
-    """Shorten a nonempty segment; results may be empty (flagged, not an error).
-
-    Modes: "end" drops the last coefficient, "begin" the first, "both" one
-    from each side, "end2"/"begin2" drop two from one side.
-    """
-    if d.is_empty:
-        raise DomainError(f"cannot truncate empty segment {d}")
-    if mode not in _TRUNC_MODES:
-        raise DomainError(f"unknown truncation mode {mode!r}")
-    b2, e2 = d.b.twice, d.e.twice
-    if mode == "end":
-        e2 -= 2
-    elif mode == "end2":
-        e2 -= 4
-    elif mode == "begin":
-        b2 += 2
-    elif mode == "begin2":
-        b2 += 4
-    else:
-        b2 += 2
-        e2 -= 2
-    if mode.startswith("end"):
-        e2 = max(e2, b2 - 2)
-    elif mode.startswith("begin"):
-        b2 = min(b2, e2 + 2)
-    else:
-        e2 = max(e2, b2 - 2)
-    return _cached_segment(d.line, b2, e2, d.side)
-
-
-def seg_precedes(d1: Segment, d2: Segment) -> bool:
-    """Classical juxtaposition order: d1 and d2 are linked with d1 shifted down.
-
-    Holds iff b1 < b2, e1 < e2 and the union is again a segment.
-    """
-    if d1.line != d2.line or d1.side != d2.side:
-        raise DomainError(f"seg_precedes: segments on different lines ({d1} vs {d2})")
-    if d1.is_empty or d2.is_empty:
-        raise DomainError("seg_precedes needs nonempty segments")
-    return (
-        d1.b.twice < d2.b.twice
-        and d1.e.twice < d2.e.twice
-        and d2.b.twice <= d1.e.twice + 2
-    )
 
 
 def seg_sort_key(d: Segment):

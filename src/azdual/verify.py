@@ -31,7 +31,6 @@ from .langdata import (
     _degree,
     _line_conflicts,
     _signed,
-    from_counter,
     line_project,
     plus_product,
     require_valid,
@@ -261,7 +260,8 @@ def _line_cnt(s: SignedSymMultisegment, ln: Line):
 
 def _build(ln, cnt, eps_map):
     minus = {v for v, sg in eps_map.items() if sg == -1 and cnt.get(v, 0) > 0}
-    out = SignedSymMultisegment(from_counter(cnt), minus=minus)
+    out = SignedSymMultisegment(
+        Multisegment(d for d, k in cnt.items() for _ in range(k)), minus=minus)
     report = validate(out)
     if report:
         raise InvariantError("closed form built an invalid dual:\n  " + "\n  ".join(report))

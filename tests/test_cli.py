@@ -70,7 +70,7 @@ class TestParse:
         x = parse_input("2*[0,0]:-+[-1,1]:+")
         assert isinstance(x, SignedSymMultisegment)
         assert x.eps(seg(0, 0)) == -1 and x.eps(seg(-1, 1)) == 1
-        assert x.m.multiplicity(seg(0, 0)) == 2
+        assert list(x.m).count(seg(0, 0)) == 2
 
     def test_datum_with_blocks(self):
         x = parse_input(WALKTHROUGH)

@@ -76,7 +76,7 @@ class TestBestMatching:
 
     def test_takes_smallest_eligible_target(self):
         r = best_matching([(1, 1)], [(0, 2), (2, 2)], prod_le)
-        assert r.target_of((1, 1)) == (2, 2)
+        assert r.f == (((1, 1), (2, 2)),)
         assert r.yc == ((0, 2),)
         assert r.y0 == ((2, 2),)
 
@@ -413,14 +413,12 @@ class TestReducedReport:
 
     def test_each_state_is_read_into_ints_once(self, monkeypatch):
         """The reports over the 6608-state sweep read each state's Segments
-        into ints once and build no Multisegment counter."""
-        reads, counters = [], []
-        read, counter = azdual.langdata._read, Multisegment.counter
+        into ints once."""
+        reads = []
+        read = azdual.langdata._read
         monkeypatch.setattr(azdual.langdata, "_read",
                             lambda *a: reads.append(1) or read(*a))
-        monkeypatch.setattr(Multisegment, "counter",
-                            lambda m: counters.append(1) or counter(m))
         states = list(standard_sweep(2, 3, 3))
         for s in states:
             reduced_report(s)
-        assert len(reads) == 6608 and counters == []
+        assert len(reads) == 6608

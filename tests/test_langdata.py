@@ -10,7 +10,6 @@ from azdual.segments import (
     GRID_INT,
     UGLY,
     DomainError,
-    InvariantError,
     half,
     line,
     seg,
@@ -22,7 +21,6 @@ from azdual.langdata import (
     PhiComponent,
     SignedSymMultisegment,
     _section,
-    from_counter,
     line_project,
     plus_product,
     require_valid,
@@ -74,16 +72,6 @@ class TestMultisegment:
         a = Multisegment([seg(GI, 0, 1)])
         b = Multisegment([seg(GI, 0, 1), seg(GI, -1, 1)])
         assert a + Multisegment([seg(GI, -1, 1)]) == b
-        assert b - a == Multisegment([seg(GI, -1, 1)])
-        with pytest.raises(InvariantError):
-            a - b
-
-    def test_counter_and_multiplicity(self):
-        m = Multisegment([seg(GI, 0, 1), seg(GI, 0, 1)])
-        assert m.multiplicity(seg(GI, 0, 1)) == 2
-        assert m.multiplicity(seg(GI, 0, 2)) == 0
-        assert from_counter(m.counter()) == m
-        assert from_counter({seg(GI, 0, 1): 0}) == Multisegment([])
 
     def test_degree(self):
         assert Multisegment([seg(GI, -2, 2), seg(GI, 0, 1)]).degree == 7
@@ -91,13 +79,8 @@ class TestMultisegment:
     def test_dual_and_symmetry(self):
         m = Multisegment([seg(GI, -2, 1)])
         assert m.dual() == Multisegment([seg(GI, -1, 2)])
-        assert not m.is_symmetric()
-        assert (m + m.dual()).is_symmetric()
-
-    def test_max_end(self):
-        assert Multisegment([]).max_end() is None
-        m = Multisegment([seg(GI, 0, 1), seg(GI, -3, -2)])
-        assert m.max_end() == half(1)
+        assert m.dual() != m
+        assert (m + m.dual()).dual() == m + m.dual()
 
     def test_restrict(self):
         m = Multisegment([seg(GI, 0, 1), seg(BI, 0, 0)])
@@ -200,12 +183,6 @@ class TestPhi:
         with pytest.raises(DomainError):
             PhiComponent(GI, 0)
 
-    def test_centered_segment(self):
-        assert PhiComponent(GI, 5).centered_segment() == seg(GI, -2, 2)
-        assert PhiComponent(GH, 2).centered_segment() == seg(GH, "-1/2", "1/2")
-        assert PhiComponent(UG, 3).centered_segment() == seg(UG, -1, 1, side=0)
-
-
 class TestTransfer:
     def test_simple_datum(self):
         d = LanglandsData(
@@ -231,7 +208,7 @@ class TestTransfer:
         p = PhiComponent(GI, 3)
         d = LanglandsData(Multisegment([]), [p, p])
         s = transfer(d)
-        assert s.m.multiplicity(seg(GI, -1, 1)) == 2
+        assert list(s.m).count(seg(GI, -1, 1)) == 2
         assert untransfer(s) == d
 
     def test_transfer_requires_validity(self):

@@ -200,7 +200,7 @@ class TestCapacity:
     def test_matches_transpose_multiplicity(self):
         m = mseg((-2, -1), (-2, 0))
         t = mw_transpose(m)
-        assert kz_capacity(m, seg(-2, -1)) == t.multiplicity(seg(-2, -1)) == 0
+        assert kz_capacity(m, seg(-2, -1)) == list(t).count(seg(-2, -1)) == 0
 
     def test_empty_target(self):
         assert kz_capacity(mseg((0, 0)), seg(1, 0)) == 0
@@ -242,9 +242,9 @@ class TestCapacity:
 class TestPairs:
     def test_raw_pairs_roundtrip(self):
         pairs = [(-4, 2), (-2, 0)]
-        t = transpose_pairs(pairs)
+        t = sorted(transpose_pairs(pairs))
         assert t == [(-4, -4), (-2, -2), (-2, -2), (0, 0), (0, 0), (2, 2)]
-        assert transpose_pairs(t) == sorted(pairs)
+        assert sorted(transpose_pairs(t)) == sorted(pairs)
 
     def test_chains_jump_the_gaps_between_far_ends(self):
         """The top end jumps from end to end: the bucket probes grow with
@@ -265,7 +265,7 @@ class TestPairs:
                  (1999998, 1999998)]
         buckets = Probed(_buckets(pairs))
         tops = sorted((c[-1][1], c[0][1]) for c in _chains(buckets))
-        assert tops == transpose_pairs(pairs)
+        assert tops == sorted(transpose_pairs(pairs))
         assert not buckets and buckets.probes < 40
 
 

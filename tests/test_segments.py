@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from azdual.segments import (
-    BAD,
     GOOD,
     GRID_HALF,
     GRID_INT,
@@ -10,15 +9,11 @@ from azdual.segments import (
     DomainError,
     HalfInt,
     Line,
-    Segment,
     half,
     line,
     seg,
     seg_dual,
-    seg_precedes,
-    seg_props,
     seg_sort_key,
-    seg_trunc,
 )
 
 halves = st.integers(-40, 40).map(HalfInt.from_twice)
@@ -45,14 +40,8 @@ class TestHalfInt:
 
     @given(halves, halves)
     def test_arithmetic(self, a, b):
-        assert (a + b).twice == a.twice + b.twice
-        assert (a - b).twice == a.twice - b.twice
         assert (-a).twice == -a.twice
-        assert (a < b) == (a.twice < b.twice)
-
-    def test_int_mixing(self):
-        assert HalfInt.from_twice(1) + 1 == HalfInt.from_twice(3)
-        assert 2 * HalfInt.from_twice(3) == HalfInt(3)
+        assert (a == b) == (a.twice == b.twice)
 
     def test_hash_agrees_with_int_equality(self):
         assert HalfInt(1) == 1 and hash(HalfInt(1)) == hash(1)
@@ -60,11 +49,6 @@ class TestHalfInt:
         assert {HalfInt(-3): 0}.get(-3) == 0
         assert {1: 0}.get(HalfInt(1)) == 0
         assert HalfInt.from_twice(1) not in {0, 1}
-
-    def test_as_int(self):
-        assert HalfInt(4).as_int() == 4
-        with pytest.raises(DomainError):
-            HalfInt.from_twice(3).as_int()
 
     def test_immutable(self):
         h = HalfInt(1)
@@ -80,13 +64,6 @@ class TestHalfInt:
 
 
 class TestLine:
-    def test_same_type_flag(self):
-        assert line("a", GOOD, GRID_INT).same_type_as_g is True
-        assert line("a", GOOD, GRID_HALF).same_type_as_g is False
-        assert line("a", BAD, GRID_INT).same_type_as_g is False
-        assert line("a", BAD, GRID_HALF).same_type_as_g is True
-        assert line("a", UGLY, GRID_INT).same_type_as_g is None
-
     def test_ugly_grid_normalized(self):
         with pytest.raises(DomainError):
             Line("a", UGLY, GRID_HALF)
@@ -104,7 +81,7 @@ UG = line("tau", UGLY, GRID_INT)
 class TestSegment:
     def test_props_of_empty(self):
         d = seg(GI, 1, 0)
-        assert seg_props(d) == (half(1), half(0), half("1/2"), 0)
+        assert d.length == 0
         assert d.is_empty
         assert not d.is_centered
 
@@ -147,41 +124,7 @@ class TestDualAndTrunc:
         d = seg(GI, b, b + n)
         assert seg_dual(seg_dual(d)) == d
 
-    def test_trunc_modes(self):
-        d = seg(GI, 0, 3)
-        assert seg_trunc(d, "end") == seg(GI, 0, 2)
-        assert seg_trunc(d, "begin") == seg(GI, 1, 3)
-        assert seg_trunc(d, "both") == seg(GI, 1, 2)
-        assert seg_trunc(d, "end2") == seg(GI, 0, 1)
-        assert seg_trunc(d, "begin2") == seg(GI, 2, 3)
-
-    def test_trunc_clamps_to_empty(self):
-        assert seg_trunc(seg(GI, 0, 0), "end") == seg(GI, 0, -1)
-        assert seg_trunc(seg(GI, 0, 0), "begin") == seg(GI, 1, 0)
-        assert seg_trunc(seg(GI, 0, 1), "both") == seg(GI, 1, 0)
-        assert seg_trunc(seg(GI, 0, 0), "end2") == seg(GI, 0, -1)
-
-    def test_trunc_rejects_empty_or_junk(self):
-        with pytest.raises(DomainError):
-            seg_trunc(seg(GI, 1, 0), "end")
-        with pytest.raises(DomainError):
-            seg_trunc(seg(GI, 0, 1), "sideways")
-
-
 class TestOrders:
-    def test_order_needs_one_line(self):
-        other = line("psi", GOOD, GRID_INT)
-        with pytest.raises(DomainError):
-            seg_precedes(seg(GI, 0, 1), seg(other, 1, 2))
-        with pytest.raises(DomainError):
-            seg_precedes(seg(UG, 0, 1, side=0), seg(UG, 1, 2, side=1))
-
-    def test_classical_precedence(self):
-        assert seg_precedes(seg(GI, 0, 1), seg(GI, 1, 2))
-        assert not seg_precedes(seg(GI, 0, 1), seg(GI, 3, 4))
-        assert not seg_precedes(seg(GI, 0, 3), seg(GI, 1, 2))
-        assert not seg_precedes(seg(GI, 0, 1), seg(GI, 0, 2))
-
     def test_sort_key_descends(self):
         ds = [seg(GI, 1, 1), seg(GI, 0, 2), seg(GI, -1, 1), seg(GI, 0, 1)]
         got = sorted(ds, key=seg_sort_key)
