@@ -82,8 +82,8 @@ term is expanded."""
 MAX_DEGREE = 100_000
 """The largest total degree of a parsed input: the degree of the symmetric
 multisegment the dual runs on (for parameter data, twice the degree of its
-segments plus its block sizes).  A larger input is refused once parsed,
-before anything runs on it."""
+segments plus its block sizes, a block on a mirror line counted twice).  A
+larger input is refused once parsed, before anything runs on it."""
 
 MAX_DIGITS = len(str(MAX_DEGREE))
 """The most digits a number of the input may have; a longer one is refused
@@ -352,7 +352,8 @@ def _parse_text(text: str):
     else:
         out = parse_dsl(text)
     if isinstance(out, LanglandsData):
-        degree = 2 * out.n.degree + sum(p.a for p in out.phi)
+        degree = 2 * out.n.degree + sum(p.a * (2 if p.line.cls == UGLY else 1)
+                                        for p in out.phi)
     else:
         degree = out.degree
     if degree > MAX_DEGREE:

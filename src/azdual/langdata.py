@@ -22,7 +22,6 @@ from .segments import (
     Line,
     Segment,
     _cached_segment,
-    seg_dual,
     seg_sort_key,
 )
 
@@ -104,9 +103,6 @@ class Multisegment:
 
     def restrict(self, ln: Line) -> "Multisegment":
         return Multisegment(d for d in self.entries if d.line == ln)
-
-    def dual(self) -> "Multisegment":
-        return Multisegment(seg_dual(d) for d in self.entries)
 
     def __str__(self):
         return "+".join(str(d) for d in self.entries) if self.entries else "0"
@@ -242,6 +238,12 @@ def _read(m: Multisegment, minus):
     for d in minus:
         ints.setdefault(d.line, ({}, set()))[1].add(_key(d))
     return ints, _line_conflicts(d.line for d in m)
+
+
+def _sort_key(ln: Line, v):
+    """seg_sort_key of the segment of int key v on ln:
+    (line id, side or -1, -2b, 2e)."""
+    return (ln.id, v[2] if len(v) == 3 else -1, -v[0], v[1])
 
 
 def _segment(ln: Line, v) -> Segment:
@@ -461,10 +463,7 @@ def validate(x) -> list:
                     found.append((1, ln, v, f"sign attached to absent segment {_segment(ln, v)}"))
                 if ln.cls != GOOD:
                     found.append((1, ln, v, f"explicit -1 sign on non-good line at {_segment(ln, v)}"))
-        # values first, then signs, each in seg_sort_key order:
-        # (line id, side or -1, -2b, 2e)
-        found.sort(key=lambda r: (r[0], r[1].id, r[2][2] if len(r[2]) == 3 else -1,
-                                  -r[2][0], r[2][1]))
+        found.sort(key=lambda r: (r[0], _sort_key(r[1], r[2])))  # values, then signs
         out = [*x._conflicts, *(r[3] for r in found)]
         x._valid = not out
         return out

@@ -4,6 +4,13 @@ inverse derivative search, and the property-checking harness.
 Everything here is an oracle or a stress harness for the core algorithm:
 independent enumeration, pattern-matched closed forms, and properties that
 any claimed dual must satisfy.
+
+The enumerators build their states from Segments, as a user of the API
+would.  Everything else reads a state's per-line int form: a closed form
+matches one line's counter and minus set, and the mirror-line reduction
+transposes side 0 as a GL int form and mirrors the result.  The family
+formulas share no code with the dual's engine, which is what makes them an
+independent oracle.
 """
 from __future__ import annotations
 
@@ -30,7 +37,9 @@ from .langdata import (
     SignedSymMultisegment,
     _degree,
     _line_conflicts,
+    _plain,
     _signed,
+    _sort_key,
     line_project,
     plus_product,
     require_valid,
@@ -250,40 +259,30 @@ def standard_sweep(n: int = 2, max_pairs: int = 3, max_centered: int = 3):
 # ---------------------------------------------------------------------------
 
 
-def _line_cnt(s: SignedSymMultisegment, ln: Line):
-    cnt: dict = {}
-    for d in s.m:
-        if d.line == ln:
-            cnt[d] = cnt.get(d, 0) + 1
-    return cnt
-
-
 def _build(ln, cnt, eps_map):
-    minus = {v for v, sg in eps_map.items() if sg == -1 and cnt.get(v, 0) > 0}
-    out = SignedSymMultisegment(
-        Multisegment(d for d, k in cnt.items() for _ in range(k)), minus=minus)
+    """The signed state on ``ln`` of a matcher's counter and sign map; only
+    positive counts are kept, and signs only on kept values."""
+    cnt = {v: k for v, k in cnt.items() if k > 0}
+    minus = {v for v, sg in eps_map.items() if sg == -1 and v in cnt}
+    out = _signed([(ln, cnt, minus)])
     report = validate(out)
     if report:
         raise InvariantError("closed form built an invalid dual:\n  " + "\n  ".join(report))
     return out
 
 
-def _alternating_up(cnt, minus, ln, lowest2, top2):
-    """Signs alternate between consecutive centered segments from lowest2."""
+def _alternating_up(minus, lowest2, top2):
+    """Signs alternate between consecutive centered values from lowest2."""
     for y2 in range(lowest2 + 2, top2 + 1, 2):
-        a = _mk(ln, -y2, y2)
-        b = _mk(ln, -(y2 - 2), y2 - 2)
-        ea = -1 if a in minus else 1
-        eb = -1 if b in minus else 1
-        if ea * eb != -1:
+        if ((-y2, y2) in minus) == ((2 - y2, y2 - 2) in minus):
             return False
     return True
 
 
-def _cf_good_int_zero_tower(cnt, minus, ln):
+def _cf_good_int_zero_tower(cnt, minus):
     """All-centered tower over [0,0]: n0 copies of [0,0] plus one [-y,y]
     for each 1 <= y <= y0, signs alternating."""
-    zero = _mk(ln, 0, 0)
+    zero = (0, 0)
     n0 = cnt.get(zero, 0)
     if n0 < 1:
         return None
@@ -291,61 +290,59 @@ def _cf_good_int_zero_tower(cnt, minus, ln):
     for v, k in cnt.items():
         if v == zero:
             continue
-        if not v.is_centered or k != 1:
+        if v[0] + v[1] or k != 1:
             return None
-        y0_2 = max(y0_2, v.e.twice)
+        y0_2 = max(y0_2, v[1])
     for y2 in range(2, y0_2 + 1, 2):
-        if cnt.get(_mk(ln, -y2, y2), 0) != 1:
+        if cnt.get((-y2, y2), 0) != 1:
             return None
     if sum(cnt.values()) != n0 + y0_2 // 2:
         return None
-    if not _alternating_up(cnt, minus, ln, 0, y0_2):
+    if not _alternating_up(minus, 0, y0_2):
         return None
     eps = lambda v: -1 if v in minus else 1
     if y0_2 == 0:
         sgn = (-1 if (n0 + 1) % 2 else 1) * eps(zero)
-        return _build(ln, dict(cnt), {zero: sgn})
+        return cnt, {zero: sgn}
     if n0 % 2 == 1:
-        return _build(ln, dict(cnt), {v: eps(v) for v in cnt if v.is_centered})
-    top = _mk(ln, -y0_2, y0_2)
+        return cnt, {v: eps(v) for v in cnt}
+    top = (-y0_2, y0_2)
     new_cnt = dict(cnt)
     new_cnt[zero] -= 1
     new_cnt[top] -= 1
-    for d in (_mk(ln, -y0_2, 0), _mk(ln, 0, y0_2)):
+    for d in ((-y0_2, 0), (0, y0_2)):
         new_cnt[d] = new_cnt.get(d, 0) + 1
     eps_map = {}
     for v in cnt:
-        if v.is_centered and new_cnt.get(v, 0) > 0:
+        if new_cnt.get(v, 0) > 0:
             eps_map[v] = -eps(v)
-    return _build(ln, new_cnt, eps_map)
+    return new_cnt, eps_map
 
 
-def _cf_good_half_tower(cnt, minus, ln):
+def _cf_good_half_tower(cnt, minus):
     """Pure tower of centered segments on the half grid with the forced
     alternating signs starting at -1: a fixed point."""
     if not cnt:
         return None
     y0_2 = 0
     for v, k in cnt.items():
-        if not v.is_centered or k != 1:
+        if v[0] + v[1] or k != 1:
             return None
-        y0_2 = max(y0_2, v.e.twice)
+        y0_2 = max(y0_2, v[1])
     for y2 in range(1, y0_2 + 1, 2):
-        if cnt.get(_mk(ln, -y2, y2), 0) != 1:
+        if cnt.get((-y2, y2), 0) != 1:
             return None
-    if _mk(ln, -1, 1) not in minus:
+    if (-1, 1) not in minus:
         return None
-    if not _alternating_up(cnt, minus, ln, 1, y0_2):
+    if not _alternating_up(minus, 1, y0_2):
         return None
-    return _build(ln, dict(cnt), {v: (-1 if v in minus else 1) for v in cnt})
+    return cnt, {v: -1 for v in minus}
 
 
-def _cf_good_half_low(cnt, minus, ln):
+def _cf_good_half_low(cnt, minus):
     """Ends at most 1/2 on a good half-integral line: c copies of the
     centered segment plus n singleton pairs."""
-    hc = _mk(ln, -1, 1)
-    hp = _mk(ln, 1, 1)
-    hm = _mk(ln, -1, -1)
+    hc, hp, hm = (-1, 1), (1, 1), (-1, -1)
     if any(v not in (hc, hp, hm) for v in cnt):
         return None
     c = cnt.get(hc, 0)
@@ -359,37 +356,36 @@ def _cf_good_half_low(cnt, minus, ln):
     else:
         c2, n2 = nn, c
     eps2 = -1 if c % 2 else 1
-    new_cnt = {hc: c2, hp: n2, hm: n2}
-    return _build(ln, new_cnt, {hc: eps2})
+    return {hc: c2, hp: n2, hm: n2}, {hc: eps2}
 
 
-def _f4_low_params(cnt, ln):
-    zero = _mk(ln, 0, 0)
-    c1v = _mk(ln, -2, 2)
-    t1 = _mk(ln, -2, 0)
-    t2 = _mk(ln, 0, 2)
-    n1 = _mk(ln, -2, -2)
-    n2 = _mk(ln, 2, 2)
-    allowed = (zero, c1v, t1, t2, n1, n2)
-    if any(v not in allowed for v in cnt):
+_F4_LOW = ((0, 0), (-2, 2), (-2, 0), (0, 2), (-2, -2), (2, 2))
+"""The values of the low integral families: [0,0], [-1,1], the chunk pair
+[-1,0] and [0,1], and the singleton pair [-1,-1] and [1,1]."""
+
+
+def _f4_low_params(cnt):
+    """(c0, c1, t, n): the counts of [0,0], [-1,1], [-1,0] and [-1,-1], or
+    None when a value lies outside the low integral families."""
+    if any(v not in _F4_LOW for v in cnt):
         return None
-    return (
-        cnt.get(zero, 0),
-        cnt.get(c1v, 0),
-        cnt.get(t1, 0),
-        cnt.get(n1, 0),
-        (zero, c1v, t1, t2, n1, n2),
-    )
+    c0, c1, t, _, nn, _ = (cnt.get(v, 0) for v in _F4_LOW)
+    return c0, c1, t, nn
 
 
-def _cf_good_int_low(cnt, minus, ln):
+def _f4_low(c0n, c1n, tn, nnn):
+    return dict(zip(_F4_LOW, (c0n, c1n, tn, tn, nnn, nnn)))
+
+
+def _cf_good_int_low(cnt, minus):
     """Ends at most 1 on a good integral line."""
-    params = _f4_low_params(cnt, ln)
+    params = _f4_low_params(cnt)
     if params is None:
         return None
-    c0, c1, t, nn, (zero, c1v, t1, t2, n1v, n2v) = params
+    c0, c1, t, nn = params
     if c0 + c1 + t + nn == 0:
         return None
+    zero, c1v = (0, 0), (-2, 2)
     e0 = -1 if zero in minus else 1
     e1 = -1 if c1v in minus else 1
     star = c0 != 0 and c1 != 0 and e0 * e1 == (-1 if t % 2 == 0 else 1)
@@ -414,50 +410,49 @@ def _cf_good_int_low(cnt, minus, ln):
         c0n, c1n, tn, nnn = c0 + c1 - nn - 1, nn + 1, t, c1 - 1
         en0 = e0 * (-1 if (t + c0 + c1) % 2 else 1)
         en1 = e0 * sflip
-    new_cnt = {zero: c0n, c1v: c1n, t1: tn, t2: tn, n1v: nnn, n2v: nnn}
-    return _build(ln, new_cnt, {zero: en0, c1v: en1})
+    return _f4_low(c0n, c1n, tn, nnn), {zero: en0, c1v: en1}
 
 
-def _cf_good_int_high(cnt, minus, ln):
+def _cf_good_int_high(cnt, minus):
     """The tall integral family: matched singleton towers, one centered
     segment per level, and the forced chunk count."""
-    emax2 = max((v.e.twice for v in cnt), default=0)
+    emax2 = max((v[1] for v in cnt), default=0)
     if emax2 < 4:
         return None
-    ne = cnt.get(_mk(ln, emax2, emax2), 0)
+    ne = cnt.get((emax2, emax2), 0)
     for y2 in range(4, emax2 + 1, 2):
-        if cnt.get(_mk(ln, y2, y2), 0) != ne:
+        if cnt.get((y2, y2), 0) != ne:
             return None
-    nn1 = cnt.get(_mk(ln, 2, 2), 0)
-    t0 = cnt.get(_mk(ln, -2, 0), 0)
-    n0 = cnt.get(_mk(ln, 0, 0), 0)
+    nn1 = cnt.get((2, 2), 0)
+    t0 = cnt.get((-2, 0), 0)
+    n0 = cnt.get((0, 0), 0)
     if t0 != ne - nn1 or nn1 > ne or n0 < nn1 + 1:
         return None
     expected: dict = {}
     for y2 in range(4, emax2 + 1, 2):
         if ne:
-            expected[_mk(ln, y2, y2)] = ne
-            expected[_mk(ln, -y2, -y2)] = ne
+            expected[(y2, y2)] = ne
+            expected[(-y2, -y2)] = ne
     if nn1:
-        expected[_mk(ln, 2, 2)] = nn1
-        expected[_mk(ln, -2, -2)] = nn1
-    expected[_mk(ln, 0, 0)] = n0
+        expected[(2, 2)] = nn1
+        expected[(-2, -2)] = nn1
+    expected[(0, 0)] = n0
     if t0:
-        expected[_mk(ln, -2, 0)] = t0
-        expected[_mk(ln, 0, 2)] = t0
+        expected[(-2, 0)] = t0
+        expected[(0, 2)] = t0
     for y2 in range(2, emax2 + 1, 2):
-        expected[_mk(ln, -y2, y2)] = expected.get(_mk(ln, -y2, y2), 0) + 1
-    if expected != {v: k for v, k in cnt.items() if k}:
+        expected[(-y2, y2)] = expected.get((-y2, y2), 0) + 1
+    if expected != cnt:
         return None
     eps = lambda v: -1 if v in minus else 1
-    zero = _mk(ln, 0, 0)
-    if eps(zero) * eps(_mk(ln, -2, 2)) != (-1 if t0 % 2 == 0 else 1):
+    zero = (0, 0)
+    if eps(zero) * eps((-2, 2)) != (-1 if t0 % 2 == 0 else 1):
         return None
-    if not _alternating_up(cnt, minus, ln, 2, emax2):
+    if not _alternating_up(minus, 2, emax2):
         return None
-    top = _mk(ln, -emax2, emax2)
-    half_lo = _mk(ln, -emax2, 0)
-    half_hi = _mk(ln, 0, emax2)
+    top = (-emax2, emax2)
+    half_lo = (-emax2, 0)
+    half_hi = (0, emax2)
     new_cnt: dict = {}
     eps_map: dict = {}
     e_top = (-1 if (n0 + emax2 // 2 + 1) % 2 else 1) * eps(zero)
@@ -475,47 +470,44 @@ def _cf_good_int_high(cnt, minus, ln):
         flip = -1 if (nn1 + 1) % 2 else 1
     eps_map[top] = e_top
     for y2 in range(2, emax2, 2):
-        v = _mk(ln, -y2, y2)
+        v = (-y2, y2)
         new_cnt[v] = 1
         eps_map[v] = flip * eps(v)
-    new_cnt = {v: k for v, k in new_cnt.items() if k}
-    return _build(ln, new_cnt, eps_map)
+    return new_cnt, eps_map
 
 
-def _cf_good_half_high(cnt, minus, ln):
+def _cf_good_half_high(cnt, minus):
     """The tall half-integral family: equal singleton towers at every level
     plus the full centered tower with forced signs."""
-    emax2 = max((v.e.twice for v in cnt), default=0)
+    emax2 = max((v[1] for v in cnt), default=0)
     if emax2 < 3:
         return None
-    ne = cnt.get(_mk(ln, emax2, emax2), 0)
+    ne = cnt.get((emax2, emax2), 0)
     expected: dict = {}
     for y2 in range(1, emax2 + 1, 2):
         if ne:
-            expected[_mk(ln, y2, y2)] = ne
-            expected[_mk(ln, -y2, -y2)] = ne
-        expected[_mk(ln, -y2, y2)] = expected.get(_mk(ln, -y2, y2), 0) + 1
-    if expected != {v: k for v, k in cnt.items() if k}:
+            expected[(y2, y2)] = ne
+            expected[(-y2, -y2)] = ne
+        expected[(-y2, y2)] = expected.get((-y2, y2), 0) + 1
+    if expected != cnt:
         return None
     eps = lambda v: -1 if v in minus else 1
-    if eps(_mk(ln, -1, 1)) != (-1 if (ne + 1) % 2 else 1):
+    if eps((-1, 1)) != (-1 if (ne + 1) % 2 else 1):
         return None
-    if not _alternating_up(cnt, minus, ln, 1, emax2):
+    if not _alternating_up(minus, 1, emax2):
         return None
-    top = _mk(ln, -emax2, emax2)
+    top = (-emax2, emax2)
     new_cnt = {top: ne + 1}
     eps_map = {top: (-1 if ((emax2 + 1) // 2) % 2 else 1)}
     for u2 in range(1, emax2, 2):
-        v = _mk(ln, -u2, u2)
+        v = (-u2, u2)
         new_cnt[v] = 1
         eps_map[v] = (-1 if ne % 2 else 1) * eps(v)
-    return _build(ln, new_cnt, eps_map)
+    return new_cnt, eps_map
 
 
-def _cf_bad_half_low(cnt, minus, ln):
-    hc = _mk(ln, -1, 1)
-    hp = _mk(ln, 1, 1)
-    hm = _mk(ln, -1, -1)
+def _cf_bad_half_low(cnt, minus):
+    hc, hp, hm = (-1, 1), (1, 1), (-1, -1)
     if any(v not in (hc, hp, hm) for v in cnt):
         return None
     c = cnt.get(hc, 0)
@@ -526,14 +518,14 @@ def _cf_bad_half_low(cnt, minus, ln):
         c2, n2 = nn, c
     else:
         c2, n2 = nn - 1, c + 1
-    return _build(ln, {hc: c2, hp: n2, hm: n2}, {})
+    return {hc: c2, hp: n2, hm: n2}, {}
 
 
-def _cf_bad_int_low(cnt, minus, ln):
-    params = _f4_low_params(cnt, ln)
+def _cf_bad_int_low(cnt, minus):
+    params = _f4_low_params(cnt)
     if params is None:
         return None
-    c0, c1, t, nn, (zero, c1v, t1, t2, n1v, n2v) = params
+    c0, c1, t, nn = params
     if c0 + c1 + t + nn == 0:
         return None
     if nn > c0:
@@ -546,8 +538,7 @@ def _cf_bad_int_low(cnt, minus, ln):
         c0n, c1n, tn, nnn = c0 - nn - 1 + c1, nn - 1, t + 1, c1
     else:
         c0n, c1n, tn, nnn = c0 - nn + c1 + 1, nn - 1, t, c1 + 1
-    new_cnt = {zero: c0n, c1v: c1n, t1: tn, t2: tn, n1v: nnn, n2v: nnn}
-    return _build(ln, new_cnt, {})
+    return _f4_low(c0n, c1n, tn, nnn), {}
 
 
 _CF_MATCHERS = {
@@ -561,18 +552,18 @@ _CF_MATCHERS = {
 def closed_form_dual(s: SignedSymMultisegment):
     """Dual via pattern-matched closed forms; None when no family matches.
 
-    Only single-line inputs are matched.
+    Only single-line inputs are matched.  Each matcher reads the line's
+    counter and minus set and returns the dual's counter and sign map.
     """
     require_valid(s)
     lines = s.lines()
     if len(lines) != 1:
         return None
     ln = lines[0]
-    cnt = _line_cnt(s, ln)
     for matcher in _CF_MATCHERS.get((ln.cls, ln.grid), ()):
-        out = matcher(cnt, s.minus, ln)
+        out = matcher(*s._ints[ln])
         if out is not None:
-            return out
+            return _build(ln, *out)
     return None
 
 
@@ -584,44 +575,41 @@ def closed_form_instances(bound: int = 6):
     bi = Line("b", BAD, GRID_INT)
     bh = Line("bh", BAD, GRID_HALF)
 
-    def mk(ln, b2, e2):
-        return _mk(ln, b2, e2)
-
     # zero tower (good integral)
     for n0 in range(1, bound + 1):
         for y0 in range(0, bound + 1):
             for e0 in (1, -1):
-                entries = [mk(gi, 0, 0)] * n0
+                cnt = {(0, 0): n0}
                 minus = set()
                 sign = e0
                 if sign == -1:
-                    minus.add(mk(gi, 0, 0))
+                    minus.add((0, 0))
                 for y in range(1, y0 + 1):
                     sign = -sign
-                    entries.append(mk(gi, -2 * y, 2 * y))
+                    cnt[(-2 * y, 2 * y)] = 1
                     if sign == -1:
-                        minus.add(mk(gi, -2 * y, 2 * y))
-                yield SignedSymMultisegment(Multisegment(entries), minus=minus)
+                        minus.add((-2 * y, 2 * y))
+                yield _signed([(gi, cnt, minus)])
     # half tower (good half-integral)
     for y0_2 in range(1, 2 * bound, 2):
-        entries = []
+        cnt = {}
         minus = set()
         sign = 1
         for y2 in range(1, y0_2 + 1, 2):
             sign = -sign
-            entries.append(mk(gh, -y2, y2))
+            cnt[(-y2, y2)] = 1
             if sign == -1:
-                minus.add(mk(gh, -y2, y2))
-        yield SignedSymMultisegment(Multisegment(entries), minus=minus)
+                minus.add((-y2, y2))
+        yield _signed([(gh, cnt, minus)])
     # low half-integral (good)
     for c in range(bound + 1):
         for nn in range(bound + 1):
             if c == 0 and nn == 0:
                 continue
             for e in ((1, -1) if c else (1,)):
-                entries = [mk(gh, -1, 1)] * c + [mk(gh, 1, 1)] * nn + [mk(gh, -1, -1)] * nn
-                minus = {mk(gh, -1, 1)} if (c and e == -1) else set()
-                yield SignedSymMultisegment(Multisegment(entries), minus=minus)
+                cnt = {(-1, 1): c, (1, 1): nn, (-1, -1): nn}
+                minus = {(-1, 1)} if (c and e == -1) else set()
+                yield _signed([(gh, cnt, minus)])
     # low integral (good)
     for c0 in range(bound + 1):
         for c1 in range(bound + 1):
@@ -631,22 +619,12 @@ def closed_form_instances(bound: int = 6):
                         continue
                     for e0 in ((1, -1) if c0 else (1,)):
                         for e1 in ((1, -1) if c1 else (1,)):
-                            entries = (
-                                [mk(gi, 0, 0)] * c0
-                                + [mk(gi, -2, 2)] * c1
-                                + [mk(gi, -2, 0)] * t
-                                + [mk(gi, 0, 2)] * t
-                                + [mk(gi, -2, -2)] * nn
-                                + [mk(gi, 2, 2)] * nn
-                            )
                             minus = set()
                             if e0 == -1:
-                                minus.add(mk(gi, 0, 0))
+                                minus.add((0, 0))
                             if e1 == -1:
-                                minus.add(mk(gi, -2, 2))
-                            yield SignedSymMultisegment(
-                                Multisegment(entries), minus=minus
-                            )
+                                minus.add((-2, 2))
+                            yield _signed([(gi, _f4_low(c0, c1, t, nn), minus)])
     # tall integral (good)
     for emax in range(2, 5):
         for ne in range(bound + 1):
@@ -654,42 +632,39 @@ def closed_form_instances(bound: int = 6):
                 for n0 in range(nn1 + 1, bound + 1):
                     for e0 in (1, -1):
                         t0 = ne - nn1
-                        entries = [mk(gi, 0, 0)] * n0
-                        entries += [mk(gi, -2, 0)] * t0 + [mk(gi, 0, 2)] * t0
-                        entries += [mk(gi, 2, 2)] * nn1 + [mk(gi, -2, -2)] * nn1
+                        cnt = {(0, 0): n0, (-2, 0): t0, (0, 2): t0,
+                               (2, 2): nn1, (-2, -2): nn1}
                         for y in range(2, emax + 1):
-                            entries += [mk(gi, 2 * y, 2 * y)] * ne
-                            entries += [mk(gi, -2 * y, -2 * y)] * ne
+                            cnt[(2 * y, 2 * y)] = cnt[(-2 * y, -2 * y)] = ne
                         minus = set()
                         if e0 == -1:
-                            minus.add(mk(gi, 0, 0))
+                            minus.add((0, 0))
                         sign = e0 * (-1 if t0 % 2 == 0 else 1)
                         for y in range(1, emax + 1):
-                            entries.append(mk(gi, -2 * y, 2 * y))
+                            cnt[(-2 * y, 2 * y)] = 1
                             if sign == -1:
-                                minus.add(mk(gi, -2 * y, 2 * y))
+                                minus.add((-2 * y, 2 * y))
                             sign = -sign
-                        yield SignedSymMultisegment(Multisegment(entries), minus=minus)
+                        yield _signed([(gi, cnt, minus)])
     # tall half-integral (good)
     for emax2 in range(3, 10, 2):
         for ne in range(bound + 1):
-            entries = []
+            cnt = {}
             minus = set()
             sign = -1 if (ne + 1) % 2 else 1
             for y2 in range(1, emax2 + 1, 2):
-                entries += [mk(gh, y2, y2)] * ne + [mk(gh, -y2, -y2)] * ne
-                entries.append(mk(gh, -y2, y2))
+                cnt[(y2, y2)] = cnt[(-y2, -y2)] = ne
+                cnt[(-y2, y2)] = 1
                 if sign == -1:
-                    minus.add(mk(gh, -y2, y2))
+                    minus.add((-y2, y2))
                 sign = -sign
-            yield SignedSymMultisegment(Multisegment(entries), minus=minus)
+            yield _signed([(gh, cnt, minus)])
     # low half-integral (bad)
     for c in range(0, bound + 1, 2):
         for nn in range(bound + 1):
             if c == 0 and nn == 0:
                 continue
-            entries = [mk(bh, -1, 1)] * c + [mk(bh, 1, 1)] * nn + [mk(bh, -1, -1)] * nn
-            yield SignedSymMultisegment(Multisegment(entries))
+            yield _signed([(bh, {(-1, 1): c, (1, 1): nn, (-1, -1): nn}, set())])
     # low integral (bad)
     for c0 in range(0, bound + 1, 2):
         for c1 in range(0, bound + 1, 2):
@@ -697,15 +672,7 @@ def closed_form_instances(bound: int = 6):
                 for nn in range(bound + 1):
                     if c0 + c1 + t + nn == 0:
                         continue
-                    entries = (
-                        [mk(bi, 0, 0)] * c0
-                        + [mk(bi, -2, 2)] * c1
-                        + [mk(bi, -2, 0)] * t
-                        + [mk(bi, 0, 2)] * t
-                        + [mk(bi, -2, -2)] * nn
-                        + [mk(bi, 2, 2)] * nn
-                    )
-                    yield SignedSymMultisegment(Multisegment(entries))
+                    yield _signed([(bi, _f4_low(c0, c1, t, nn), set())])
 
 
 # ---------------------------------------------------------------------------
@@ -819,10 +786,9 @@ def _corruptions(d: SignedSymMultisegment):
         _, _, ln, v = min(centered, key=lambda c: c[:2])
         out.append(("sign_flip", rebuilt(ln, ints[ln][0], set(ints[ln][1]) ^ {v})))
     if d:
-        # the first copy in seg_sort_key order: (line id, side or -1, -2b, 2e)
+        # the first copy in seg_sort_key order
         ln, v = min(((ln, v) for ln, (cnt, _) in ints.items() for v in cnt),
-                    key=lambda c: (c[0].id, c[1][2] if len(c[1]) == 3 else -1,
-                                   -c[1][0], c[1][1]))
+                    key=lambda c: _sort_key(*c))
         cnt, minus = ints[ln]
         minus = set(minus) - {v}
         dropped = {**cnt, v: cnt[v] - 1}
@@ -880,10 +846,12 @@ def _suite_ugly_reduction(s, memo):
     for ln in s.lines():
         if ln.cls != UGLY:
             continue
-        part = line_project(s, ln)
-        side0 = Multisegment([d for d in part.m if d.side == 0])
-        mt = mw_transpose(side0)
-        if memo.dual(part) != SignedSymMultisegment(mt + mt.dual()):
+        side0 = {v[:2]: k for v, k in s._ints[ln][0].items() if v[2] == 0}
+        mt = mw_transpose(_plain({(ln, 0): side0}))._ints[(ln, 0)]
+        want = {}
+        for (b2, e2), k in mt.items():
+            want[(b2, e2, 0)] = want[(-e2, -b2, 1)] = k
+        if memo.dual(line_project(s, ln)) != _signed([(ln, want, set())]):
             return False, f"line {ln.id}"
     return True, None
 

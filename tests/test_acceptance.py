@@ -21,6 +21,7 @@ from azdual.segments import (
     Line,
     Segment,
     half,
+    seg_dual,
 )
 from azdual.langdata import (
     LanglandsData,
@@ -214,8 +215,7 @@ def test_c7_mirror_line_reduces_to_the_transpose():
         base = [seg(b, e, ln=U) for b in range(-3, 4) for e in range(b, 4)]
         for k in range(5):
             for combo in itertools.combinations_with_replacement(base, k):
-                side0 = Multisegment(combo)
-                yield SignedSymMultisegment(side0 + side0.dual())
+                yield SignedSymMultisegment([*combo, *map(seg_dual, combo)])
 
     rep = run_properties(stream(), suites=["ugly_reduction"])
     entry = rep["suites"]["ugly_reduction"]

@@ -232,6 +232,7 @@ class TestInputSize:
         pytest.param(f" ; S{MAX_DEGREE + 1}", MAX_DEGREE + 1, id="block"),
         pytest.param(f"{MAX_MULT}*[0,9]+[0,0]", MAX_DEGREE + 1, id="segments"),
         pytest.param(f"{MAX_MULT}*[-4,0] ; S1", MAX_DEGREE + 1, id="data"),
+        pytest.param(" ; S50001@u~", 100_002, id="mirror-block"),
     ])
     def test_degree_above_the_cap_is_refused(self, text, degree, monkeypatch):
         def never(*args):

@@ -9,7 +9,8 @@ recorded before the property suites shared one dual per state; the
 derivative digest before the derivatives moved from Segment objects to int
 pairs; the GL digest before ``mw_gl`` did; the validate-report digest before
 the signed multisegments held their int line form; the wide mirror-line
-digest before mirror lines ran on the GL chain extractor of ``mw_gl``.
+digest before mirror lines ran on the GL chain extractor of ``mw_gl``; the
+closed-form digest before the closed forms read the int form.
 """
 import hashlib
 import io
@@ -44,7 +45,14 @@ from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
 from azdual.cli import main, render_output
 from azdual.derivatives import derivative, derivative_L, reduced_report
 from azdual.mw_gl import kz_capacity, kz_capacity_labeled, mw_step, mw_transpose
-from azdual.verify import enumerate_data, enumerate_symm, run_properties, standard_sweep
+from azdual.verify import (
+    closed_form_dual,
+    closed_form_instances,
+    enumerate_data,
+    enumerate_symm,
+    run_properties,
+    standard_sweep,
+)
 
 LINES = [
     Line("g", GOOD, GRID_INT),
@@ -65,6 +73,7 @@ DERIVATIVES_SHA256 = "b54ae2eda14448697ca14f8253a26261ffad4d6a8b6825b4142802a392
 GL_SHA256 = "b05983f17249617844c2676b6463168ca3eacdc3d48773f9affd038a964a8dac"
 VALIDATE_SHA256 = "b5bf23499c87a67106371b6126d5a981e7d05aff2efe850b3bd3f80bd70c5fd9"
 WIDE_MIRROR_SHA256 = "aa33cdf26a40f190f2d28d7be323218f3435af75370b2e71c9e92ccf8473a6d7"
+CLOSED_FORMS_SHA256 = "7e64d0f920395e15c34f3004b53b7bcdb91d0f01b54739d4460d9f0528d318d3"
 
 
 def _samples():
@@ -123,6 +132,19 @@ def test_check_report_is_byte_identical():
 def test_full_check_report_is_byte_identical():
     """All seven suites together over all 6608 states of the default sweep."""
     assert _check_digest([]) == FULL_CHECK_SHA256
+
+
+def _closed_form_records():
+    for s in itertools.chain(standard_sweep(), closed_form_instances(6)):
+        cf = closed_form_dual(s)
+        yield f"{s} {None if cf is None else render_output(cf)}"
+
+
+def test_closed_forms_are_byte_identical():
+    """The closed-form dual, or None, of every state of the default sweep
+    and of every family instance with counters up to 6: 16578 states, of
+    which 10288 match a family."""
+    assert _digest(_closed_form_records()) == CLOSED_FORMS_SHA256
 
 
 def _unsigned_dual(s):
@@ -347,8 +369,7 @@ def _wide_mirror_states():
             b = max(-50, e - rng.choice((0, 1, 2, 5, 10, 30, 100)))
             b = rng.randint(b, e)
             segs.append(_gl_seg(u, 2 * b, 2 * e, 0))
-        side0 = Multisegment(segs)
-        yield SignedSymMultisegment(side0 + side0.dual())
+        yield SignedSymMultisegment([*segs, *map(seg_dual, segs)])
 
 
 def test_wide_mirror_line_duals_and_steps_are_byte_identical():

@@ -76,12 +76,6 @@ class TestMultisegment:
     def test_degree(self):
         assert Multisegment([seg(GI, -2, 2), seg(GI, 0, 1)]).degree == 7
 
-    def test_dual_and_symmetry(self):
-        m = Multisegment([seg(GI, -2, 1)])
-        assert m.dual() == Multisegment([seg(GI, -1, 2)])
-        assert m.dual() != m
-        assert (m + m.dual()).dual() == m + m.dual()
-
     def test_restrict(self):
         m = Multisegment([seg(GI, 0, 1), seg(BI, 0, 0)])
         assert m.restrict(GI) == Multisegment([seg(GI, 0, 1)])

@@ -17,6 +17,7 @@ from azdual.segments import (
     Line,
     Segment,
     half,
+    seg_dual,
 )
 from azdual.langdata import (
     LanglandsData,
@@ -30,7 +31,6 @@ from azdual.langdata import (
 from azdual.ad_core import ad_data, ad_symm
 from azdual.derivatives import derivative
 from azdual.verify import (
-    _line_cnt,
     closed_form_dual,
     closed_form_instances,
     enumerate_data,
@@ -171,13 +171,6 @@ class TestClosedForms:
         assert cf == sym([(0, 0)] * 4 + [(-1, -1), (1, 1)], ln=B)
         assert cf == ad_symm(s)
 
-    def test_line_counter_keeps_to_its_line(self):
-        a, b = Line("a", GOOD, GRID_INT), Line("b", GOOD, GRID_INT)
-        s = SignedSymMultisegment(Multisegment(
-            [seg(0, 0, a), seg(0, 0, a), seg(-1, 1, b)]))
-        assert _line_cnt(s, a) == {seg(0, 0, a): 2}
-        assert _line_cnt(s, b) == {seg(-1, 1, b): 1}
-
     def test_unrecognized_shapes_return_none(self):
         assert closed_form_dual(sym([(-3, 1), (-1, 3)])) is None
         two_lines = SignedSymMultisegment(
@@ -275,6 +268,19 @@ class TestPropertyHarness:
     def test_unknown_suite_is_refused(self):
         with pytest.raises(DomainError, match="unknown suites"):
             run_properties([], suites=["nope"])
+
+    def test_ugly_reduction_catches_a_wrong_mirror_line_dual(self, monkeypatch):
+        """On the mirror-line window of C7 with at most two side-0 segments,
+        the suite passes, and fails when the dual is the identity."""
+        u = Line("rho", UGLY, GRID_INT)
+        base = [Segment(u, half(b), half(e), 0) for b in range(-3, 4) for e in range(b, 4)]
+        states = [SignedSymMultisegment([*combo, *map(seg_dual, combo)])
+                  for k in range(3) for combo in combinations_with_replacement(base, k)]
+        assert run_properties(states, suites=["ugly_reduction"])["pass"] is True
+        monkeypatch.setattr(azdual.verify, "ad_symm", lambda s: s)
+        entry = run_properties(states, suites=["ugly_reduction"])["suites"]["ugly_reduction"]
+        assert entry["pass"] is False
+        assert entry["counterexample"].endswith(" [line rho]")
 
     def test_sign_corruption_shows_in_the_sign_product(self):
         s = sym([(0, 0)])
