@@ -36,7 +36,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .segments import GOOD, GRID_INT, UGLY, DomainError, InvariantError, Line
-from .mw_gl import _buckets, _chains
+from .mw_gl import _buckets, _chains, _copies
 from .langdata import (
     LabeledSeg,
     LanglandsData,
@@ -47,6 +47,7 @@ from .langdata import (
     _parity,
     _section,
     _segment,
+    _sides,
     _signed,
     require_valid,
     transfer,
@@ -101,9 +102,7 @@ class _Engine:
         self.degree = _degree(cnt)
         if self.cls == UGLY:
             self.ends = None
-            self.chains = _chains(_buckets(
-                v[:2] for v, k in cnt.items() if v[2] == 0 for _ in range(k)
-            ))
+            self.chains = _chains(_buckets(_copies(_sides(ln, cnt).get((0,), {}))))
         else:
             self.ends = _buckets(cnt)
         self.minus = minus

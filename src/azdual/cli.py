@@ -428,11 +428,15 @@ def render_output(x) -> str:
 
 
 def _read_input(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return fh.read()
+    try:
+        if arg == "-":
+            return sys.stdin.read()
+        if os.path.exists(arg):
+            with open(arg, encoding="utf-8") as fh:
+                return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+        raise DomainError(f"cannot read {'stdin' if arg == '-' else arg}: {why}") from None
     return arg
 
 
@@ -525,7 +529,11 @@ def _cmd_validate(args) -> int:
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("AZDUAL_SEED", "0"))
+    text = os.environ.get("AZDUAL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"AZDUAL_SEED is not an integer: {text!r}") from None
 
 
 def _cmd_check(args) -> int:
@@ -546,7 +554,10 @@ def _dataset_line() -> Line:
 def _cmd_dataset(args) -> int:
     ln = _dataset_line()
     seed = _default_seed(args)
-    rows_out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    try:
+        rows_out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    except OSError as err:
+        raise DomainError(f"cannot write {args.out}: {err.strerror}") from None
     as_csv = bool(args.out) and args.out.endswith(".csv")
     writer = None
     if as_csv:

@@ -33,6 +33,7 @@ from .langdata import (
     _degree,
     _dual,
     _segment,
+    _sides,
     _signed,
     require_valid,
     validate,
@@ -126,11 +127,12 @@ def _begin_lt(y, x):
     return x[0] < y[0]
 
 
-def _unprotected(cnt, x2: int, ugly: bool, star=False, drop=None):
+def _unprotected(cnt, x2: int, tail, star=False, drop=None):
     """The copies ending at x2 left unmatched by the best matching against
-    the copies ending at x2 - 2 (on side 0 only on ugly lines), as
-    ``{value: count}``.  A copy is a ``(2b, copy index)`` item.  ``star``
-    holds back the first copy of [-x, x] and of [-x+1, x-1].
+    the copies ending at x2 - 2, in the ``(2b, 2e)`` counter of one GL line
+    (side 0 of a mirror line), as ``{value + tail: count}``.  A copy is a
+    ``(2b, copy index)`` item.  ``star`` holds back the first copy of
+    [-x, x] and of [-x+1, x-1].
 
     The matching skips :func:`best_matching`'s staircase check, which
     :func:`_begin_lt` on lists sorted by beginning cannot fail: a violation
@@ -139,7 +141,7 @@ def _unprotected(cnt, x2: int, ugly: bool, star=False, drop=None):
     """
 
     def copies(e2):
-        keys = sorted(v for v in cnt if v[1] == e2 and (not ugly or v[2] == 0))
+        keys = sorted(v for v in cnt if v[1] == e2)
         return [(v[0], i) for v in keys for i in range(cnt[v])]
 
     ys, xs = copies(x2), copies(x2 - 2)
@@ -150,7 +152,7 @@ def _unprotected(cnt, x2: int, ugly: bool, star=False, drop=None):
     unprot: dict = {}
     for j, (b2, _) in enumerate(ys):
         if j not in used:
-            _addk(unprot, (b2, x2, 0) if ugly else (b2, x2))
+            _addk(unprot, (b2, x2) + tail)
     return unprot
 
 
@@ -194,7 +196,8 @@ def _derive_line(ln: Line, cnt, minus, x2: int):
     # the last copy of the upper value against the first copy of the lower one.
     drop = ((-x2 + 2, toff - 1), (-x2, 0)) if ln.cls == BAD and toff % 2 else None
 
-    unprot = _unprotected(cnt, x2, ln.cls == UGLY, star=star, drop=drop)
+    tail = (0,) if ln.cls == UGLY else ()
+    unprot = _unprotected(_sides(ln, cnt).get(tail, {}), x2, tail, star=star, drop=drop)
     k, c = sum(unprot.values()), unprot.get(V, 0)
     new_cnt = _cut(ln, cnt, unprot)
     if c % 2 == 1 and (star or ln.cls == BAD):

@@ -3,10 +3,10 @@ Langlands-style parameter data, plus the transfer between the two pictures.
 
 Symmetric multisegments carry signs only on centered segments; signs are
 stored sparsely as the set of centered values signed -1, everything else
-being +1 by convention.  A signed symmetric multisegment holds the per-line
-int form below and builds its ``Segment`` view (``.m``) on demand; a plain
-multisegment built by the GL layer holds the GL int form and builds its
-``entries`` on demand.
+being +1 by convention.  Plain and signed multisegments share one per-line
+int form, below: a signed one holds it as its state and builds its
+``Segment`` view (``.m``) on demand; a plain one built from that form holds
+it and builds its ``entries`` on demand.
 """
 from __future__ import annotations
 
@@ -30,12 +30,12 @@ class Multisegment:
     """A finite multiset of nonempty segments, stored in canonical order.
 
     An object holds one of two forms.  Built from Segments, it holds
-    ``entries``.  Built by the GL layer through :func:`_plain`, it holds the
-    GL int form ``{(line, side): {(2b, 2e): multiplicity}}`` and builds
-    ``entries`` from it on first access.  ``_ints`` is the int form; a
-    Segment-built object computes it on each read and does not keep it.
-    Equality and hash compare the int form.  The views have no setters and
-    the slots are private: the object is immutable.
+    ``entries``.  Built through :func:`_plain`, it holds the per-line int
+    form ``{line: {(2b, 2e): multiplicity}}``, keys ``(2b, 2e, side)`` on
+    mirror lines, and builds ``entries`` from it on first access.  ``_ints``
+    is the int form; a Segment-built object computes it on each read and
+    does not keep it.  Equality and hash compare the int form.  The views
+    have no setters and the slots are private: the object is immutable.
     """
 
     __slots__ = ("_entries", "_form")
@@ -55,8 +55,8 @@ class Multisegment:
     def entries(self) -> tuple:
         if self._entries is None:
             self._entries = tuple(sorted(
-                (_cached_segment(ln, b2, e2, side) for (ln, side), cnt in self._form.items()
-                 for (b2, e2), k in cnt.items() for _ in range(k)),
+                (_segment(ln, v) for ln, cnt in self._form.items()
+                 for v, k in cnt.items() for _ in range(k)),
                 key=seg_sort_key))
         return self._entries
 
@@ -66,8 +66,8 @@ class Multisegment:
             return self._form
         form = {}
         for d in self._entries:
-            cnt = form.setdefault((d.line, d.side), {})
-            v = (d.b.twice, d.e.twice)
+            cnt = form.setdefault(d.line, {})
+            v = (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
             cnt[v] = cnt.get(v, 0) + 1
         return form
 
@@ -111,8 +111,8 @@ class Multisegment:
 
 
 def _plain(form) -> Multisegment:
-    """The plain multisegment of a GL int form, kept, not copied; it holds
-    no zero count and no empty line."""
+    """The plain multisegment of a per-line int form ``{line: counter}``,
+    kept, not copied; the form holds no zero count and no empty line."""
     m = object.__new__(Multisegment)
     m._entries, m._form = None, form
     return m
@@ -151,8 +151,7 @@ class SignedSymMultisegment:
     @property
     def m(self) -> Multisegment:
         if self._m is None:
-            self._m = Multisegment([_segment(ln, v) for ln, (cnt, _) in self._ints.items()
-                                    for v, k in cnt.items() for _ in range(k)])
+            self._m = _plain({ln: cnt for ln, (cnt, _) in self._ints.items() if cnt})
         return self._m
 
     @property
@@ -215,11 +214,12 @@ def _fill(s: SignedSymMultisegment, form, m=None, minus=None) -> SignedSymMultis
 # The signed multisegments, their validation and transfer, the dual's step
 # loop, the derivatives and the GL layer run on plain ints, one line at a
 # time: a counter ``{(2b, 2e): multiplicity}`` (keys ``(2b, 2e, side)`` on
-# ugly lines, where the GL form keys the line by ``(line, side)`` instead)
-# and the set of centered keys signed -1.  Readers never change an
-# object's counters; the step loop cuts a copy.  A line's labeled section
-# is a sorted list of ``(key, pair, label, copies)`` groups; copy i precedes
-# copy j in it exactly when key_i < key_j.
+# ugly lines) and the set of centered keys signed -1.  A plain multisegment
+# holds the counters alone, and a signed one's ``.m`` shares them.  Readers
+# never change an object's counters; the step loop cuts a copy.  Only
+# :func:`_sides` splits a mirror line into its two GL lines.  A line's
+# labeled section is a sorted list of ``(key, pair, label, copies)`` groups;
+# copy i precedes copy j in it exactly when key_i < key_j.
 
 
 def _key(d: Segment):
@@ -228,13 +228,9 @@ def _key(d: Segment):
 
 
 def _read(m: Multisegment, minus):
-    """{line: (counter, minus set)} of Segments, and the conflicting line
-    declarations among them."""
-    ints = {}
-    for d in m.entries:
-        cnt = ints.setdefault(d.line, ({}, set()))[0]
-        v = _key(d)
-        cnt[v] = cnt.get(v, 0) + 1
+    """{line: (counter, minus set)} of m's counters and the signed Segments,
+    and the conflicting line declarations among m's segments."""
+    ints = {ln: (cnt, set()) for ln, cnt in m._ints.items()}
     for d in minus:
         ints.setdefault(d.line, ({}, set()))[1].add(_key(d))
     return ints, _line_conflicts(d.line for d in m)
@@ -248,6 +244,18 @@ def _sort_key(ln: Line, v):
 
 def _segment(ln: Line, v) -> Segment:
     return _cached_segment(ln, v[0], v[1], v[2] if len(v) == 3 else None)
+
+
+def _sides(ln: Line, cnt) -> dict:
+    """A line's counter split into its GL lines, ``{tail: {(2b, 2e): k}}``:
+    one entry per side present, tail ``(side,)``, on a mirror line, and
+    ``{(): cnt}``, not copied, on any other line."""
+    if ln.cls != UGLY:
+        return {(): cnt}
+    out: dict = {}
+    for v, k in cnt.items():
+        out.setdefault(v[2:], {})[v[:2]] = k
+    return out
 
 
 def _signed(parts) -> SignedSymMultisegment:
@@ -459,6 +467,9 @@ def validate(x) -> list:
                     found.append((0, ln, v, f"odd multiplicity {k} of centered "
                                             f"{_segment(ln, v)} on bad line"))
             for v in minus:
+                if v[0] + v[1]:
+                    found.append((1, ln, v, f"sign attached to non-centered segment "
+                                            f"{_segment(ln, v)}"))
                 if v not in cnt:
                     found.append((1, ln, v, f"sign attached to absent segment {_segment(ln, v)}"))
                 if ln.cls != GOOD:
@@ -506,11 +517,11 @@ def transfer(d: LanglandsData) -> SignedSymMultisegment:
     """
     require_valid(d)
     ints = {}
-    for dd in d.n:
-        cnt = ints.setdefault(dd.line, ({}, set()))[0]
-        v = _key(dd)
-        for w in (v, _dual(v)):
-            cnt[w] = cnt.get(w, 0) + 1
+    for ln, ncnt in d.n._ints.items():
+        cnt = ints.setdefault(ln, ({}, set()))[0]
+        for v, k in ncnt.items():
+            for w in (v, _dual(v)):
+                cnt[w] = cnt.get(w, 0) + k
     for p in d.phi:
         cnt = ints.setdefault(p.line, ({}, set()))[0]
         y2 = p.a - 1
@@ -525,20 +536,20 @@ def untransfer(s: SignedSymMultisegment) -> LanglandsData:
     """Inverse of :func:`transfer`: centered segments become tempered blocks,
     each non-centered dual pair contributes its negative-center member."""
     require_valid(s)
-    n_entries = []
+    n = {}
     phi = []
     eta_minus = set()
     for ln, (cnt, minus) in s._ints.items():
         for v, k in cnt.items():
             c2 = v[0] + v[1]
             if c2 < 0:
-                n_entries.extend([_segment(ln, v)] * k)
+                n.setdefault(ln, {})[v] = k
             elif c2 == 0 and (len(v) == 2 or v[2] == 0):
                 p = PhiComponent(ln, (v[1] - v[0]) // 2 + 1)
                 phi.extend([p] * k)
                 if v in minus:
                     eta_minus.add(p)
-    return LanglandsData(Multisegment(n_entries), phi, eta_minus=eta_minus)
+    return LanglandsData(_plain(n), phi, eta_minus=eta_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The GL-side algorithm: chain extraction steps, the full transpose they
 generate, and path-capacity counts over juxtaposition graphs.
 
-Everything runs on the GL int form of :mod:`langdata`: a multisegment's
-``_ints``, ``{(line, side): {(2b, 2e): multiplicity}}``.  Results are built
-as that form and wrapped by ``_plain``, so no ``Segment`` is made until a
-caller reads ``entries``.  The public API speaks Segment / Multisegment.
+Everything runs on the per-line int form of :mod:`langdata`, the one a
+signed multisegment holds: a multisegment's ``_ints``, ``{line: {(2b, 2e):
+multiplicity}}`` with keys ``(2b, 2e, side)`` on mirror lines, read one GL
+line at a time through ``_sides``.  Results are built as that form and
+wrapped by ``_plain``, so no ``Segment`` is made until a caller reads
+``entries``.  The public API speaks Segment / Multisegment.
 """
 from __future__ import annotations
 
@@ -12,14 +14,24 @@ from bisect import bisect_left
 from collections import deque
 from heapq import heapify, heappop, heappush
 
-from .segments import DomainError, Segment, _cached_segment
+from .segments import DomainError, Segment
 from .langdata import (
     Multisegment,
     SignedSymMultisegment,
+    _key,
     _plain,
     _section,
+    _segment,
+    _sides,
     require_valid,
 )
+
+
+def _form(m) -> dict:
+    """The int form of a plain multisegment; a TypeError for anything else."""
+    if not isinstance(m, Multisegment):
+        raise TypeError(f"expected a Multisegment, got {type(m).__name__}")
+    return m._ints
 
 
 def _buckets(pairs) -> dict:
@@ -112,18 +124,18 @@ def mw_step(m: Multisegment):
     The initial segment runs from the last chain element's end up to the top
     end; the chain elements lose their final coefficient.
     """
-    form = m._ints
-    if not form:
+    parts = [(ln, tail, cnt) for ln, line_cnt in _form(m).items()
+             for tail, cnt in _sides(ln, line_cnt).items()]
+    if not parts:
         raise DomainError("mw_step on the zero multisegment")
-    if len(form) != 1:
+    if len(parts) != 1:
         raise DomainError("mw_step needs a multisegment on exactly one line")
-    ((key, cnt),) = form.items()
+    ((ln, tail, cnt),) = parts
     buckets = _buckets(_copies(cnt))
     chain = next(_chains(buckets))
-    rest = _counter((b2, e2) for e2, lst in buckets.items() for b2 in lst)
-    ln, side = key
-    initial = _cached_segment(ln, chain[-1][1], chain[0][1], side)
-    return initial, _plain({key: rest} if rest else {})
+    rest = _counter((b2, e2) + tail for e2, lst in buckets.items() for b2 in lst)
+    initial = _segment(ln, (chain[-1][1], chain[0][1]) + tail)
+    return initial, _plain({ln: rest} if rest else {})
 
 
 def transpose_pairs(pairs):
@@ -135,8 +147,14 @@ def transpose_pairs(pairs):
 def mw_transpose(m: Multisegment) -> Multisegment:
     """Iterate extraction steps per line until exhausted.  Degree-preserving
     involution; the zero multisegment maps to itself."""
-    return _plain({key: _counter(transpose_pairs(_copies(cnt)))
-                   for key, cnt in m._ints.items()})
+    form = {}
+    for ln, line_cnt in _form(m).items():
+        cnt = form[ln] = {}
+        for tail, side in _sides(ln, line_cnt).items():
+            for pair in transpose_pairs(_copies(side)):
+                v = pair + tail
+                cnt[v] = cnt.get(v, 0) + 1
+    return _plain(form)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +229,12 @@ def _capacity_graph(items, target: Segment, less):
     return _max_vertex_disjoint(len(node_id), edges, sources, sinks)
 
 
+def _gl_line(cnt, target: Segment) -> dict:
+    """The counter of target's GL line, its side on a mirror line, out of
+    the counter ``cnt`` of target's line."""
+    return _sides(target.line, cnt).get(_key(target)[2:], {})
+
+
 def _juxtaposed(x, y) -> bool:
     return x[0] < y[0] and x[1] < y[1] and y[0] <= x[1] + 2
 
@@ -222,9 +246,10 @@ def kz_capacity(m: Multisegment, target: Segment) -> int:
     Calibrated so that the count of transpose segments containing the target
     equals this capacity; an empty target has capacity 0.
     """
+    form = _form(m)
     if target.is_empty:
         return 0
-    items = list(_copies(m._ints.get(target.key(), {})))
+    items = list(_copies(_gl_line(form.get(target.line, {}), target)))
     return _capacity_graph(items, target, _juxtaposed)
 
 
@@ -235,17 +260,16 @@ def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
     if target.is_empty:
         return 0
     require_valid(s)
-    cnt = s._ints[target.line][0] if target.line in s._ints else {}
-    if target.side is not None:
-        cnt = {v[:2]: k for v, k in cnt.items() if v[2] == target.side}
+    cnt = _gl_line(s._ints.get(target.line, ({},))[0], target)
     items = [pair + (key,) for key, pair, _, k in _section(cnt) for _ in range(k)]
     return _capacity_graph(items, target, lambda x, y: x[2] > y[2])
 
 
 def containment_count(m: Multisegment, target: Segment) -> int:
     """How many segments of m contain the (nonempty) target."""
+    form = _form(m)
     if target.is_empty:
         raise DomainError("containment of an empty target is not defined")
     tb2, te2 = target.b.twice, target.e.twice
-    return sum(k for (b2, e2), k in m._ints.get(target.key(), {}).items()
+    return sum(k for (b2, e2), k in _gl_line(form.get(target.line, {}), target).items()
                if b2 <= tb2 and te2 <= e2)

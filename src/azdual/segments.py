@@ -210,10 +210,6 @@ class Segment:
     def is_centered(self) -> bool:
         return self.b.twice + self.e.twice == 0 and not self.is_empty
 
-    def key(self):
-        """The GL line this segment lives on: (line, side)."""
-        return (self.line, self.side)
-
     def __str__(self) -> str:
         tail = "~" if self.side == 1 else ""
         return f"[{self.b},{self.e}]@{self.line.id}{tail}"

@@ -8,14 +8,14 @@ any claimed dual must satisfy.
 The enumerators build their states from Segments, as a user of the API
 would.  Everything else reads a state's per-line int form: a closed form
 matches one line's counter and minus set, and the mirror-line reduction
-transposes side 0 as a GL int form and mirrors the result.  The family
+transposes a line's counter and mirrors side 0 of the result.  The family
 formulas share no code with the dual's engine, which is what makes them an
 independent oracle.
 """
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 
 from .segments import (
     BAD,
@@ -38,6 +38,7 @@ from .langdata import (
     _degree,
     _line_conflicts,
     _plain,
+    _sides,
     _signed,
     _sort_key,
     line_project,
@@ -63,23 +64,40 @@ def _grid_range(ln: Line, lo2: int, hi2: int):
     return range(start, hi2 + 1, 2)
 
 
+def _window(ln: Line, n: int, side=None):
+    """Every segment on ln (on one side of a mirror line) with coefficients
+    in [-n, n], by ascending beginning, then end."""
+    return [_mk(ln, b2, e2, side) for b2 in _grid_range(ln, -2 * n, 2 * n)
+            for e2 in range(b2, 2 * n + 1, 2)]
+
+
+def _negative_values(ln: Line, n: int, sides):
+    return [d for side in sides for d in _window(ln, n, side) if d.b.twice + d.e.twice < 0]
+
+
 def _pair_values(ln: Line, n: int):
     """Values parameterizing dual pairs: negative-center segments on
     good/bad lines, arbitrary primary-side segments on ugly lines."""
-    out = []
-    for b2 in _grid_range(ln, -2 * n, 2 * n):
-        for e2 in range(b2, 2 * n + 1, 2):
-            if ln.cls == UGLY:
-                out.append(_mk(ln, b2, e2, 0))
-            elif b2 + e2 < 0:
-                out.append(_mk(ln, b2, e2))
-    return out
+    return _window(ln, n, 0) if ln.cls == UGLY else _negative_values(ln, n, (None,))
 
 
 def _centered_values(ln: Line, n: int):
     if ln.cls == UGLY:
         return []
     return [_mk(ln, -y2, y2) for y2 in _grid_range(ln, 0, 2 * n)]
+
+
+def _multisets(values, most):
+    """Every multiset of at most ``most`` of the values, smallest first."""
+    for t in range(most + 1):
+        yield from combinations_with_replacement(values, t)
+
+
+def _signings(distinct):
+    """Every minus set of the distinct values, in the order of the sign
+    vectors from all +1 to all -1, the first value's sign varying slowest."""
+    for signs in product((False, True), repeat=len(distinct)):
+        yield set(compress(distinct, signs))
 
 
 def enumerate_symm(
@@ -94,62 +112,30 @@ def enumerate_symm(
     in [-n, n], at most max_pairs dual pairs and max_centered centered
     copies, optionally capped in degree.  Deterministic and duplicate-free.
     """
-    pv = _pair_values(ln, n)
-    cv = _centered_values(ln, n)
-    for npair in range(max_pairs + 1):
-        for pc in combinations_with_replacement(pv, npair):
-            base = []
-            for d in pc:
-                base.append(d)
-                base.append(seg_dual(d))
-            base_deg = sum(d.length for d in base)
-            if max_degree is not None and base_deg > max_degree:
+    # A bad line takes each centered value twice; a mirror line has none.
+    copies = 2 if ln.cls == BAD else 1
+    cap = max_degree if max_degree is not None else float("inf")
+    centered = [(cc, copies * sum(d.length for d in cc))
+                for cc in _multisets(_centered_values(ln, n), max_centered // copies)]
+    for pc in _multisets(_pair_values(ln, n), max_pairs):
+        base = [x for d in pc for x in (d, seg_dual(d))]
+        base_deg = 2 * sum(d.length for d in pc)
+        if base_deg > cap:
+            continue
+        for cc, deg in centered:
+            if base_deg + deg > cap:
                 continue
-            if ln.cls == BAD:
-                for t in range(max_centered // 2 + 1):
-                    for cc in combinations_with_replacement(cv, t):
-                        entries = base + [d for d in cc for _ in range(2)]
-                        if max_degree is not None and sum(
-                            d.length for d in entries
-                        ) > max_degree:
-                            continue
-                        yield SignedSymMultisegment(Multisegment(entries))
-            elif ln.cls == GOOD:
-                for t in range(max_centered + 1):
-                    for cc in combinations_with_replacement(cv, t):
-                        entries = base + list(cc)
-                        if max_degree is not None and sum(
-                            d.length for d in entries
-                        ) > max_degree:
-                            continue
-                        m = Multisegment(entries)
-                        distinct = sorted(set(cc), key=lambda d: d.e.twice)
-                        if not with_signs:
-                            yield SignedSymMultisegment(m)
-                            continue
-                        for signs in product((1, -1), repeat=len(distinct)):
-                            minus = {
-                                v for v, sg in zip(distinct, signs) if sg == -1
-                            }
-                            yield SignedSymMultisegment(m, minus=minus)
-            else:
-                yield SignedSymMultisegment(Multisegment(base))
+            m = Multisegment(base + list(cc) * copies)
+            if ln.cls != GOOD or not with_signs:
+                yield SignedSymMultisegment(m)
+                continue
+            for minus in _signings(sorted(set(cc), key=lambda d: d.e.twice)):
+                yield SignedSymMultisegment(m, minus=minus)
 
 
 def _block_sizes(ln: Line, n: int):
     par = 0 if ln.grid == GRID_INT else 1
     return [a for a in range(1, 2 * n + 2) if (a - 1) % 2 == par]
-
-
-def _negative_values(ln: Line, n: int):
-    out = []
-    sides = (0, 1) if ln.cls == UGLY else (None,)
-    for side in sides:
-        for b2 in _grid_range(ln, -2 * n, 2 * n):
-            for e2 in range(b2, 2 * n + 1, 2):
-                if b2 + e2 < 0:
-                    out.append(_mk(ln, b2, e2, side))
-    return out
 
 
 def enumerate_data(
@@ -215,31 +201,19 @@ def enumerate_data(
 
 
 def _enumerate_data_line(ln: Line, n: int, k_m: int, k_phi: int):
-    nv = _negative_values(ln, n)
-    sizes = _block_sizes(ln, n)
-    for km in range(k_m + 1):
-        for ncombo in combinations_with_replacement(nv, km):
-            m = Multisegment(ncombo)
-            if ln.cls == BAD:
-                for t in range(k_phi // 2 + 1):
-                    for pc in combinations_with_replacement(sizes, t):
-                        blocks = [PhiComponent(ln, a) for a in pc for _ in range(2)]
-                        yield LanglandsData(m, blocks)
-            elif ln.cls == GOOD:
-                for kp in range(k_phi + 1):
-                    for pc in combinations_with_replacement(sizes, kp):
-                        blocks = [PhiComponent(ln, a) for a in pc]
-                        distinct = sorted(set(blocks), key=lambda p: p.a)
-                        for signs in product((1, -1), repeat=len(distinct)):
-                            eta_minus = {
-                                p for p, sg in zip(distinct, signs) if sg == -1
-                            }
-                            yield LanglandsData(m, blocks, eta_minus=eta_minus)
-            else:
-                for kp in range(k_phi + 1):
-                    for pc in combinations_with_replacement(sizes, kp):
-                        blocks = [PhiComponent(ln, a) for a in pc]
-                        yield LanglandsData(m, blocks)
+    # A bad line takes each block twice; a mirror line has segments on both sides.
+    copies = 2 if ln.cls == BAD else 1
+    sides = (0, 1) if ln.cls == UGLY else (None,)
+    blocks = [[PhiComponent(ln, a) for a in pc] * copies
+              for pc in _multisets(_block_sizes(ln, n), k_phi // copies)]
+    for ncombo in _multisets(_negative_values(ln, n, sides), k_m):
+        m = Multisegment(ncombo)
+        for phi in blocks:
+            if ln.cls != GOOD:
+                yield LanglandsData(m, phi)
+                continue
+            for eta_minus in _signings(sorted(set(phi), key=lambda p: p.a)):
+                yield LanglandsData(m, phi, eta_minus=eta_minus)
 
 
 def standard_sweep(n: int = 2, max_pairs: int = 3, max_centered: int = 3):
@@ -846,10 +820,9 @@ def _suite_ugly_reduction(s, memo):
     for ln in s.lines():
         if ln.cls != UGLY:
             continue
-        side0 = {v[:2]: k for v, k in s._ints[ln][0].items() if v[2] == 0}
-        mt = mw_transpose(_plain({(ln, 0): side0}))._ints[(ln, 0)]
+        mt = mw_transpose(_plain({ln: s._ints[ln][0]}))._ints[ln]
         want = {}
-        for (b2, e2), k in mt.items():
+        for (b2, e2), k in _sides(ln, mt).get((0,), {}).items():
             want[(b2, e2, 0)] = want[(-e2, -b2, 1)] = k
         if memo.dual(line_project(s, ln)) != _signed([(ln, want, set())]):
             return False, f"line {ln.id}"

@@ -535,6 +535,33 @@ class TestEntryPoint:
         assert last.startswith(f"azdual {argv[0]}: error: argument {argv[1]}: ")
         assert "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("case", [
+        "env_seed", "directory", "missing_out_dir", "file_not_utf8", "stdin_not_utf8",
+    ])
+    def test_unreadable_input_or_output_is_one_error_line(self, case, tmp_path, monkeypatch):
+        """An unusable AZDUAL_SEED, an input path that is a directory or
+        holds bytes that are not UTF-8, and an --out file that cannot be
+        created each end in one error line with exit code 1."""
+        bad = b"\xff\xfe[0,0]"
+        if case == "env_seed":
+            monkeypatch.setenv("AZDUAL_SEED", "abc")
+            argv, want = ["dataset", "--count", "1"], "error: AZDUAL_SEED is not an integer: 'abc'"
+        elif case == "directory":
+            argv, want = ["dual", str(tmp_path)], f"error: cannot read {tmp_path}: Is a directory"
+        elif case == "missing_out_dir":
+            out = tmp_path / "nonexistent" / "x.jsonl"
+            argv = ["dataset", "--count", "1", "--out", str(out)]
+            want = f"error: cannot write {out}: No such file or directory"
+        elif case == "file_not_utf8":
+            path = tmp_path / "in.txt"
+            path.write_bytes(bad)
+            argv, want = ["dual", str(path)], f"error: cannot read {path}: not UTF-8 text"
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8"))
+            argv, want = ["dual", "-"], "error: cannot read stdin: not UTF-8 text"
+        code, out, err = run(argv)
+        assert (code, out, err) == (1, "", want + "\n")
+
     def test_env_seed_crosses_the_process_boundary(self, tmp_path):
         env = dict(os.environ, AZDUAL_SEED="11")
         p = tmp_path / "rows.jsonl"

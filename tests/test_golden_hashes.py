@@ -10,7 +10,9 @@ derivative digest before the derivatives moved from Segment objects to int
 pairs; the GL digest before ``mw_gl`` did; the validate-report digest before
 the signed multisegments held their int line form; the wide mirror-line
 digest before mirror lines ran on the GL chain extractor of ``mw_gl``; the
-closed-form digest before the closed forms read the int form.
+closed-form digest before the closed forms read the int form; the
+enumeration digest before the exhaustive enumerators shared one multiset
+walk.
 """
 import hashlib
 import io
@@ -74,6 +76,7 @@ GL_SHA256 = "b05983f17249617844c2676b6463168ca3eacdc3d48773f9affd038a964a8dac"
 VALIDATE_SHA256 = "b5bf23499c87a67106371b6126d5a981e7d05aff2efe850b3bd3f80bd70c5fd9"
 WIDE_MIRROR_SHA256 = "aa33cdf26a40f190f2d28d7be323218f3435af75370b2e71c9e92ccf8473a6d7"
 CLOSED_FORMS_SHA256 = "7e64d0f920395e15c34f3004b53b7bcdb91d0f01b54739d4460d9f0528d318d3"
+ENUMERATIONS_SHA256 = "c5b3f734123419ed99655546b1daf8bf3b6ffc26fee25b1fbb51ae9dd611631f"
 
 
 def _samples():
@@ -114,6 +117,19 @@ def test_steps_and_initial_sequences_are_byte_identical():
         lines.append(render_output(piece) + render_output(rest))
         lines.append(repr(ad_initial_sequence(s)))
     assert _digest(lines) == STEPS_SHA256
+
+
+def test_exhaustive_enumerations_are_byte_identical():
+    """Every item of the exhaustive data and signed-state enumerations on
+    each class of line, mirror and bad lines included."""
+    lines = []
+    for ln in LINES:
+        lines += map(str, enumerate_data(2, 2, 3, [ln]))
+        lines += map(str, enumerate_symm(ln, 2, 2, 3))
+        lines += map(str, enumerate_symm(ln, 2, 3, 4, max_degree=9))
+        lines += map(str, enumerate_symm(ln, 2, 3, 4, max_degree=9, with_signs=False))
+    assert len(lines) == 7743
+    assert _digest(lines) == ENUMERATIONS_SHA256
 
 
 def _check_digest(argv):
@@ -312,16 +328,16 @@ def _gl_inputs():
 
 def _gl_records(m):
     yield f"{m} -> {mw_transpose(m)}"
-    keys = sorted({d.key() for d in m}, key=lambda k: (k[0].id, k[1] or 0))
-    for part in [m] + [Multisegment(d for d in m if d.key() == k) for k in keys]:
+    keys = sorted({(d.line, d.side) for d in m}, key=lambda k: (k[0].id, k[1] or 0))
+    for part in [m] + [Multisegment(d for d in m if (d.line, d.side) == k) for k in keys]:
         try:
             top, rest = mw_step(part)
             yield f"step {top} {rest}"
         except DomainError as err:
             yield f"step ! {err}"
     for key in keys:
-        b2s = [d.b.twice for d in m if d.key() == key]
-        e2s = [d.e.twice for d in m if d.key() == key]
+        b2s = [d.b.twice for d in m if (d.line, d.side) == key]
+        e2s = [d.e.twice for d in m if (d.line, d.side) == key]
         for t in _gl_targets(*key, min(b2s) - 2, max(e2s) + 2):
             yield f"{t} {kz_capacity(m, t)}"
 

@@ -3,7 +3,7 @@ top-level function or class of the package is used somewhere in it or
 exported, and every public method of its classes is read somewhere.  The
 dual, the derivatives, the GL layer and the verification harness read no
 ``Segment`` view, and all but the harness's enumerators build no
-``Multisegment`` from Segments.
+``Multisegment`` from Segments.  Every int form is keyed by line alone.
 
 Stdlib only: each module under ``src/azdual`` is parsed with ``ast``, and a
 name counts as used when a module loads it somewhere as a plain name.  A
@@ -105,3 +105,36 @@ def test_core_reads_no_segment_view(name):
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "Multisegment"]
     assert reads == []
+
+
+def _tuple_keyed_reads(path):
+    """Where a module indexes an ``_ints`` with a tuple display, by
+    subscript or ``.get``, or passes ``_plain`` a dict display or
+    comprehension with a tuple key."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        ints = None
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            ints = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args
+              and isinstance(node.args[0], ast.Tuple)):
+            ints = node.func.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_plain" and node.args):
+            form = node.args[0]
+            keys = form.keys if isinstance(form, ast.Dict) else (
+                [form.key] if isinstance(form, ast.DictComp) else [])
+            if any(isinstance(k, ast.Tuple) for k in keys):
+                found.append(f"{path.name}:{node.lineno}: _plain")
+        if isinstance(ints, ast.Attribute) and ints.attr == "_ints":
+            found.append(f"{path.name}:{node.lineno}: _ints")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_int_forms_are_keyed_by_line(path):
+    """Plain and signed multisegments key their int form by ``Line``
+    alone, a mirror line's side living in its ``(2b, 2e, side)`` keys: no
+    module reads or builds a ``(line, side)``-keyed form."""
+    assert _tuple_keyed_reads(path) == []

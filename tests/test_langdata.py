@@ -21,6 +21,7 @@ from azdual.langdata import (
     PhiComponent,
     SignedSymMultisegment,
     _section,
+    _signed,
     line_project,
     plus_product,
     require_valid,
@@ -31,7 +32,7 @@ from azdual.langdata import (
 )
 from azdual.ad_core import ad_initial_sequence, ad_step, ad_symm
 from azdual.derivatives import derivative, derivative_L, reduced_report
-from azdual.mw_gl import kz_capacity_labeled
+from azdual.mw_gl import kz_capacity_labeled, mw_transpose
 from azdual.verify import enumerate_symm, standard_sweep
 
 GI = line("rho", GOOD, GRID_INT)
@@ -130,6 +131,23 @@ class TestValidate:
             Multisegment([seg(BI, 0, 0)] * 2), minus={seg(BI, 0, 0)}
         )
         assert any("good" in r for r in validate(t))
+
+    def test_minus_must_be_centered(self):
+        """The constructor refuses a sign on a non-centered segment; an
+        int-built state can hold one, and validate reports it with the same
+        text, among the sign violations, in canonical order."""
+        with pytest.raises(DomainError, match="sign attached to non-centered"):
+            SignedSymMultisegment(Multisegment([seg(GI, -1, 0), seg(GI, 0, 1)]),
+                                  minus={seg(GI, -1, 0)})
+        s = _signed([(GI, {(-2, 0): 1, (0, 2): 1}, {(-2, 0)})])
+        assert validate(s) == ["sign attached to non-centered segment [-1,0]@rho"]
+        s = _signed([(GI, {(-2, 0): 1, (0, 2): 1, (0, 4): 1}, {(0, 2), (-2, 0), (-4, 4)})])
+        assert validate(s) == [
+            "symmetry violation at [0,2]@rho",
+            "sign attached to non-centered segment [0,1]@rho",
+            "sign attached to non-centered segment [-1,0]@rho",
+            "sign attached to absent segment [-2,2]@rho",
+        ]
 
     def test_data_centers_negative(self):
         d = LanglandsData(Multisegment([seg(GI, 0, 1)]), [])
@@ -340,3 +358,22 @@ class TestIntForm:
                 for side in (0, 1) if ln.cls == UGLY else (None,):
                     kz_capacity_labeled(s, seg(ln, _h(b2), _h(emax2), side))
             assert _snapshot(s) == before
+
+    def test_states_sharing_counters_stay_apart(self):
+        """The ``.m`` of an int-built state (a dual) shares its counters, and
+        so does a state built from that ``.m``; the dual, the step and the
+        GL transpose of one change neither the other nor the plain
+        multisegment."""
+        for s in list(standard_sweep(1, 2, 2))[::5] + list(enumerate_symm(UG, 1, 2, 0)):
+            if not s:
+                continue
+            d = ad_symm(s)
+            (ln,) = d.lines()
+            before, m = _snapshot(d), d.m
+            t = SignedSymMultisegment(m, minus=d.minus)
+            assert t._ints[ln][0] is m._ints[ln] is d._ints[ln][0]
+            ad_symm(t)
+            ad_step(t)
+            mw_transpose(m)
+            assert _snapshot(d) == before
+            assert m._ints == {ln: cnt for ln, (cnt, _) in before.items()}

@@ -116,7 +116,7 @@ class TestTranspose:
             made.append(args)
             return orig(*args)
 
-        for mod in (azdual.segments, azdual.langdata, azdual.mw_gl):
+        for mod in (azdual.segments, azdual.langdata):
             monkeypatch.setattr(mod, "_cached_segment", counted)
         ms = [mseg((-3, -1), (-2, -1), (-2, 0)), mseg((-2, 1), (0, 0), (0, 0)),
               Multisegment([seg(-1, 0), seg(0, 1, SIG), seg("-3/2", "1/2", RHH)]),
@@ -317,3 +317,21 @@ def test_in_place_cut_gives_the_reference_chains():
             pairs.extend([(2 * b, 2 * e)] * rng.choice([1, 1, 2, 3]))
         got = list(_chains(_buckets(pairs)))
         assert got == list(_reference_chains(_buckets(pairs))), pairs
+
+
+_SIGNED = SignedSymMultisegment([seg(-1, 0), seg(0, 1)])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: mw_transpose(_SIGNED), id="mw_transpose"),
+    pytest.param(lambda: mw_step(_SIGNED), id="mw_step"),
+    pytest.param(lambda: kz_capacity(_SIGNED, seg(0, 0)), id="kz_capacity"),
+    pytest.param(lambda: containment_count(_SIGNED, seg(0, 0)), id="containment_count"),
+])
+def test_gl_functions_refuse_a_signed_state(call):
+    """A signed state holds its lines as (counter, minus set); the GL
+    functions take a plain Multisegment (``.m``) and refuse anything else
+    rather than misread it."""
+    with pytest.raises(TypeError, match="expected a Multisegment, got SignedSymMultisegment"):
+        call()
+    assert kz_capacity(_SIGNED.m, seg(0, 0)) == containment_count(_SIGNED.m, seg(0, 0)) == 2

@@ -1,9 +1,10 @@
 """Hypothesis properties of the text edge: parsing the rendering of random
 valid data of all three kinds gives the data back, and random text into
 ``parse_input`` ends in a value, a ``ParseError`` or a ``DomainError``,
-never in another exception.  Also: a signed multisegment built from its int
-form is the one built from the same Segments, and the GL transpose of copies
-far apart is an involution that meets the path capacity."""
+never in another exception.  Also: a plain or signed multisegment built
+from its int form is the one built from the same Segments, and the GL
+transpose of copies far apart is an involution that meets the path
+capacity."""
 import json
 
 import pytest
@@ -26,6 +27,7 @@ from azdual.langdata import (  # noqa: E402
     LanglandsData,
     Multisegment,
     SignedSymMultisegment,
+    _plain,
     _segment,
     _signed,
     transfer,
@@ -176,6 +178,21 @@ def test_int_built_and_segment_built_states_agree(parts):
     assert a.m == b.m and a.minus == b.minus
     assert str(a) == str(b) and render_output(a) == render_output(b)
     assert a.lines() == b.lines() and a.degree == b.degree
+
+
+@FAST
+@given(st.lists(segment(), max_size=10))
+def test_int_built_and_segment_built_multisegments_agree(segs):
+    """Random Segments on all five lines, both mirror sides included: the
+    plain multisegment of a Segment-built one's int form is the same
+    multisegment, and so is its transpose."""
+    m = Multisegment(segs)
+    a = _plain(m._ints)
+    assert a == m and hash(a) == hash(m)
+    assert a.entries == m.entries and str(a) == str(m) and a.lines() == m.lines()
+    assert render_output(a) == render_output(m)
+    assert mw_transpose(a) == mw_transpose(m)
+    assert mw_transpose(a).entries == mw_transpose(m).entries
 
 
 @FAST

@@ -24,6 +24,7 @@ from azdual.langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _signed,
     sign_product,
     transfer,
     validate,
@@ -31,6 +32,8 @@ from azdual.langdata import (
 from azdual.ad_core import ad_data, ad_symm
 from azdual.derivatives import derivative
 from azdual.verify import (
+    _pair_properties,
+    _StateMemo,
     closed_form_dual,
     closed_form_instances,
     enumerate_data,
@@ -290,6 +293,17 @@ class TestPropertyHarness:
         assert sign_product(s, G) == sign_product(d, G)
         assert sign_product(s, G) != sign_product(corrupt, G)
 
+    def test_membership_fails_for_a_dual_with_a_sign_on_a_non_centered_value(self):
+        """A claimed dual that carries a stray -1 on a non-centered value is
+        not in the symmetric class, though its str does not show the sign."""
+        s = sym([(-1, 0), (0, 1)])
+        d = ad_symm(s)
+        cnt, minus = d._ints[G]
+        v = min(v for v in cnt if v[0] + v[1])
+        stray = _signed([(G, cnt, minus | {v})])
+        assert str(stray) == str(d) and stray != d
+        assert next(_pair_properties(s, stray, _StateMemo(s))) == ("membership", False)
+
 
 class TestFirstStart:
     def test_walkthrough_prediction_is_exact(self):
@@ -307,3 +321,4 @@ class TestFirstStart:
 
     def test_empty_datum_has_no_prediction(self):
         assert first_start_prediction(LanglandsData()) is None
+
