@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -42,6 +43,7 @@ from .langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _sort_key,
     sign_product,
     transfer,
     untransfer,
@@ -74,6 +76,7 @@ class ParseError(DomainError):
 # ---------------------------------------------------------------------------
 
 _CLASS_MARK = {"": GOOD, "!": BAD, "~": UGLY}
+_SIGN_MARK = {"+": 1, "-": -1}
 
 MAX_MULT = 10_000
 """The largest ``N`` of an ``N*`` term; a larger one is refused before the
@@ -208,6 +211,17 @@ def _mult(m, pos) -> int:
     return int(digits)
 
 
+def _mark(signs: dict, x, sign, pos=None):
+    """Record the sign mark (1, -1, or None for no mark) of a term or
+    record on the value x; a value marked with both signs is refused."""
+    if sign is not None and signs.setdefault(x, sign) != sign:
+        raise ParseError(f"contradictory signs on {x}", pos)
+
+
+def _minus(signs: dict) -> set:
+    return {x for x, sign in signs.items() if sign == -1}
+
+
 def parse_dsl(text: str):
     """Read DSL text; error positions index ``text`` itself, leading blanks
     included."""
@@ -226,18 +240,14 @@ def parse_dsl(text: str):
             raise ParseError("only S<a> blocks may follow ';'", pos)
     lines = _dsl_lines(m_items + phi_items)
     segs = []
-    minus = set()
-    signed = False
+    signs: dict = {}
     for m, pos in m_items:
         d = _dsl_segment(m, pos, lines)
         segs.extend([d] * _mult(m, pos))
-        if m.group("sign"):
-            signed = True
-            if m.group("sign") == "-":
-                minus.add(d)
+        _mark(signs, d, _SIGN_MARK.get(m.group("sign")), pos)
     if sep:
         blocks = []
-        eta_minus = set()
+        etas: dict = {}
         for m, pos in phi_items:
             ln = lines[m.group("ident") or "rho"]
             try:
@@ -245,15 +255,14 @@ def parse_dsl(text: str):
             except DomainError as err:
                 raise ParseError(str(err), pos) from None
             blocks.extend([p] * _mult(m, pos))
-            if m.group("sign") == "-":
-                eta_minus.add(p)
+            _mark(etas, p, _SIGN_MARK.get(m.group("sign")), pos)
         try:
-            return LanglandsData(Multisegment(segs), blocks, eta_minus=eta_minus)
+            return LanglandsData(Multisegment(segs), blocks, eta_minus=_minus(etas))
         except DomainError as err:
             raise ParseError(str(err)) from None
     try:
-        if signed:
-            return SignedSymMultisegment(Multisegment(segs), minus=minus)
+        if signs:
+            return SignedSymMultisegment(Multisegment(segs), minus=_minus(signs))
         return Multisegment(segs)
     except DomainError as err:
         raise ParseError(str(err)) from None
@@ -318,7 +327,7 @@ def parse_json(obj):
     m = Multisegment(segs)
     if "phi" in obj:
         blocks = []
-        eta_minus = set()
+        etas: dict = {}
         for rec in _json_list(obj, "phi"):
             try:
                 ln = lines[rec["line"]]
@@ -328,16 +337,13 @@ def parse_json(obj):
             except (KeyError, TypeError):
                 raise ParseError(f"bad block record {rec!r}") from None
             blocks.append(p)
-            if _json_sign(rec, "eta", 1) == -1:
-                eta_minus.add(p)
-        return LanglandsData(m, blocks, eta_minus=eta_minus)
+            _mark(etas, p, _json_sign(rec, "eta", 1) if "eta" in rec else None)
+        return LanglandsData(m, blocks, eta_minus=_minus(etas))
     if "eps" in obj:
-        minus = set()
+        signs: dict = {}
         for rec in _json_list(obj, "eps"):
-            d = _json_segment(rec, lines)
-            if _json_sign(rec, "sign") == -1:
-                minus.add(d)
-        return SignedSymMultisegment(m, minus=minus)
+            _mark(signs, _json_segment(rec, lines), _json_sign(rec, "sign"))
+        return SignedSymMultisegment(m, minus=_minus(signs))
     return m
 
 
@@ -375,51 +381,66 @@ def parse_input(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _lines_doc(lines):
-    return [
-        {"id": ln.id, "class": ln.cls, "grid": ln.grid}
-        for ln in sorted(lines, key=lambda ln: ln.id)
-    ]
+# The writer's texts of line ids and of segments by int key, bounded.
+_json_text = functools.lru_cache(maxsize=4096)(json.dumps)
 
 
-def _seg_doc(d: Segment):
-    rec = {"line": d.line.id, "b": str(d.b), "e": str(d.e)}
-    if d.side is not None:
-        rec["side"] = d.side
-    return rec
+@functools.lru_cache(maxsize=4096)
+def _tail(v) -> str:
+    """The fields after ``line`` in the record of the segment of int key v."""
+    side = f',"side":{v[2]}' if len(v) == 3 else ""
+    return f',"b":"{HalfInt.from_twice(v[0])}","e":"{HalfInt.from_twice(v[1])}"{side}'
 
 
-def render_doc(x) -> dict:
-    """The canonical JSON document (as a dict) for any of the three kinds."""
-    if isinstance(x, LanglandsData):
-        doc = {"lines": _lines_doc(x.lines())}
-        doc["m"] = [_seg_doc(d) for d in x.n]
-        phi = []
-        for p in x.phi:
-            rec = {"line": p.line.id, "a": p.a}
-            if p.line.cls == GOOD:
-                rec["eta"] = x.eta(p)
-            phi.append(rec)
-        doc["phi"] = phi
-        return doc
-    if isinstance(x, SignedSymMultisegment):
-        doc = {"lines": _lines_doc(x.lines())}
-        doc["m"] = [_seg_doc(d) for d in x.m]
-        eps = []
-        for d in sorted(
-            {d for d in x.m if d.is_centered and d.line.cls == GOOD},
-            key=lambda d: (d.line.id, d.e.twice),
-        ):
-            eps.append(dict(_seg_doc(d), sign=x.eps(d)))
-        doc["eps"] = eps
-        return doc
-    if isinstance(x, Multisegment):
-        return {"lines": _lines_doc(x.lines()), "m": [_seg_doc(d) for d in x]}
-    raise DomainError(f"cannot render {type(x).__name__}")
+def _records(form, order, write) -> str:
+    """``k`` copies of ``write(JSON id, line, key)`` per ``key: k`` of a form
+    ``{line: {key: k}}``, by line id, then by ``order((line, key, k))``.  A
+    record names its line by id alone, so lines sharing one write together."""
+    by_id: dict = {}
+    for ln, cnt in form.items():
+        by_id.setdefault(ln.id, []).extend((ln, v, k) for v, k in cnt.items())
+    out = []
+    for ident in sorted(by_id):
+        text = _json_text(ident)
+        for ln, v, k in sorted(by_id[ident], key=order):
+            out += [write(text, ln, v)] * k
+    return ",".join(out)
 
 
 def render_output(x) -> str:
-    return json.dumps(render_doc(x), separators=(",", ":"))
+    """The canonical JSON text of any of the three kinds, written from its
+    int form."""
+    if isinstance(x, LanglandsData):
+        blocks, form, kind = x._blocks, x.n._ints, "phi"
+
+        def record(ident, ln, a):
+            eta = f',"eta":{-1 if a in blocks[ln][1] else 1}' if ln.cls == GOOD else ""
+            return f'{{"line":{ident},"a":{a}{eta}}}'
+        more = _records({ln: cnt for ln, (cnt, _) in blocks.items()}, lambda c: c[1], record)
+    elif isinstance(x, SignedSymMultisegment):
+        ints = x._ints
+        form, kind = {ln: cnt for ln, (cnt, _) in ints.items() if cnt}, "eps"
+
+        def record(ident, ln, v):
+            return f'{{"line":{ident}{_tail(v)},"sign":{-1 if v in ints[ln][1] else 1}}}'
+        centered = {ln: {v: 1 for v in cnt if v[0] + v[1] == 0}
+                    for ln, cnt in form.items() if ln.cls == GOOD}
+        more = _records(centered, lambda c: c[1][1], record)
+    elif isinstance(x, Multisegment):
+        form, kind = x._ints, None
+    else:
+        raise DomainError(f"cannot render {type(x).__name__}")
+    segs = _records(form, lambda c: _sort_key(c[0], c[1]),
+                    lambda ident, ln, v: f'{{"line":{ident}{_tail(v)}}}')
+    lines = ",".join(f'{{"id":{_json_text(ln.id)},"class":"{ln.cls}","grid":"{ln.grid}"}}'
+                     for ln in x.lines())
+    text = f'{{"lines":[{lines}],"m":[{segs}]'
+    return f'{text},"{kind}":[{more}]}}' if kind else text + "}"
+
+
+def render_doc(x) -> dict:
+    """The canonical JSON document of :func:`render_output`, as a dict."""
+    return json.loads(render_output(x))
 
 
 # ---------------------------------------------------------------------------
@@ -583,27 +604,15 @@ def _cmd_dataset(args) -> int:
             if fp is not None:
                 start_total += 1
                 start_hits += fp[0] == fp[1]
-            products = {
-                lnn.id: sign_product(t, lnn)
-                for lnn in t.lines()
-                if lnn.cls == GOOD
-            }
+            products = "{%s}" % ",".join(f"{_json_text(lnn.id)}:{sign_product(t, lnn)}"
+                                         for lnn in t.lines() if lnn.cls == GOOD)
+            doc, dual = render_output(d), render_output(dd)
             if as_csv:
-                writer.writerow([
-                    render_output(d),
-                    render_output(dd),
-                    degree,
-                    str(em_t) if em_t is not None else "",
-                    json.dumps(products, separators=(",", ":")),
-                ])
+                writer.writerow([doc, dual, degree, "" if em_t is None else str(em_t), products])
             else:
-                rows_out.write(json.dumps({
-                    "input": render_doc(d),
-                    "dual": render_doc(dd),
-                    "degree": degree,
-                    "e_max": str(em_t) if em_t is not None else None,
-                    "sign_products": products,
-                }, separators=(",", ":")) + "\n")
+                e_max = "null" if em_t is None else f'"{em_t}"'
+                rows_out.write(f'{{"input":{doc},"dual":{dual},"degree":{degree},'
+                               f'"e_max":{e_max},"sign_products":{products}}}\n')
     finally:
         if args.out:
             rows_out.close()

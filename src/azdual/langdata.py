@@ -6,7 +6,9 @@ stored sparsely as the set of centered values signed -1, everything else
 being +1 by convention.  Plain and signed multisegments share one per-line
 int form, below: a signed one holds it as its state and builds its
 ``Segment`` view (``.m``) on demand; a plain one built from that form holds
-it and builds its ``entries`` on demand.
+it and builds its ``entries`` on demand.  Parameter data hold their
+``n`` as a plain multisegment and their blocks per line as ``({a: k},
+minus set)``, and build ``phi`` and ``eta_minus`` on demand.
 """
 from __future__ import annotations
 
@@ -97,12 +99,13 @@ class Multisegment:
         return sum(_degree(cnt) for cnt in self._ints.values())
 
     def lines(self):
-        """Distinct lines present, sorted by id."""
-        seen = {d.line.id: d.line for d in self.entries}
-        return [seen[k] for k in sorted(seen)]
+        """Distinct lines present, sorted by id; of lines declaring one id,
+        the last in ``Line`` order."""
+        return list({ln.id: ln for ln in sorted(self._ints)}.values())
 
     def restrict(self, ln: Line) -> "Multisegment":
-        return Multisegment(d for d in self.entries if d.line == ln)
+        cnt = self._ints.get(ln)
+        return _plain({ln: cnt} if cnt else {})
 
     def __str__(self):
         return "+".join(str(d) for d in self.entries) if self.entries else "0"
@@ -194,7 +197,7 @@ class SignedSymMultisegment:
 
     def __str__(self):
         return "+".join(
-            f"{d}:{'-' if d in self.minus else '+'}"
+            f"{d}:{'-' if self.eps(d) < 0 else '+'}"
             if d.is_centered and d.line.cls == GOOD else str(d)
             for d in self.m
         ) or "0"
@@ -229,11 +232,12 @@ def _key(d: Segment):
 
 def _read(m: Multisegment, minus):
     """{line: (counter, minus set)} of m's counters and the signed Segments,
-    and the conflicting line declarations among m's segments."""
-    ints = {ln: (cnt, set()) for ln, cnt in m._ints.items()}
+    and the conflicting line declarations among m's lines."""
+    form = m._ints
+    ints = {ln: (cnt, set()) for ln, cnt in form.items()}
     for d in minus:
         ints.setdefault(d.line, ({}, set()))[1].add(_key(d))
-    return ints, _line_conflicts(d.line for d in m)
+    return ints, _conflicts(form)
 
 
 def _sort_key(ln: Line, v):
@@ -378,61 +382,87 @@ class PhiComponent:
     __repr__ = __str__
 
 
-def _phi_key(p: PhiComponent):
-    return (p.line.id, p.a)
-
-
 class LanglandsData:
     """Parameter data: a multisegment with negative centers plus tempered
     blocks, with signs on the good-line blocks (stored sparsely as the set
-    of blocks signed -1)."""
+    of blocks signed -1).
 
-    __slots__ = ("n", "phi", "eta_minus")
+    It holds ``n`` and its blocks' per-line int form ``{line: ({a:
+    multiplicity}, minus set of a)}``, and builds ``phi`` and ``eta_minus``
+    on first access; built through :func:`_datum`, its ``n`` may hold the
+    int form too.  The views have no setters: the object is immutable.
+    """
+
+    __slots__ = ("_n", "_blocks", "_phi", "_eta_minus")
 
     def __init__(self, n=(), phi=(), eta_minus=()):
-        if not isinstance(n, Multisegment):
-            n = Multisegment(n)
-        phi = tuple(sorted(phi, key=_phi_key))
+        n = n if isinstance(n, Multisegment) else Multisegment(n)
+        blocks = {}
         for p in phi:
             if not isinstance(p, PhiComponent):
                 raise TypeError(f"{p!r} is not a PhiComponent")
-        eta_minus = frozenset(eta_minus)
+            cnt = blocks.setdefault(p.line, ({}, set()))[0]
+            cnt[p.a] = cnt.get(p.a, 0) + 1
         for p in eta_minus:
             if not isinstance(p, PhiComponent):
                 raise TypeError(f"sign key {p!r} is not a PhiComponent")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "eta_minus", eta_minus)
+            blocks.setdefault(p.line, ({}, set()))[1].add(p.a)
+        self._n, self._blocks, self._phi, self._eta_minus = n, blocks, None, None
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LanglandsData is immutable")
+    @property
+    def n(self) -> Multisegment:
+        return self._n
+
+    @property
+    def phi(self) -> tuple:
+        if self._phi is None:
+            self._phi = tuple(sorted((PhiComponent(ln, a) for ln, (cnt, _) in self._blocks.items()
+                                      for a, k in cnt.items() for _ in range(k)),
+                                     key=lambda p: (p.line.id, p.a)))
+        return self._phi
+
+    @property
+    def eta_minus(self) -> frozenset:
+        if self._eta_minus is None:
+            self._eta_minus = frozenset(PhiComponent(ln, a)
+                                        for ln, (_, minus) in self._blocks.items() for a in minus)
+        return self._eta_minus
 
     def eta(self, p: PhiComponent) -> int:
         return -1 if p in self.eta_minus else 1
 
     def lines(self):
-        seen = {x.line.id: x.line for x in (*self.n, *self.phi)}
-        return [seen[k] for k in sorted(seen)]
+        blocked = [ln for ln, (cnt, _) in self._blocks.items() if cnt]
+        return list({ln.id: ln for ln in sorted([*self._n._ints, *blocked])}.values())
 
     def __eq__(self, other):
-        return isinstance(other, LanglandsData) and (
-            (self.n, self.phi, self.eta_minus) == (other.n, other.phi, other.eta_minus)
-        )
+        return (isinstance(other, LanglandsData) and self._n == other._n
+                and self._blocks == other._blocks)
 
     def __hash__(self):
-        return hash((self.n, self.phi, self.eta_minus))
+        return hash((self._n, frozenset((ln, frozenset(cnt.items()), frozenset(minus))
+                                        for ln, (cnt, minus) in self._blocks.items())))
 
     def __bool__(self):
-        return bool(self.n) or bool(self.phi)
+        return bool(self._n) or any(cnt for cnt, _ in self._blocks.values())
 
     def __str__(self):
         right = "+".join(
-            f"{p}:{'-' if p in self.eta_minus else '+'}" if p.line.cls == GOOD else str(p)
+            f"{p}:{'-' if self.eta(p) < 0 else '+'}" if p.line.cls == GOOD else str(p)
             for p in self.phi
         )
-        return f"{self.n} ; {right or '0'}"
+        return f"{self._n} ; {right or '0'}"
 
     __repr__ = __str__
+
+
+def _datum(n: Multisegment, blocks) -> LanglandsData:
+    """The parameter data of ``n`` and a block form ``{line: (counter, minus
+    set)}``, both kept, not copied; the form holds no zero count and no
+    line without blocks or signs."""
+    d = object.__new__(LanglandsData)
+    d._n, d._blocks, d._phi, d._eta_minus = n, blocks, None, None
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +470,31 @@ class LanglandsData:
 # ---------------------------------------------------------------------------
 
 
-def _line_conflicts(lines) -> list:
-    by_id: dict = {}
-    out = []
-    prev = None
-    for ln in lines:
-        if ln is not prev and by_id.get(ln.id, ln) != ln:
-            out.append(f"conflicting declarations for line {ln.id!r}")
-        by_id[ln.id] = prev = ln
+def _conflicts(*forms) -> list:
+    """The conflicting line declarations among the keys of per-line forms
+    ``{line: counter}``, the counters keyed by segment key or block size.
+    Read form after form, the copies of an id declared by two lines walk in
+    canonical order, with a message each time they pass to another line."""
+    lines = {ln for form in forms for ln in form}
+    if len({ln.id for ln in lines}) == len(lines):
+        return []
+    clash = sorted(ident for ident, k in Counter(ln.id for ln in lines).items() if k > 1)
+    out, last = [], {}
+    for form in forms:
+        for ident in clash:
+            copies = sorted(((ln, v) for ln, cnt in form.items() if ln.id == ident for v in cnt),
+                            key=lambda c: _sort_key(*c) if type(c[1]) is tuple else c[1])
+            for ln, _ in copies:
+                if last.setdefault(ident, ln) != ln:
+                    out.append(f"conflicting declarations for line {ident!r}")
+                last[ident] = ln
     return out
 
 
 def validate(x) -> list:
     """Report-style validation: returns a list of violations, empty when valid."""
     if isinstance(x, Multisegment):
-        return _line_conflicts(d.line for d in x)
+        return _conflicts(x._ints)
     if isinstance(x, SignedSymMultisegment):
         if x._valid:
             return []
@@ -479,20 +519,28 @@ def validate(x) -> list:
         x._valid = not out
         return out
     if isinstance(x, LanglandsData):
-        out = _line_conflicts(list(d.line for d in x.n) + [p.line for p in x.phi])
-        for d in x.n:
-            if d.b.twice + d.e.twice >= 0:
-                out.append(f"segment {d} does not have negative center")
-        counts = Counter(x.phi)  # in _phi_key order, as phi is
-        for p, k in counts.items():
-            if p.line.cls == BAD and k % 2:
-                out.append(f"odd multiplicity {k} of block {p} on bad line")
-        for p in sorted(x.eta_minus, key=_phi_key):
-            if p not in counts:
-                out.append(f"sign attached to absent block {p}")
-            if p.line.cls != GOOD:
-                out.append(f"explicit -1 sign on non-good line block {p}")
-        return out
+        n, blocks = x._n._ints, x._blocks
+        found = []  # (0 for a segment, 1 for a count or 2 for a sign, sort key, text)
+        for ln, cnt in n.items():
+            for v, k in cnt.items():
+                if v[0] + v[1] >= 0:
+                    text = f"segment {_segment(ln, v)} does not have negative center"
+                    found += [(0, _sort_key(ln, v), text)] * k
+        for ln, (cnt, minus) in blocks.items():
+            for a, k in cnt.items():
+                if ln.cls == BAD and k % 2:
+                    text = f"odd multiplicity {k} of block {PhiComponent(ln, a)} on bad line"
+                    found.append((1, (ln.id, a), text))
+            for a in minus:
+                if a in cnt and ln.cls == GOOD:
+                    continue
+                p = PhiComponent(ln, a)
+                if a not in cnt:
+                    found.append((2, (ln.id, a), f"sign attached to absent block {p}"))
+                if ln.cls != GOOD:
+                    found.append((2, (ln.id, a), f"explicit -1 sign on non-good line block {p}"))
+        found.sort(key=lambda r: r[:2])
+        return _conflicts(n, {ln: cnt for ln, (cnt, _) in blocks.items()}) + [r[2] for r in found]
     raise TypeError(f"cannot validate {type(x).__name__}")
 
 
@@ -522,34 +570,33 @@ def transfer(d: LanglandsData) -> SignedSymMultisegment:
         for v, k in ncnt.items():
             for w in (v, _dual(v)):
                 cnt[w] = cnt.get(w, 0) + k
-    for p in d.phi:
-        cnt = ints.setdefault(p.line, ({}, set()))[0]
-        y2 = p.a - 1
-        for w in ((-y2, y2, 0), (-y2, y2, 1)) if p.line.cls == UGLY else ((-y2, y2),):
-            cnt[w] = cnt.get(w, 0) + 1
-    for p in d.eta_minus:
-        ints[p.line][1].add((1 - p.a, p.a - 1))
-    return _signed((ln, cnt, minus) for ln, (cnt, minus) in ints.items())
+    for ln, (bcnt, bminus) in d._blocks.items():
+        cnt, minus = ints.setdefault(ln, ({}, set()))
+        for a, k in bcnt.items():
+            y2 = a - 1
+            for w in ((-y2, y2, 0), (-y2, y2, 1)) if ln.cls == UGLY else ((-y2, y2),):
+                cnt[w] = cnt.get(w, 0) + k
+        minus.update((1 - a, a - 1) for a in bminus)
+    return _fill(object.__new__(SignedSymMultisegment), ints)
 
 
 def untransfer(s: SignedSymMultisegment) -> LanglandsData:
     """Inverse of :func:`transfer`: centered segments become tempered blocks,
     each non-centered dual pair contributes its negative-center member."""
     require_valid(s)
-    n = {}
-    phi = []
-    eta_minus = set()
+    n, blocks = {}, {}
     for ln, (cnt, minus) in s._ints.items():
         for v, k in cnt.items():
             c2 = v[0] + v[1]
             if c2 < 0:
                 n.setdefault(ln, {})[v] = k
             elif c2 == 0 and (len(v) == 2 or v[2] == 0):
-                p = PhiComponent(ln, (v[1] - v[0]) // 2 + 1)
-                phi.extend([p] * k)
+                a = (v[1] - v[0]) // 2 + 1
+                bcnt, bminus = blocks.setdefault(ln, ({}, set()))
+                bcnt[a] = k
                 if v in minus:
-                    eta_minus.add(p)
-    return LanglandsData(_plain(n), phi, eta_minus=eta_minus)
+                    bminus.add(a)
+    return _datum(_plain(n), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +609,8 @@ def line_project(x, ln: Line):
     if isinstance(x, (Multisegment, SignedSymMultisegment)):
         return x.restrict(ln)
     if isinstance(x, LanglandsData):
-        return LanglandsData(
-            x.n.restrict(ln),
-            tuple(p for p in x.phi if p.line == ln),
-            eta_minus={p for p in x.eta_minus if p.line == ln},
-        )
+        entry = x._blocks.get(ln)
+        return _datum(x._n.restrict(ln), {ln: entry} if entry else {})
     raise TypeError(f"cannot project {type(x).__name__}")
 
 

@@ -5,10 +5,11 @@ Everything here is an oracle or a stress harness for the core algorithm:
 independent enumeration, pattern-matched closed forms, and properties that
 any claimed dual must satisfy.
 
-The enumerators build their states from Segments, as a user of the API
-would.  Everything else reads a state's per-line int form: a closed form
-matches one line's counter and minus set, and the mirror-line reduction
-transposes a line's counter and mirrors side 0 of the result.  The family
+The exhaustive enumerators build their states from Segments, as a user of
+the API would; the sampler draws straight into the int form.  Everything
+else reads a state's per-line int form: a closed form matches one line's
+counter and minus set, and the mirror-line reduction transposes a line's
+counter and mirrors side 0 of the result.  The family
 formulas share no code with the dual's engine, which is what makes them an
 independent oracle.
 """
@@ -35,8 +36,8 @@ from .langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _datum,
     _degree,
-    _line_conflicts,
     _plain,
     _sides,
     _signed,
@@ -134,8 +135,7 @@ def enumerate_symm(
 
 
 def _block_sizes(ln: Line, n: int):
-    par = 0 if ln.grid == GRID_INT else 1
-    return [a for a in range(1, 2 * n + 2) if (a - 1) % 2 == par]
+    return range(1 if ln.grid == GRID_INT else 2, 2 * n + 2, 2)
 
 
 def enumerate_data(
@@ -169,33 +169,28 @@ def enumerate_data(
         if not lines:
             raise DomainError("sampled enumeration needs at least one line")
         rng = random.Random(seed)
+        grids = {ln: _grid_range(ln, -2 * n, 2 * n) for ln in lines}
+        sizes = {ln: _block_sizes(ln, n) for ln in lines}
         for _ in range(count):
             ln = lines[rng.randrange(len(lines))]
-            grid = list(_grid_range(ln, -2 * n, 2 * n))
-            entries = []
+            grid = grids[ln]
+            cnt = {}
             for _ in range(k_m if grid else 0):
                 e2 = rng.choice(grid)
-                hi2 = min(e2, -e2 - 2)
-                cand = [b2 for b2 in grid if b2 <= hi2]
+                cand = range(grid.start, min(e2, -e2 - 2) + 1, 2)
                 if not cand:
                     continue
                 b2 = rng.choice(cand)
-                side = rng.choice((0, 1)) if ln.cls == UGLY else None
-                entries.append(_mk(ln, b2, e2, side))
-            sizes = _block_sizes(ln, n)
-            blocks = []
-            draws = (k_phi // 2 if ln.cls == BAD else k_phi) if sizes else 0
-            for _ in range(draws):
-                a = rng.choice(sizes)
-                blocks.append(PhiComponent(ln, a))
-                if ln.cls == BAD:
-                    blocks.append(PhiComponent(ln, a))
-            eta_minus = set()
-            if ln.cls == GOOD:
-                for p in sorted(set(blocks), key=lambda p: p.a):
-                    if rng.choice((1, -1)) == -1:
-                        eta_minus.add(p)
-            yield LanglandsData(Multisegment(entries), blocks, eta_minus=eta_minus)
+                v = (b2, e2, rng.choice((0, 1))) if ln.cls == UGLY else (b2, e2)
+                cnt[v] = cnt.get(v, 0) + 1
+            copies = 2 if ln.cls == BAD else 1
+            blocks = {}
+            for _ in range(k_phi // copies if sizes[ln] else 0):
+                a = rng.choice(sizes[ln])
+                blocks[a] = blocks.get(a, 0) + copies
+            minus = {a for a in sorted(blocks) if ln.cls == GOOD and rng.choice((1, -1)) == -1}
+            yield _datum(_plain({ln: cnt} if cnt else {}),
+                         {ln: (blocks, minus)} if blocks else {})
     else:
         raise DomainError(f"unknown enumeration mode {mode!r}")
 
@@ -666,9 +661,8 @@ def inverse_derivative_search(
         raise DomainError("derivative order must be nonnegative")
     if k == 0:
         return target
-    conflicts = _line_conflicts([*target._ints, ln])
-    if conflicts:
-        raise DomainError("invalid input:\n  " + "\n  ".join(conflicts))
+    if any(t.id == ln.id and t != ln for t in target._ints):
+        raise DomainError(f"invalid input:\n  conflicting declarations for line {ln.id!r}")
     x2 = _twist(ln, x)
     want = target._ints.get(ln, ({}, set()))
     part_deg = _degree(want[0]) + 2 * k

@@ -8,6 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import azdual.langdata
+import azdual.segments
 from azdual.segments import (
     BAD,
     GOOD,
@@ -219,6 +221,39 @@ class TestStrictJson:
             got = parse_input(json.dumps(_datum_doc(**block)))
             assert bool(got.eta_minus) is minus
             assert render_doc(got)["phi"][0]["eta"] == (-1 if minus else 1)
+
+
+SIGNED_ZERO = {"lines": LINES_DOC, "m": [{"line": "rho", "b": "0", "e": "0"}] * 2}
+
+
+class TestSignMarks:
+    """A value holds one sign: marking it both ways is refused, naming the
+    value; leaving the mark off a copy is not."""
+
+    @pytest.mark.parametrize("text, msg", [
+        pytest.param("[0,0]:- + [0,0]:+", "at position 10: contradictory signs on [0,0]@rho",
+                     id="dsl-segment"),
+        pytest.param("[-1,-1] ; S1:+ + S1:-", "at position 17: contradictory signs on S1@rho",
+                     id="dsl-block"),
+        pytest.param(json.dumps(dict(SIGNED_ZERO, eps=[
+            {"line": "rho", "b": "0", "e": "0", "sign": -1},
+            {"line": "rho", "b": "0", "e": "0", "sign": 1}])),
+            "contradictory signs on [0,0]@rho", id="json-eps"),
+        pytest.param(json.dumps({"lines": LINES_DOC, "phi": [
+            {"line": "rho", "a": 1, "eta": 1}, {"line": "rho", "a": 1, "eta": -1}]}),
+            "contradictory signs on S1@rho", id="json-eta"),
+    ])
+    def test_both_signs_on_one_value_are_refused(self, text, msg):
+        code, out, err = run(["dual", text])
+        assert (code, out, err) == (1, "", f"error: {msg}\n")
+
+    def test_an_unmarked_copy_takes_the_mark(self):
+        assert parse_input("[0,0]+[0,0]:-") == parse_input("2*[0,0]:-")
+        assert parse_input("[0,0]:-+[0,0]:-") == parse_input("2*[0,0]:-")
+        assert parse_input(" ; S1+S1:-") == parse_input(" ; 2*S1:-")
+        blocks = [{"line": "rho", "a": 1}, {"line": "rho", "a": 1, "eta": -1}]
+        assert parse_input(json.dumps({"lines": LINES_DOC, "phi": blocks})) == parse_input(
+            " ; 2*S1:-")
 
 
 LONG = "1" * 5000
@@ -457,6 +492,24 @@ class TestCommands:
                           "--out", str(tmp_path / "rows.jsonl")])
         assert code == 0 and seen == []
         assert str(parse_input("[0,0]:-")) == "[0,0]@rho:-" and seen
+
+    @pytest.mark.parametrize("name", ["rows.jsonl", "rows.csv"])
+    def test_dataset_builds_no_segment_or_block(self, tmp_path, monkeypatch, name):
+        """A row runs on int forms from the sampler to the written line: no
+        Segment and no PhiComponent is built, and no interned Segment is
+        looked up."""
+        made = []
+        for cls in (Segment, PhiComponent):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, init=init: made.append(type(self)) or init(self))
+        lookup = azdual.segments._cached_segment
+        for mod in (azdual.segments, azdual.langdata):
+            monkeypatch.setattr(mod, "_cached_segment",
+                                lambda *args: made.append(args) or lookup(*args))
+        code, _, _ = run(["dataset", "--count", "200", "--out", str(tmp_path / name)])
+        assert code == 0 and made == []
+        assert str(parse_input("[-2,1] ; S3")) == "[-2,1]@rho ; S3@rho:+" and made
 
     @pytest.mark.parametrize("name", ["rows.jsonl", "rows.csv"])
     def test_dataset_reads_each_degree_once(self, tmp_path, monkeypatch, name):

@@ -12,7 +12,8 @@ the signed multisegments held their int line form; the wide mirror-line
 digest before mirror lines ran on the GL chain extractor of ``mw_gl``; the
 closed-form digest before the closed forms read the int form; the
 enumeration digest before the exhaustive enumerators shared one multiset
-walk.
+walk; the dataset CSV digest before parameter data held an int form and
+one text writer rendered all three kinds.
 """
 import hashlib
 import io
@@ -77,6 +78,7 @@ VALIDATE_SHA256 = "b5bf23499c87a67106371b6126d5a981e7d05aff2efe850b3bd3f80bd70c5
 WIDE_MIRROR_SHA256 = "aa33cdf26a40f190f2d28d7be323218f3435af75370b2e71c9e92ccf8473a6d7"
 CLOSED_FORMS_SHA256 = "7e64d0f920395e15c34f3004b53b7bcdb91d0f01b54739d4460d9f0528d318d3"
 ENUMERATIONS_SHA256 = "c5b3f734123419ed99655546b1daf8bf3b6ffc26fee25b1fbb51ae9dd611631f"
+DATASET_CSV_SHA256 = "c1860f33e2bf54ff1f4b11a5dfb774f692255e55ef3b2e0940455a0a7d12e024"
 
 
 def _samples():
@@ -130,6 +132,16 @@ def test_exhaustive_enumerations_are_byte_identical():
         lines += map(str, enumerate_symm(ln, 2, 3, 4, max_degree=9, with_signs=False))
     assert len(lines) == 7743
     assert _digest(lines) == ENUMERATIONS_SHA256
+
+
+def test_dataset_csv_rows_are_byte_identical(tmp_path):
+    """The CSV rows of ``dataset`` at the C8 settings; C8 pins the JSONL
+    rows of the same sampler."""
+    out = tmp_path / "rows.csv"
+    with redirect_stdout(io.StringIO()):
+        assert main(["dataset", "--N", "5", "--km", "5", "--kphi", "3", "--count", "2000",
+                     "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DATASET_CSV_SHA256
 
 
 def _check_digest(argv):

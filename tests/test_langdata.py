@@ -20,6 +20,8 @@ from azdual.langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _datum,
+    _plain,
     _section,
     _signed,
     line_project,
@@ -377,3 +379,40 @@ class TestIntForm:
             mw_transpose(m)
             assert _snapshot(d) == before
             assert m._ints == {ln: cnt for ln, (cnt, _) in before.items()}
+
+    def test_a_state_of_a_shared_form_builds_no_entries(self):
+        """A state built from a dual's ``.m`` reads its lines from the
+        shared counters' keys: neither ``.m`` builds its Segments."""
+        for s in list(standard_sweep(1, 2, 2))[::7] + list(enumerate_symm(UG, 1, 2, 0))[::7]:
+            d = ad_symm(s)
+            t = SignedSymMultisegment(d.m)
+            assert validate(t) == [] and t.m == d.m
+            assert d.m._entries is None and t.m._entries is None
+
+
+# Two declarations of one id on different grids, so their values interleave
+# in canonical order without ever sharing a sort key.
+XI = line("x", GOOD, GRID_INT)
+XH = line("x", BAD, GRID_HALF)
+
+
+class TestConflicts:
+    SEGS = [seg(XI, -3, -1), seg(XH, "-5/2", "-1/2"), seg(XH, "-5/2", "-1/2"),
+            seg(XI, -2, -1), seg(XH, "-3/2", "-1/2"), seg(GI, -1, -1)]
+    MESSAGE = "conflicting declarations for line 'x'"
+
+    def test_int_held_and_segment_built_inputs_report_alike(self):
+        m = Multisegment(self.SEGS)
+        held = _plain(m._ints)
+        assert m._entries is not None and held._entries is None
+        assert validate(m) == validate(held) == [self.MESSAGE] * 3
+        assert validate(SignedSymMultisegment(m))[:3] == [self.MESSAGE] * 3
+        assert validate(SignedSymMultisegment(m)) == validate(SignedSymMultisegment(held))
+        assert held._entries is None
+        phi = [PhiComponent(XI, 3), PhiComponent(XH, 2), PhiComponent(XH, 2), PhiComponent(XI, 1)]
+        for blocks, k in ((phi, 5), (phi[:3], 5), (phi[3:], 3)):
+            d = LanglandsData(m, blocks)
+            reports = {tuple(validate(x)) for x in (d, LanglandsData(held, blocks),
+                                                    _datum(held, d._blocks))}
+            assert reports == {tuple(validate(d))}
+            assert validate(d).count(self.MESSAGE) == k

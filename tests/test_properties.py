@@ -4,7 +4,8 @@ valid data of all three kinds gives the data back, and random text into
 never in another exception.  Also: a plain or signed multisegment built
 from its int form is the one built from the same Segments, and the GL
 transpose of copies far apart is an involution that meets the path
-capacity."""
+capacity.  The text writer renders what a dict document kept here does,
+on lines whose ids need escaping."""
 import json
 
 import pytest
@@ -26,15 +27,25 @@ from azdual.segments import (  # noqa: E402
 from azdual.langdata import (  # noqa: E402
     LanglandsData,
     Multisegment,
+    PhiComponent,
     SignedSymMultisegment,
     _plain,
     _segment,
     _signed,
+    line_project,
     transfer,
+    untransfer,
+    validate,
 )
 from azdual.ad_core import ad_symm  # noqa: E402
 from azdual.mw_gl import containment_count, kz_capacity, mw_transpose  # noqa: E402
-from azdual.cli import ParseError, parse_input, render_output  # noqa: E402
+from azdual.cli import (  # noqa: E402
+    ParseError,
+    parse_input,
+    parse_json,
+    render_doc,
+    render_output,
+)
 from azdual.verify import enumerate_data  # noqa: E402
 
 LINES = [
@@ -64,6 +75,41 @@ def data(draw):
         phi += d.phi
         eta_minus |= d.eta_minus
     return LanglandsData(n, phi, eta_minus=eta_minus)
+
+
+@st.composite
+def int_built_data(draw):
+    """Int-built parameter data: a datum of the seeded sampler, or the
+    untransfer of a signed state or of its dual."""
+    lines = draw(st.lists(st.sampled_from(LINES), min_size=1, max_size=3,
+                          unique_by=lambda ln: ln.id))
+    (d,) = enumerate_data(
+        draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3)),
+        lines, mode="sampled", count=1, seed=draw(st.integers(0, 2**32)),
+    )
+    how = draw(st.sampled_from(["sampled", "untransfer", "dual"]))
+    if how == "sampled":
+        return d
+    s = transfer(draw(data()))
+    return untransfer(s if how == "untransfer" else ad_symm(s))
+
+
+@FAST
+@given(int_built_data())
+def test_int_built_data_agree_with_their_parsed_documents(d):
+    e = parse_json(render_doc(d))
+    assert d._phi is None
+    assert d == e and hash(d) == hash(e) and bool(d) == bool(e)
+    assert str(d) == str(e) and d.lines() == e.lines()
+    assert d.phi == e.phi and d.eta_minus == e.eta_minus
+    assert [d.eta(p) for p in e.phi] == [e.eta(p) for p in d.phi]
+    assert d.n == e.n and list(d.n) == list(e.n)
+    assert validate(d) == validate(e) == []
+    assert transfer(d) == transfer(e)
+    for ln in LINES:
+        assert line_project(d, ln) == line_project(e, ln)
+        assert render_output(line_project(d, ln)) == render_output(line_project(e, ln))
+    assert render_output(d) == render_output(e)
 
 
 @st.composite
@@ -239,3 +285,68 @@ def test_transpose_of_sparse_wide_multisegments(mt):
     assert mw_transpose(t) == m
     for tgt in targets + list(m):
         assert containment_count(t, tgt) == kz_capacity(m, tgt)
+
+
+def _reference_doc(x):
+    """The canonical document of any of the three kinds as a dict, built
+    from the public views alone."""
+    def lines_doc(lines):
+        return [{"id": ln.id, "class": ln.cls, "grid": ln.grid}
+                for ln in sorted(lines, key=lambda ln: ln.id)]
+
+    def seg_doc(d):
+        rec = {"line": d.line.id, "b": str(d.b), "e": str(d.e)}
+        if d.side is not None:
+            rec["side"] = d.side
+        return rec
+
+    if isinstance(x, LanglandsData):
+        phi = [dict({"line": p.line.id, "a": p.a},
+                    **({"eta": x.eta(p)} if p.line.cls == GOOD else {})) for p in x.phi]
+        return {"lines": lines_doc(x.lines()), "m": [seg_doc(d) for d in x.n], "phi": phi}
+    if isinstance(x, SignedSymMultisegment):
+        centered = {d for d in x.m if d.is_centered and d.line.cls == GOOD}
+        eps = [dict(seg_doc(d), sign=x.eps(d))
+               for d in sorted(centered, key=lambda d: (d.line.id, d.e.twice))]
+        return {"lines": lines_doc(x.lines()), "m": [seg_doc(d) for d in x.m], "eps": eps}
+    return {"lines": lines_doc(x.lines()), "m": [seg_doc(d) for d in x]}
+
+
+# Quotes, backslashes, control characters and non-ASCII, astral included.
+ODD_IDS = st.text(alphabet='r"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001d11e',
+                  min_size=1, max_size=4)
+
+
+@st.composite
+def odd_data(draw):
+    """Valid parameter data on one to three lines whose ids need escaping."""
+    segs, phi, eta_minus = [], [], set()
+    for ident in draw(st.lists(ODD_IDS, min_size=1, max_size=3, unique=True)):
+        cls = draw(st.sampled_from((GOOD, BAD, UGLY)))
+        ln = Line(ident, cls, GRID_INT if cls == UGLY else draw(st.sampled_from(
+            (GRID_INT, GRID_HALF))))
+        par = ln.grid == GRID_HALF
+        for _ in range(draw(st.integers(0, 3))):
+            b2 = 2 * draw(st.integers(-4, -1)) + par
+            e2 = b2 + 2 * draw(st.integers(0, (-2 * b2 - 2) // 2))
+            side = draw(st.integers(0, 1)) if cls == UGLY else None
+            segs.append(Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2), side))
+        for _ in range(draw(st.integers(0, 2))):
+            p = PhiComponent(ln, 2 * draw(st.integers(0, 3)) + 1 + par)
+            phi += [p, p] if cls == BAD else [p]
+            if cls == GOOD and draw(st.booleans()):
+                eta_minus.add(p)
+    return LanglandsData(segs, phi, eta_minus=eta_minus)
+
+
+@FAST
+@given(odd_data())
+def test_render_output_writes_the_reference_document(d):
+    """All three kinds, held as Segments or as int forms."""
+    s = transfer(d)
+    t = ad_symm(s)
+    m = Multisegment(list(t.m))
+    kinds = [d, untransfer(s), untransfer(t), s, t,
+             SignedSymMultisegment(m, minus=list(t.minus)), m, _plain(m._ints)]
+    for x in kinds:
+        assert render_output(x) == json.dumps(_reference_doc(x), separators=(",", ":"))
