@@ -36,14 +36,21 @@ from .segments import (
     HalfInt,
     InvariantError,
     Line,
-    Segment,
+    _check_block,
+    _segment_key,
 )
 from .langdata import (
     LanglandsData,
     Multisegment,
-    PhiComponent,
     SignedSymMultisegment,
+    _datum,
+    _fill,
+    _plain,
+    _refuse,
+    _segment,
+    _signed,
     _sort_key,
+    _with_signs,
     sign_product,
     transfer,
     untransfer,
@@ -150,10 +157,6 @@ def _digits(text: str, pos: int | None = None) -> str:
     return text
 
 
-def _grid_of_twice(t: int) -> str:
-    return GRID_INT if t % 2 == 0 else GRID_HALF
-
-
 def _dsl_lines(all_items):
     """Infer each mentioned line's class and grid from its items."""
     cls_by_id: dict = {}
@@ -172,34 +175,22 @@ def _dsl_lines(all_items):
             t = HalfInt.parse(_digits(m.group("b"), pos)).twice
         else:
             t = int(_digits(m.group("a"), pos)) - 1
-        grid = _grid_of_twice(t)
-        if cls_by_id[ident] == UGLY:
-            if grid != GRID_INT:
-                raise ParseError(
-                    f"half-integral coefficient on the {ident} line", pos
-                )
-            grid = GRID_INT
-        prev_grid = grid_by_id.get(ident)
-        if prev_grid is not None and prev_grid != grid:
-            raise ParseError(
-                f"mixed integral and half-integral coefficients on {ident}", pos
-            )
-        grid_by_id[ident] = grid
-    return {
-        ident: Line(ident, cls_by_id[ident], grid_by_id[ident])
-        for ident in cls_by_id
-    }
+        grid = GRID_INT if t % 2 == 0 else GRID_HALF
+        if cls_by_id[ident] == UGLY and grid != GRID_INT:
+            raise ParseError(f"half-integral coefficient on the {ident} line", pos)
+        if grid_by_id.setdefault(ident, grid) != grid:
+            raise ParseError(f"mixed integral and half-integral coefficients on {ident}", pos)
+    return {ident: Line(ident, cls, grid_by_id[ident]) for ident, cls in cls_by_id.items()}
 
 
-def _dsl_segment(m, pos, lines):
+def _dsl_key(m, pos, lines):
+    """The line and int key of a segment term."""
     ln = lines[m.group("ident") or "rho"]
-    b = HalfInt.parse(_digits(m.group("b"), pos))
-    e = HalfInt.parse(_digits(m.group("e"), pos))
-    side = None
-    if ln.cls == UGLY:
-        side = 1 if m.group("mirror") else 0
+    b2 = HalfInt.parse(_digits(m.group("b"), pos)).twice
+    e2 = HalfInt.parse(_digits(m.group("e"), pos)).twice
+    side = (1 if m.group("mirror") else 0) if ln.cls == UGLY else None
     try:
-        return Segment(ln, b, e, side)
+        return ln, _segment_key(ln, b2, e2, side)
     except DomainError as err:
         raise ParseError(str(err), pos) from None
 
@@ -211,22 +202,33 @@ def _mult(m, pos) -> int:
     return int(digits)
 
 
-def _mark(signs: dict, x, sign, pos=None):
-    """Record the sign mark (1, -1, or None for no mark) of a term or
-    record on the value x; a value marked with both signs is refused."""
-    if sign is not None and signs.setdefault(x, sign) != sign:
-        raise ParseError(f"contradictory signs on {x}", pos)
+def _term(form: dict, signs: dict, ln: Line, x, k: int, sign=None, pos=None):
+    """Count k copies of the value x on ln (a segment key or a block size)
+    into a form ``{line: {x: k}}`` and record the term's sign mark (1, -1 or
+    None) in ``signs``; a value marked with both signs is refused."""
+    if k:
+        cnt = form.setdefault(ln, {})
+        cnt[x] = cnt.get(x, 0) + k
+    if sign is not None and signs.setdefault((ln, x), sign) != sign:
+        name = _segment(ln, x) if type(x) is tuple else f"S{x}@{ln.id}"
+        raise ParseError(f"contradictory signs on {name}", pos)
 
 
-def _minus(signs: dict) -> set:
-    return {x for x, sign in signs.items() if sign == -1}
+def _parsed(form: dict, signs: dict, blocks=None):
+    """The parameter data of the segments and ``blocks`` when blocks are
+    given, else the signed multisegment of the segments, with ``signs``."""
+    minus = [lx for lx, sign in signs.items() if sign == -1]
+    if blocks is not None:
+        return _datum(_plain(form), _with_signs(blocks, minus))
+    _refuse({}, minus)
+    return _fill(object.__new__(SignedSymMultisegment), _with_signs(form, minus))
 
 
 def parse_dsl(text: str):
     """Read DSL text; error positions index ``text`` itself, leading blanks
     included."""
     if not text.strip():
-        return LanglandsData(Multisegment([]), [])
+        return _datum(_plain({}), {})
     m_text, sep, phi_text = text.partition(";")
     m_items = _scan_items(m_text, 0) if m_text.strip() else []
     phi_items = (
@@ -239,43 +241,35 @@ def parse_dsl(text: str):
         if m.group("a") is None:
             raise ParseError("only S<a> blocks may follow ';'", pos)
     lines = _dsl_lines(m_items + phi_items)
-    segs = []
-    signs: dict = {}
+    form, signs, blocks, etas = {}, {}, {}, {}
     for m, pos in m_items:
-        d = _dsl_segment(m, pos, lines)
-        segs.extend([d] * _mult(m, pos))
-        _mark(signs, d, _SIGN_MARK.get(m.group("sign")), pos)
-    if sep:
-        blocks = []
-        etas: dict = {}
-        for m, pos in phi_items:
-            ln = lines[m.group("ident") or "rho"]
-            try:
-                p = PhiComponent(ln, int(m.group("a")))
-            except DomainError as err:
-                raise ParseError(str(err), pos) from None
-            blocks.extend([p] * _mult(m, pos))
-            _mark(etas, p, _SIGN_MARK.get(m.group("sign")), pos)
+        _term(form, signs, *_dsl_key(m, pos, lines), _mult(m, pos),
+              _SIGN_MARK.get(m.group("sign")), pos)
+    for m, pos in phi_items:
+        ln, a = lines[m.group("ident") or "rho"], int(m.group("a"))
         try:
-            return LanglandsData(Multisegment(segs), blocks, eta_minus=_minus(etas))
+            _check_block(ln, a)
         except DomainError as err:
-            raise ParseError(str(err)) from None
+            raise ParseError(str(err), pos) from None
+        _term(blocks, etas, ln, a, _mult(m, pos), _SIGN_MARK.get(m.group("sign")), pos)
     try:
-        if signs:
-            return SignedSymMultisegment(Multisegment(segs), minus=_minus(signs))
-        return Multisegment(segs)
+        _refuse(form)
+        if sep:
+            return _parsed(form, etas, blocks)
+        return _parsed(form, signs) if signs else _plain(form)
     except DomainError as err:
         raise ParseError(str(err)) from None
 
 
-def _json_half(v, what):
+def _json_half(v, what) -> int:
+    """Twice the half-integer of a record's field."""
     if isinstance(v, str):
         try:
-            return HalfInt.parse(_digits(v))
+            return HalfInt.parse(_digits(v)).twice
         except DomainError as err:
             raise ParseError(f"{what}: {err}") from None
     if type(v) is int:
-        return HalfInt(v)
+        return 2 * v
     raise ParseError(f"{what}: expected a half-integer string, got {v!r}")
 
 
@@ -286,8 +280,8 @@ def _json_list(obj, key):
     return v
 
 
-def _json_sign(rec, key, default=None):
-    v = rec.get(key, default)
+def _json_sign(rec, key):
+    v = rec.get(key)
     if type(v) is not int or v not in (1, -1):
         raise ParseError(f"record {rec!r} needs {key} 1 or -1")
     return v
@@ -306,45 +300,44 @@ def _json_lines(obj):
     return lines
 
 
-def _json_segment(rec, lines):
+def _json_key(rec, lines):
+    """The line and int key of a segment record."""
     try:
         ln = lines[rec["line"]]
     except (KeyError, TypeError):
         raise ParseError(f"segment {rec!r} names an undeclared line") from None
-    b = _json_half(rec.get("b"), "segment beginning")
-    e = _json_half(rec.get("e"), "segment end")
+    b2 = _json_half(rec.get("b"), "segment beginning")
+    e2 = _json_half(rec.get("e"), "segment end")
     side = rec.get("side")
     if side is not None and type(side) is not int:
         raise ParseError(f"segment {rec!r} needs an integer side")
-    return Segment(ln, b, e, side)
+    return ln, _segment_key(ln, b2, e2, side)
 
 
 def parse_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     lines = _json_lines(obj)
-    segs = [_json_segment(rec, lines) for rec in _json_list(obj, "m")]
-    m = Multisegment(segs)
+    form, signs, blocks = {}, {}, {}
+    for rec in _json_list(obj, "m"):
+        _term(form, signs, *_json_key(rec, lines), 1)
+    _refuse(form)
     if "phi" in obj:
-        blocks = []
-        etas: dict = {}
         for rec in _json_list(obj, "phi"):
             try:
-                ln = lines[rec["line"]]
-                if type(rec["a"]) is not int:
+                ln, a = lines[rec["line"]], rec["a"]
+                if type(a) is not int:
                     raise TypeError
-                p = PhiComponent(ln, rec["a"])
             except (KeyError, TypeError):
                 raise ParseError(f"bad block record {rec!r}") from None
-            blocks.append(p)
-            _mark(etas, p, _json_sign(rec, "eta", 1) if "eta" in rec else None)
-        return LanglandsData(m, blocks, eta_minus=_minus(etas))
-    if "eps" in obj:
-        signs: dict = {}
-        for rec in _json_list(obj, "eps"):
-            _mark(signs, _json_segment(rec, lines), _json_sign(rec, "sign"))
-        return SignedSymMultisegment(m, minus=_minus(signs))
-    return m
+            _check_block(ln, a)
+            _term(blocks, signs, ln, a, 1, _json_sign(rec, "eta") if "eta" in rec else None)
+        return _parsed(form, signs, blocks)
+    if "eps" not in obj:
+        return _plain(form)
+    for rec in _json_list(obj, "eps"):
+        _term({}, signs, *_json_key(rec, lines), 0, _json_sign(rec, "sign"))
+    return _parsed(form, signs)
 
 
 def _parse_text(text: str):
@@ -358,8 +351,9 @@ def _parse_text(text: str):
     else:
         out = parse_dsl(text)
     if isinstance(out, LanglandsData):
-        degree = 2 * out.n.degree + sum(p.a * (2 if p.line.cls == UGLY else 1)
-                                        for p in out.phi)
+        degree = 2 * out.n.degree + sum(a * k * (2 if ln.cls == UGLY else 1)
+                                        for ln, (cnt, _) in out._blocks.items()
+                                        for a, k in cnt.items())
     else:
         degree = out.degree
     if degree > MAX_DEGREE:
@@ -465,7 +459,7 @@ def _as_signed(x):
     if isinstance(x, SignedSymMultisegment):
         return x
     if isinstance(x, Multisegment):
-        return SignedSymMultisegment(x)
+        return _signed((ln, cnt, set()) for ln, cnt in x._ints.items())
     raise DomainError("expected a (signed) multisegment, got parameter data")
 
 

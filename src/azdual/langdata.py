@@ -4,11 +4,13 @@ Langlands-style parameter data, plus the transfer between the two pictures.
 Symmetric multisegments carry signs only on centered segments; signs are
 stored sparsely as the set of centered values signed -1, everything else
 being +1 by convention.  Plain and signed multisegments share one per-line
-int form, below: a signed one holds it as its state and builds its
-``Segment`` view (``.m``) on demand; a plain one built from that form holds
-it and builds its ``entries`` on demand.  Parameter data hold their
-``n`` as a plain multisegment and their blocks per line as ``({a: k},
-minus set)``, and build ``phi`` and ``eta_minus`` on demand.
+int form, below: a signed one holds it as its state, read from Segments
+once when built from them, and builds its ``Segment`` view (``.m``) on
+demand; a plain one built from that form holds it and builds its
+``entries`` on demand.  Parameter data hold their ``n`` as a plain
+multisegment and their blocks per line as ``({a: k}, minus set)``, and
+build ``phi`` and ``eta_minus`` on demand.  The package builds its own
+states in the int form, through :func:`_plain`, :func:`_fill` and :func:`_datum`.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .segments import (
     Line,
     Segment,
     _cached_segment,
+    _check_block,
     seg_sort_key,
 )
 
@@ -36,7 +39,8 @@ class Multisegment:
     form ``{line: {(2b, 2e): multiplicity}}``, keys ``(2b, 2e, side)`` on
     mirror lines, and builds ``entries`` from it on first access.  ``_ints``
     is the int form; a Segment-built object computes it on each read and
-    does not keep it.  Equality and hash compare the int form.  The views
+    does not keep it, on purpose: it takes about five times the memory of
+    the Segments.  Equality and hash compare the int form.  The views
     have no setters and the slots are private: the object is immutable.
     """
 
@@ -69,8 +73,7 @@ class Multisegment:
         form = {}
         for d in self._entries:
             cnt = form.setdefault(d.line, {})
-            v = (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
-            cnt[v] = cnt.get(v, 0) + 1
+            cnt[d._key] = cnt.get(d._key, 0) + 1
         return form
 
     def __len__(self):
@@ -124,32 +127,27 @@ def _plain(form) -> Multisegment:
 class SignedSymMultisegment:
     """A multisegment together with signs on its centered segments.
 
-    It holds ``{line: (counter, minus set)}`` in the per-line int form below
-    and builds ``m`` and ``minus`` (the segments signed -1) on first access.
-    Built from Segments, it reads them on first use of the int form, once,
-    and keeps the conflicting line declarations found then.  ``_valid`` is
-    set once :func:`validate` has found nothing wrong with the object.  The
-    views have no setters and the slots are private: the object is immutable.
+    It holds ``_ints``, ``{line: (counter, minus set)}`` in the per-line int
+    form below, and builds ``m`` and ``minus`` (the segments signed -1) on
+    first access.  Built from Segments, it reads them once, here, and keeps
+    the conflicting line declarations among ``m``'s lines.  ``_valid`` is set
+    once :func:`validate` has found nothing wrong with the object.  The views
+    have no setters and the slots are private: the object is immutable.
     """
 
-    __slots__ = ("_form", "_m", "_minus", "_conflicts", "_valid", "_hash")
+    __slots__ = ("_ints", "_m", "_minus", "_conflicts", "_valid", "_hash")
 
     def __init__(self, m=(), minus=()):
         if not isinstance(m, Multisegment):
             m = Multisegment(m)
-        mset = frozenset(minus)
-        for d in mset:
+        signed = []
+        for d in minus:
             if not isinstance(d, Segment):
                 raise TypeError(f"sign key {d!r} is not a Segment")
-            if not d.is_centered:
-                raise DomainError(f"sign attached to non-centered segment {d}")
-        _fill(self, None, m, mset)
-
-    @property
-    def _ints(self) -> dict:
-        if self._form is None:
-            self._form, self._conflicts = _read(self._m, self._minus)
-        return self._form
+            signed.append((d.line, d._key))
+        _refuse({}, signed)
+        form = m._ints
+        _fill(self, _with_signs(form, signed))._conflicts = _conflicts(form)
 
     @property
     def m(self) -> Multisegment:
@@ -205,8 +203,9 @@ class SignedSymMultisegment:
     __repr__ = __str__
 
 
-def _fill(s: SignedSymMultisegment, form, m=None, minus=None) -> SignedSymMultisegment:
-    s._form, s._m, s._minus, s._conflicts, s._valid, s._hash = form, m, minus, (), False, None
+def _fill(s: SignedSymMultisegment, ints) -> SignedSymMultisegment:
+    """``s`` holding the form ``{line: (counter, minus set)}``, kept."""
+    s._ints, s._m, s._minus, s._conflicts, s._valid, s._hash = ints, None, None, (), False, None
     return s
 
 
@@ -225,21 +224,6 @@ def _fill(s: SignedSymMultisegment, form, m=None, minus=None) -> SignedSymMultis
 # copy i precedes copy j in it exactly when key_i < key_j.
 
 
-def _key(d: Segment):
-    """The int key of a segment: (2b, 2e), with the side on ugly lines."""
-    return (d.b.twice, d.e.twice) if d.side is None else (d.b.twice, d.e.twice, d.side)
-
-
-def _read(m: Multisegment, minus):
-    """{line: (counter, minus set)} of m's counters and the signed Segments,
-    and the conflicting line declarations among m's lines."""
-    form = m._ints
-    ints = {ln: (cnt, set()) for ln, cnt in form.items()}
-    for d in minus:
-        ints.setdefault(d.line, ({}, set()))[1].add(_key(d))
-    return ints, _conflicts(form)
-
-
 def _sort_key(ln: Line, v):
     """seg_sort_key of the segment of int key v on ln:
     (line id, side or -1, -2b, 2e)."""
@@ -248,6 +232,27 @@ def _sort_key(ln: Line, v):
 
 def _segment(ln: Line, v) -> Segment:
     return _cached_segment(ln, v[0], v[1], v[2] if len(v) == 3 else None)
+
+
+def _refuse(form, signed=()) -> None:
+    """Refuse an empty value of a form ``{line: counter}``, then a sign on a
+    value not centered among the ``(line, key)`` pairs signed, naming the
+    first such segment in canonical order, whatever the order of the pairs."""
+    for what, found in (
+            ("empty segment {} cannot join a multisegment",
+             [(ln, v) for ln, cnt in form.items() for v in cnt if v[1] < v[0]]),
+            ("sign attached to non-centered segment {}",
+             [(ln, v) for ln, v in signed if v[0] + v[1] or v[1] < v[0]])):
+        if found:
+            raise DomainError(what.format(_segment(*min(found, key=lambda c: _sort_key(*c)))))
+
+
+def _with_signs(form, signed) -> dict:
+    """``{line: (counter, minus set)}`` of ``{line: counter}`` and the pairs signed -1."""
+    ints = {ln: (cnt, set()) for ln, cnt in form.items()}
+    for ln, x in signed:
+        ints.setdefault(ln, ({}, set()))[1].add(x)
+    return ints
 
 
 def _sides(ln: Line, cnt) -> dict:
@@ -368,13 +373,7 @@ class PhiComponent:
     a: int
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or self.a < 1:
-            raise DomainError(f"block size must be a positive int, got {self.a!r}")
-        parity = 0 if self.line.grid == "integral" else 1
-        if (self.a - 1) % 2 != parity:
-            raise DomainError(
-                f"block size {self.a} off the {self.line.grid} grid of {self.line.id}"
-            )
+        _check_block(self.line, self.a)
 
     def __str__(self):
         return f"S{self.a}@{self.line.id}"

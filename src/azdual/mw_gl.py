@@ -18,7 +18,6 @@ from .segments import DomainError, Segment
 from .langdata import (
     Multisegment,
     SignedSymMultisegment,
-    _key,
     _plain,
     _section,
     _segment,
@@ -232,7 +231,7 @@ def _capacity_graph(items, target: Segment, less):
 def _gl_line(cnt, target: Segment) -> dict:
     """The counter of target's GL line, its side on a mirror line, out of
     the counter ``cnt`` of target's line."""
-    return _sides(target.line, cnt).get(_key(target)[2:], {})
+    return _sides(target.line, cnt).get(target._key[2:], {})
 
 
 def _juxtaposed(x, y) -> bool:

@@ -164,6 +164,7 @@ class Segment:
 
     ``side`` is None on good/bad lines; on ugly lines it is 0 or 1 and
     records which member of the contragredient pair carries the segment.
+    ``_key`` is its int key ``(2b, 2e)``, with the side on ugly lines.
     """
 
     line: Line
@@ -174,17 +175,8 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.b, HalfInt) or not isinstance(self.e, HalfInt):
             raise TypeError("segment endpoints must be HalfInt")
-        if not self.line.grid_ok(self.b) or not self.line.grid_ok(self.e):
-            raise DomainError(
-                f"endpoints [{self.b},{self.e}] off the {self.line.grid} grid of {self.line.id}"
-            )
-        if self.e.twice < self.b.twice - 2:
-            raise DomainError(f"degenerate segment [{self.b},{self.e}]")
-        if self.line.cls == UGLY:
-            if self.side not in (0, 1):
-                raise DomainError("segments on ugly lines need side 0 or 1")
-        elif self.side is not None:
-            raise DomainError("side flag is only meaningful on ugly lines")
+        object.__setattr__(self, "_key", _segment_key(self.line, self.b.twice, self.e.twice,
+                                                      self.side))
         ident = (
             self.line.id, self.line.cls, self.line.grid,
             self.b.twice, self.e.twice, self.side,
@@ -215,6 +207,34 @@ class Segment:
         return f"[{self.b},{self.e}]@{self.line.id}{tail}"
 
     __repr__ = __str__
+
+
+def _segment_key(ln: Line, b2: int, e2: int, side) -> tuple:
+    """The int key ``(2b, 2e[, side])`` of the segment [b2/2, e2/2] on ln,
+    once its rules hold: ends on the line's grid, empty at the least, and a
+    side 0 or 1 exactly on mirror lines.  Segments and the parsers share it."""
+    par = 0 if ln.grid == GRID_INT else 1
+    off_grid = b2 % 2 != par or e2 % 2 != par
+    if off_grid or e2 < b2 - 2:
+        ends = f"[{HalfInt.from_twice(b2)},{HalfInt.from_twice(e2)}]"
+        raise DomainError(f"endpoints {ends} off the {ln.grid} grid of {ln.id}" if off_grid
+                          else f"degenerate segment {ends}")
+    if ln.cls == UGLY:
+        if side not in (0, 1):
+            raise DomainError("segments on ugly lines need side 0 or 1")
+        return b2, e2, side
+    if side is not None:
+        raise DomainError("side flag is only meaningful on ugly lines")
+    return b2, e2
+
+
+def _check_block(ln: Line, a) -> None:
+    """Refuse a block S<a> on ln unless a is positive with its centered
+    segment on the line's grid.  ``PhiComponent`` and the parsers share it."""
+    if not isinstance(a, int) or a < 1:
+        raise DomainError(f"block size must be a positive int, got {a!r}")
+    if (a - 1) % 2 != (0 if ln.grid == GRID_INT else 1):
+        raise DomainError(f"block size {a} off the {ln.grid} grid of {ln.id}")
 
 
 def seg(ln: Line, b, e, side: "int | None" = None) -> Segment:

@@ -5,17 +5,18 @@ Everything here is an oracle or a stress harness for the core algorithm:
 independent enumeration, pattern-matched closed forms, and properties that
 any claimed dual must satisfy.
 
-The exhaustive enumerators build their states from Segments, as a user of
-the API would; the sampler draws straight into the int form.  Everything
-else reads a state's per-line int form: a closed form matches one line's
-counter and minus set, and the mirror-line reduction transposes a line's
-counter and mirrors side 0 of the result.  The family
-formulas share no code with the dual's engine, which is what makes them an
-independent oracle.
+Every state here is built in the per-line int form and read in it: the
+exhaustive enumerators walk multisets of int keys, the sampler draws
+straight into the form, the inverse search filters int candidates, a
+closed form matches one line's counter and minus set, and the mirror-line
+reduction transposes a line's counter and mirrors side 0 of the result.
+The family formulas share no code with the dual's engine, which is what
+makes them an independent oracle.
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, compress, product
 
 from .segments import (
@@ -28,16 +29,14 @@ from .segments import (
     HalfInt,
     InvariantError,
     Line,
-    Segment,
-    seg_dual,
 )
 from .langdata import (
     LanglandsData,
-    Multisegment,
-    PhiComponent,
     SignedSymMultisegment,
     _datum,
     _degree,
+    _dual,
+    _fill,
     _plain,
     _sides,
     _signed,
@@ -55,37 +54,17 @@ from .ad_core import ad_data, ad_step, ad_symm
 from .derivatives import _derive_line, _twist, derivative
 
 
-def _mk(ln, b2, e2, side=None):
-    return Segment(ln, HalfInt.from_twice(b2), HalfInt.from_twice(e2), side)
-
-
 def _grid_range(ln: Line, lo2: int, hi2: int):
     par = 0 if ln.grid == GRID_INT else 1
     start = lo2 + ((par - lo2) % 2)
     return range(start, hi2 + 1, 2)
 
 
-def _window(ln: Line, n: int, side=None):
-    """Every segment on ln (on one side of a mirror line) with coefficients
-    in [-n, n], by ascending beginning, then end."""
-    return [_mk(ln, b2, e2, side) for b2 in _grid_range(ln, -2 * n, 2 * n)
+def _window(ln: Line, n: int, tails=((),)):
+    """The key of every segment on ln with coefficients in [-n, n], with
+    each side tail in turn on a mirror line, by ascending beginning, then end."""
+    return [(b2, e2, *tail) for tail in tails for b2 in _grid_range(ln, -2 * n, 2 * n)
             for e2 in range(b2, 2 * n + 1, 2)]
-
-
-def _negative_values(ln: Line, n: int, sides):
-    return [d for side in sides for d in _window(ln, n, side) if d.b.twice + d.e.twice < 0]
-
-
-def _pair_values(ln: Line, n: int):
-    """Values parameterizing dual pairs: negative-center segments on
-    good/bad lines, arbitrary primary-side segments on ugly lines."""
-    return _window(ln, n, 0) if ln.cls == UGLY else _negative_values(ln, n, (None,))
-
-
-def _centered_values(ln: Line, n: int):
-    if ln.cls == UGLY:
-        return []
-    return [_mk(ln, -y2, y2) for y2 in _grid_range(ln, 0, 2 * n)]
 
 
 def _multisets(values, most):
@@ -94,44 +73,58 @@ def _multisets(values, most):
         yield from combinations_with_replacement(values, t)
 
 
-def _signings(distinct):
+def _signings(distinct) -> list:
     """Every minus set of the distinct values, in the order of the sign
     vectors from all +1 to all -1, the first value's sign varying slowest."""
-    for signs in product((False, True), repeat=len(distinct)):
-        yield set(compress(distinct, signs))
+    return [frozenset(compress(distinct, signs))
+            for signs in product((False, True), repeat=len(distinct))]
 
 
-def enumerate_symm(
-    ln: Line,
-    n: int,
-    max_pairs: int,
-    max_centered: int,
-    max_degree=None,
-    with_signs: bool = True,
-):
+def _sizes(**sizes):
+    """Refuse a negative size, as the command line does."""
+    for name, n in sizes.items():
+        if n < 0:
+            raise DomainError(f"{name} must not be negative, got {n}")
+
+
+def _symm_forms(ln: Line, n: int, max_pairs: int, max_centered: int,
+                max_degree=None, with_signs: bool = True):
+    """The (counter, minus set) on ln of each state of :func:`enumerate_symm`,
+    in order; the signings of one multiset share its counter."""
+    _sizes(n=n, max_pairs=max_pairs, max_centered=max_centered)
+    # A dual pair is given by its negative-center member, or its side-0 one on
+    # a mirror line.  A bad line takes each centered value twice; a mirror line has none.
+    copies = 2 if ln.cls == BAD else 1
+    cap = max_degree if max_degree is not None else float("inf")
+    signed = ln.cls == GOOD and with_signs
+    centers = [] if ln.cls == UGLY else [(-y2, y2) for y2 in _grid_range(ln, 0, 2 * n)]
+    centered = [(cc * copies, copies * _degree(Counter(cc)),
+                 _signings(sorted(set(cc), key=lambda v: v[1])) if signed else [frozenset()])
+                for cc in _multisets(centers, max_centered // copies)]
+    pairs = (_window(ln, n, ((0,),)) if ln.cls == UGLY
+             else [v for v in _window(ln, n) if v[0] + v[1] < 0])
+    duals = {v: _dual(v) for v in pairs}
+    for pc in _multisets(duals, max_pairs):
+        base = tuple(w for v in pc for w in (v, duals[v]))
+        base_deg = _degree(Counter(base))
+        if base_deg > cap:
+            continue
+        for cc, deg, signings in centered:
+            if base_deg + deg > cap:
+                continue
+            cnt = dict(Counter(base + cc))
+            for minus in signings:
+                yield cnt, minus
+
+
+def enumerate_symm(ln: Line, n: int, max_pairs: int, max_centered: int,
+                   max_degree=None, with_signs: bool = True):
     """All valid signed symmetric multisegments on one line with coefficients
     in [-n, n], at most max_pairs dual pairs and max_centered centered
     copies, optionally capped in degree.  Deterministic and duplicate-free.
     """
-    # A bad line takes each centered value twice; a mirror line has none.
-    copies = 2 if ln.cls == BAD else 1
-    cap = max_degree if max_degree is not None else float("inf")
-    centered = [(cc, copies * sum(d.length for d in cc))
-                for cc in _multisets(_centered_values(ln, n), max_centered // copies)]
-    for pc in _multisets(_pair_values(ln, n), max_pairs):
-        base = [x for d in pc for x in (d, seg_dual(d))]
-        base_deg = 2 * sum(d.length for d in pc)
-        if base_deg > cap:
-            continue
-        for cc, deg in centered:
-            if base_deg + deg > cap:
-                continue
-            m = Multisegment(base + list(cc) * copies)
-            if ln.cls != GOOD or not with_signs:
-                yield SignedSymMultisegment(m)
-                continue
-            for minus in _signings(sorted(set(cc), key=lambda d: d.e.twice)):
-                yield SignedSymMultisegment(m, minus=minus)
+    for cnt, minus in _symm_forms(ln, n, max_pairs, max_centered, max_degree, with_signs):
+        yield _fill(object.__new__(SignedSymMultisegment), {ln: (cnt, minus)} if cnt else {})
 
 
 def _block_sizes(ln: Line, n: int):
@@ -159,6 +152,7 @@ def enumerate_data(
     good block.  No slot has room when no grid point or block fits in
     [-n, n], as on a half-integral line with n = 0.
     """
+    _sizes(n=n, k_m=k_m, k_phi=k_phi, count=count or 0)
     lines = sorted(lines, key=lambda ln: ln.id)
     if mode == "exhaustive":
         for ln in lines:
@@ -198,17 +192,16 @@ def enumerate_data(
 def _enumerate_data_line(ln: Line, n: int, k_m: int, k_phi: int):
     # A bad line takes each block twice; a mirror line has segments on both sides.
     copies = 2 if ln.cls == BAD else 1
-    sides = (0, 1) if ln.cls == UGLY else (None,)
-    blocks = [[PhiComponent(ln, a) for a in pc] * copies
-              for pc in _multisets(_block_sizes(ln, n), k_phi // copies)]
-    for ncombo in _multisets(_negative_values(ln, n, sides), k_m):
-        m = Multisegment(ncombo)
-        for phi in blocks:
-            if ln.cls != GOOD:
-                yield LanglandsData(m, phi)
-                continue
-            for eta_minus in _signings(sorted(set(phi), key=lambda p: p.a)):
-                yield LanglandsData(m, phi, eta_minus=eta_minus)
+    tails = ((0,), (1,)) if ln.cls == UGLY else ((),)
+    blocks = [dict(Counter(pc * copies)) for pc in _multisets(_block_sizes(ln, n), k_phi // copies)]
+    signed = [(cnt, _signings(sorted(cnt)) if ln.cls == GOOD else [frozenset()])
+              for cnt in blocks]
+    negative = [v for v in _window(ln, n, tails) if v[0] + v[1] < 0]
+    for ncombo in _multisets(negative, k_m):
+        m = _plain({ln: dict(Counter(ncombo))} if ncombo else {})
+        for cnt, signings in signed:
+            for eta_minus in signings:
+                yield _datum(m, {ln: (cnt, eta_minus)} if cnt else {})
 
 
 def standard_sweep(n: int = 2, max_pairs: int = 3, max_centered: int = 3):
@@ -659,6 +652,7 @@ def inverse_derivative_search(
     require_valid(target)
     if k < 0:
         raise DomainError("derivative order must be nonnegative")
+    _sizes(bound=bound)
     if k == 0:
         return target
     if any(t.id == ln.id and t != ln for t in target._ints):
@@ -667,16 +661,9 @@ def inverse_derivative_search(
     want = target._ints.get(ln, ({}, set()))
     part_deg = _degree(want[0]) + 2 * k
     hits = []
-    for cand_part in enumerate_symm(
-        ln,
-        bound,
-        max_pairs=part_deg // 2,
-        max_centered=part_deg,
-        max_degree=part_deg,
-    ):
-        if cand_part.degree != part_deg:
+    for cnt, minus in _symm_forms(ln, bound, part_deg // 2, part_deg, part_deg):
+        if _degree(cnt) != part_deg:
             continue
-        cnt, minus = cand_part._ints[ln]
         got, new_cnt, new_minus = _derive_line(ln, cnt, minus, x2)
         if got == k and ({v: n for v, n in new_cnt.items() if n}, new_minus) == want:
             hits.append(_signed([*((l, *e) for l, e in target._ints.items() if l != ln),

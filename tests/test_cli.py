@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -280,6 +282,25 @@ class TestInputSize:
         code, out, err = run(["dual", text])
         assert code == 1 and out == ""
         assert err == f"error: total degree {degree} above the cap of {MAX_DEGREE}\n"
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("+".join([f"{MAX_MULT}*[0,0]"] * 1000), id="segments"),
+        pytest.param(" ; " + "+".join([f"{MAX_MULT}*S1"] * 1000), id="blocks"),
+    ])
+    def test_many_capped_terms_are_counted_not_expanded(self, text):
+        """A thousand terms at the multiplicity cap are refused by the degree
+        cap without their copies ever being listed."""
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_input(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert str(info.value) == f"total degree 10000000 above the cap of {MAX_DEGREE}"
+        assert peak < 4_000_000
 
     def test_json_degree_above_the_cap_is_refused(self):
         doc = {"lines": LINES_DOC, "m": [],
@@ -625,3 +646,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["seed"] == 11
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[0,1]:- + [0,2]:- + [-1,3]:- + [1,2]:-", id="dsl"),
+        pytest.param(json.dumps({"lines": LINES_DOC, "m": [], "eps": [
+            {"line": "rho", "b": b, "e": e, "sign": -1}
+            for b, e in (("0", "1"), ("0", "2"), ("-1", "3"), ("1", "2"))]}), id="json"),
+    ])
+    def test_error_text_does_not_depend_on_the_hash_seed(self, text):
+        """Of several signs on non-centered values, the error names the
+        first in canonical order, whatever the order of a set of them."""
+        errs = set()
+        for seed in ("1", "2", "3", "4"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "azdual", "validate", text],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            errs.add(proc.stderr)
+        assert errs == {"error: sign attached to non-centered segment [1,2]@rho\n"}

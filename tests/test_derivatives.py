@@ -410,15 +410,3 @@ class TestReducedReport:
         for s in standard_sweep(2, 3, 3):
             reduced_report(s)
         assert built == []
-
-    def test_each_state_is_read_into_ints_once(self, monkeypatch):
-        """The reports over the 6608-state sweep read each state's Segments
-        into ints once."""
-        reads = []
-        read = azdual.langdata._read
-        monkeypatch.setattr(azdual.langdata, "_read",
-                            lambda *a: reads.append(1) or read(*a))
-        states = list(standard_sweep(2, 3, 3))
-        for s in states:
-            reduced_report(s)
-        assert len(reads) == 6608

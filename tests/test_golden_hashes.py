@@ -13,7 +13,8 @@ digest before mirror lines ran on the GL chain extractor of ``mw_gl``; the
 closed-form digest before the closed forms read the int form; the
 enumeration digest before the exhaustive enumerators shared one multiset
 walk; the dataset CSV digest before parameter data held an int form and
-one text writer rendered all three kinds.
+one text writer rendered all three kinds; the parse digest before the
+parsers built int forms.
 """
 import hashlib
 import io
@@ -45,7 +46,7 @@ from azdual.langdata import (
     validate,
 )
 from azdual.ad_core import ad_data, ad_initial_sequence, ad_step, ad_symm
-from azdual.cli import main, render_output
+from azdual.cli import MAX_DEGREE, MAX_MULT, main, parse_input, render_output
 from azdual.derivatives import derivative, derivative_L, reduced_report
 from azdual.mw_gl import kz_capacity, kz_capacity_labeled, mw_step, mw_transpose
 from azdual.verify import (
@@ -79,6 +80,7 @@ WIDE_MIRROR_SHA256 = "aa33cdf26a40f190f2d28d7be323218f3435af75370b2e71c9e92ccf84
 CLOSED_FORMS_SHA256 = "7e64d0f920395e15c34f3004b53b7bcdb91d0f01b54739d4460d9f0528d318d3"
 ENUMERATIONS_SHA256 = "c5b3f734123419ed99655546b1daf8bf3b6ffc26fee25b1fbb51ae9dd611631f"
 DATASET_CSV_SHA256 = "c1860f33e2bf54ff1f4b11a5dfb774f692255e55ef3b2e0940455a0a7d12e024"
+PARSE_SHA256 = "bab42db56326772aa3ed80c89d70b26068a3ce9f1ef7667e64cfc407b41cb3a2"
 
 
 def _samples():
@@ -410,3 +412,175 @@ def test_wide_mirror_line_duals_and_steps_are_byte_identical():
         lines.append(render_output(piece) + render_output(rest))
         lines.append(repr(ad_initial_sequence(s)))
     assert _digest(lines) == WIDE_MIRROR_SHA256
+
+
+def _cli_texts():
+    """The inputs of the parser and command tests, DSL and JSON."""
+    lines = [{"id": "rho", "class": "good", "grid": "integral"}]
+    one = [{"line": "rho", "b": "0", "e": "0"}]
+    docs = [
+        {"lines": [], "m": one}, {"m": 5}, {"lines": 5}, {"lines": lines, "phi": "S3"},
+        {"lines": lines, "m": [], "eps": {}},
+        {"lines": [{"id": "u", "class": "ugly", "grid": "integral"}],
+         "m": [{"line": "u", "b": "0", "e": "0", "side": True}]},
+        {"lines": lines, "m": one * 2, "eps": [{**one[0], "sign": -1}, {**one[0], "sign": 1}]},
+        {"lines": lines, "phi": [{"line": "rho", "a": 1, "eta": 1},
+                                 {"line": "rho", "a": 1, "eta": -1}]},
+        {"lines": lines, "phi": [{"line": "rho", "a": 1}, {"line": "rho", "a": 1, "eta": -1}]},
+        {"lines": lines, "m": [], "phi": [{"line": "rho", "a": MAX_DEGREE + 1}]},
+    ]
+    for block in ({"a": 3.7}, {"a": True}, {"eta": 5}, {"eta": True}, {}, {"eta": 1}, {"eta": -1}):
+        docs.append({"lines": lines, "m": [], "phi": [{"line": "rho", "a": 3, **block}]})
+    for ends in ({"b": True}, {"e": True}, {}):
+        docs.append({"lines": lines, "m": [{"line": "rho", "b": "-1", "e": "1", **ends}]})
+    texts = [json.dumps(doc) for doc in docs]
+    long = "1" * 5000
+    texts += [json.dumps(doc).replace('"LONG"', long) for doc in (
+        {"lines": lines, "m": [], "phi": [{"line": "rho", "a": "LONG"}]},
+        {"lines": lines, "m": [{"line": "rho", "b": "0", "e": "LONG"}]},
+        {"lines": lines, "m": [{"line": "rho", "b": "LONG", "e": 0}]})]
+    texts += [
+        "[-2,0]+[0,2]", "2*[0,0]:-+[-1,1]:+", "[-3,-1]+[-2,0]+[-2,-2]+[-1,0] ; S3", "",
+        "[-1,0]@a!+[0,1]@a!", "[-2,-1]~", "[-1/2,1/2]", "[0,0]+?!", "   [0,0]+?",
+        "\t [0,0] + [1,1]?", "  [-1,1] ;  S3+?", "  [-1,1] ;  S3+S1;", '  {"m": ]}',
+        "S3+[0,0]", "[0,0] ; [0,0]", "[0,0]+[3/2,3/2]", "[-1/2,1/2]~", "[0,0]++[1,1]",
+        "[0,0]:++[0,1]", "10000000000000000000*[0,0]", "9" * 5000 + "*[0,0]",
+        f"[0,0]+{MAX_MULT + 1}*[0,0]:+", f"[0,0] ; {MAX_MULT + 1}*S1", f"{MAX_MULT}*[0,0]",
+        "007*[0,0]", "[0,0]:- + [0,0]:+", "[-1,-1] ; S1:+ + S1:-", "[0,0]+[0,0]:-",
+        "[0,0]:-+[0,0]:-", "2*[0,0]:-", " ; S1+S1:-", " ; 2*S1:-", f" ; S{MAX_DEGREE + 1}",
+        f"{MAX_MULT}*[0,9]+[0,0]", f"{MAX_MULT}*[-4,0] ; S1", " ; S50001@u~",
+        f"{MAX_MULT // 2}*[-9,0] ; ", f" ; S{MAX_DEGREE - 1}+S1", f"[0,{long}]",
+        f"[0,0]+[-{long}/2,0]", f"; S{long}", "; S2000000001", "[0,0000001]",
+        "[999999,999999]", "[-2,1]@rho", "[0,0]:-", "[-2,1]", "[0,0]", "[0,0]+[1,1]",
+        "[3,3]+[-3,-3]+3*[-1,1]:++3*[-2,2]:-+2*[-3,3]:+", "[1,3]", "[-2,-2]+[2,2]+[-1,1]",
+        "[-3/2,-3/2]+[3/2,3/2]", "[-3,0]+[0,3]", "[0,0]@a+[0,0]@a+[0,0]@b+[0,0]@b",
+        "[0,1]+[-1,0]", "[-2,1] ; S3",
+    ]
+    return texts
+
+
+_GOLDEN_DSL = (
+    "[-3,-1]+[-2,0]+[-2,-2]+[-1,0] ; S3", "[-2,0]+[-3,1] ; S5",
+    "[-3,-1]@u~+[-2,-1]@u~+[-2,0]@u~ ;", "[-3,-2]@u~+[-2,-1]@u~+[-2,-2]@u~+[-1,0]@u~+[-1,-1]@u~ ;",
+    "[-2,1]@u~ ;", "[-2,-2]@u~+[-1,-1]@u~+[-1,-1]~@u ; S1@u",
+    "[-1,0]@b! ;", "[-1,-1]@b! ; 2*S1@b", "2*[-1,0]@b! ;", "[-1,0] ;",
+    "[-2,-2] ; 2*S1:-+S3", "[-2,0] ; S1", "[-3,-3] ; 3*S3+3*S5:-+2*S7",
+    "[-3,-1]+[-3,-2]+[-3,-3]+2*[-2,-2]+5*[-1,-1] ; 6*S1:-+S3+S5:-",
+    "[-2,-2]+[0,0]:-+[-1,1]+[2,2]", "[-2,2]+[0,0]:-",
+)
+
+
+def _golden_texts():
+    """The worked duals' inputs and outputs as DSL, and as canonical JSON."""
+    out = []
+    for text in _GOLDEN_DSL:
+        out.append(text)
+        out.append(render_output(parse_input(text)))
+    return out
+
+
+def _malformed_texts():
+    """Seeded DSL and JSON texts, most of them malformed: empty, degenerate
+    and off-grid segments, ``0*`` terms and signs on them, mirror marks and
+    sides where they do not belong, lines marked two ways, contradictory
+    signs, invalid symmetric states, at most one non-centered value signed
+    -1 per text, and both caps."""
+    rng = random.Random(16)
+    grids = (["0", "1", "-1", "2", "-2", "3"], ["1/2", "-1/2", "3/2", "-3/2", "5/2"])
+
+    def centered(b, e):
+        b2, e2 = HalfInt.parse(b).twice, HalfInt.parse(e).twice
+        return b2 + e2 == 0 and e2 >= b2
+
+    def ident():
+        return rng.choice(["", "", "", "@a", "@a!", "@b!", "@a~"])
+
+    out = []
+    for _ in range(700):
+        grid = rng.choice(grids)
+        terms, noncentered = [], False
+        for _ in range(rng.randint(1, 4)):
+            pick = grid if rng.random() < 0.93 else rng.choice(grids)
+            if rng.random() < 0.5:
+                e = rng.choice(pick)
+                b = e if rng.random() < 0.3 else str(-HalfInt.parse(e)).replace("--", "")
+            else:
+                b, e = rng.choice(pick), rng.choice(pick)
+            sign = rng.choice(["", "", ":+", ":-"])
+            if sign == ":-" and not centered(b, e):
+                if noncentered:
+                    sign = ""
+                noncentered = True
+            mult = rng.choice(["", "", "", "0*", "2*", "3*", f"{MAX_MULT}*"])
+            mirror = "~" if rng.random() < 0.08 else ""
+            terms.append(f"{mult}[{b},{e}]{mirror}{ident()}{sign}")
+        text = "+".join(terms)
+        if rng.random() < 0.4:
+            blocks = [f"{rng.choice(['', '', '0*', '2*'])}S{rng.randint(0, 5)}"
+                      f"{ident()}{rng.choice(['', ':+', ':-'])}"
+                      for _ in range(rng.randint(0, 3))]
+            text += " ; " + "+".join(blocks)
+        out.append(text)
+    classes = [("good", "integral"), ("good", "half-integral"), ("bad", "integral"),
+               ("bad", "half-integral"), ("ugly", "integral")]
+    for _ in range(500):
+        lines = [{"id": i, "class": cls, "grid": grid}
+                 for i, (cls, grid) in zip(("a", "b"), rng.sample(classes, 2))]
+        if rng.random() < 0.03:
+            lines.append(dict(lines[0]))
+        if rng.random() < 0.03:
+            lines[1]["class"] = rng.choice(["odd", "ugly"])
+        halves = grids[lines[0]["grid"] != "integral"] + rng.sample(grids[1], 1)
+
+        def rec():
+            r = {"line": rng.choice(["a", "a", "a", "b", "c"]),
+                 "b": rng.choice(halves), "e": rng.choice(halves)}
+            side = rng.choice([None, None, None, 0, 1, 1, 2, True])
+            if side is not None:
+                r["side"] = side
+            return r
+        doc = {"lines": lines, "m": [rec() for _ in range(rng.randint(0, 4))]}
+        if rng.random() < 0.4:
+            doc["phi"] = [{"line": rng.choice(["a", "a", "b", "c"]),
+                           "a": rng.choice([0, 1, 2, 3, 4, True])}
+                          for _ in range(rng.randint(0, 3))]
+            for r in doc["phi"]:
+                if rng.random() < 0.5:
+                    r["eta"] = rng.choice([1, -1, 1, -1, 0])
+        elif rng.random() < 0.7:
+            doc["eps"], noncentered = [], False
+            for _ in range(rng.randint(0, 3)):
+                r = {**rng.choice(doc["m"] + [rec()]), "sign": rng.choice([1, -1, -1, 2])}
+                if r["sign"] == -1 and not centered(r["b"], r["e"]):
+                    if noncentered:
+                        r["sign"] = 1
+                    noncentered = True
+                doc["eps"].append(r)
+        out.append(json.dumps(doc))
+    return out
+
+
+def _sampled_texts():
+    """The canonical JSON and the text form of seeded valid data, and of
+    their symmetric states."""
+    out = []
+    for d in enumerate_data(3, 3, 2, LINES, mode="sampled", count=60, seed=5):
+        s = transfer(d)
+        out += [render_output(d), str(d), render_output(s), render_output(s.m)]
+    return out
+
+
+def _parse_record(text):
+    try:
+        return render_output(parse_input(text))
+    except Exception as err:  # noqa: BLE001 - the record names any failure
+        return f"{type(err).__name__}: {err}"
+
+
+def test_parses_are_byte_identical():
+    """parse_input of a fixed corpus, DSL and JSON: the command tests'
+    inputs, the worked duals, seeded malformed texts and seeded valid data.
+    Each record is the canonical JSON of the parsed value or the error's
+    type and text; recorded before the parsers built int forms."""
+    texts = _cli_texts() + _golden_texts() + _malformed_texts() + _sampled_texts()
+    assert _digest(_parse_record(t) for t in texts) == PARSE_SHA256

@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module, every
 top-level function or class of the package is used somewhere in it or
 exported, and every public method of its classes is read somewhere.  The
-dual, the derivatives, the GL layer and the verification harness read no
-``Segment`` view, and all but the harness's enumerators build no
-``Multisegment`` from Segments.  Every int form is keyed by line alone.
+dual, the derivatives, the GL layer, the verification harness and the
+command line call no public constructor: they build their states in the
+per-line int form, and read no ``Segment`` view but what the command line
+prints.  Every int form is keyed by line alone.
 
 Stdlib only: each module under ``src/azdual`` is parsed with ``ast``, and a
 name counts as used when a module loads it somewhere as a plain name.  A
@@ -85,25 +86,32 @@ def test_no_dead_definitions():
     assert dead == []
 
 
-@pytest.mark.parametrize("name", ["ad_core.py", "derivatives.py", "mw_gl.py", "verify.py"])
+CONSTRUCTORS = ("Segment", "Multisegment", "SignedSymMultisegment", "LanglandsData",
+                "PhiComponent")
+
+
+@pytest.mark.parametrize("name", ["ad_core.py", "cli.py", "derivatives.py", "mw_gl.py",
+                                  "verify.py"])
 def test_core_reads_no_segment_view(name):
-    """The dual's step loop, the derivatives, the GL layer and the
-    verification harness run on the int form: none of them reads a ``.m``
-    attribute, the ``Segment`` view of a signed multisegment, or
-    ``.entries``, that of a plain one, each built and sorted on first
-    access.  The harness reads no ``.minus`` either, the signs of that
-    view; ``ad_core``'s engine has a ``minus`` of its own.  Only the
-    harness's enumerators build a ``Multisegment`` from Segments, as an API
-    user would."""
-    attrs = ("m", "entries", "minus") if name == "verify.py" else ("m", "entries")
+    """The dual's step loop, the derivatives, the GL layer, the verification
+    harness and the command line run on the int form.  None of them reads a
+    ``.m`` attribute, the ``Segment`` view of a signed multisegment, or
+    ``minus``, the signs of that view; ``ad_core``'s engine has a ``minus``
+    of its own.  None but the command line reads ``.entries``, that of a
+    plain one, each built and sorted on first access; the command line
+    prints ``mw``'s result and reads ``capacity``'s target through it.  None
+    of them calls a public constructor: each builds its states through the
+    private int-form ones."""
+    attrs = {"ad_core.py": ("m", "entries"), "cli.py": ("m", "minus")}.get(
+        name, ("m", "entries", "minus"))
+    tree = _tree(PACKAGE / name)
     reads = [f"{name}:{node.lineno}: {node.attr}"
-             for node in ast.walk(_tree(PACKAGE / name))
+             for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in attrs]
-    if name != "verify.py":
-        reads += [f"{name}:{node.lineno}: Multisegment("
-                  for node in ast.walk(_tree(PACKAGE / name))
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "Multisegment"]
+    reads += [f"{name}:{node.lineno}: {node.func.id}("
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in CONSTRUCTORS]
     assert reads == []
 
 

@@ -135,12 +135,15 @@ class TestValidate:
         assert any("good" in r for r in validate(t))
 
     def test_minus_must_be_centered(self):
-        """The constructor refuses a sign on a non-centered segment; an
-        int-built state can hold one, and validate reports it with the same
+        """The constructor refuses a sign on a non-centered segment, naming
+        the first in canonical order; an int-built state can hold one, and validate reports it with the same
         text, among the sign violations, in canonical order."""
         with pytest.raises(DomainError, match="sign attached to non-centered"):
             SignedSymMultisegment(Multisegment([seg(GI, -1, 0), seg(GI, 0, 1)]),
                                   minus={seg(GI, -1, 0)})
+        with pytest.raises(DomainError, match=r"non-centered segment \[0,1\]@rho$"):
+            SignedSymMultisegment(Multisegment([seg(GI, -1, 0), seg(GI, 0, 1)]),
+                                  minus={seg(GI, -1, 0), seg(GI, 0, 1)})
         s = _signed([(GI, {(-2, 0): 1, (0, 2): 1}, {(-2, 0)})])
         assert validate(s) == ["sign attached to non-centered segment [-1,0]@rho"]
         s = _signed([(GI, {(-2, 0): 1, (0, 2): 1, (0, 4): 1}, {(0, 2), (-2, 0), (-4, 4)})])
@@ -365,7 +368,9 @@ class TestIntForm:
         """The ``.m`` of an int-built state (a dual) shares its counters, and
         so does a state built from that ``.m``; the dual, the step and the
         GL transpose of one change neither the other nor the plain
-        multisegment."""
+        multisegment.  The signings of one multiset in the enumerator share
+        one counter too, and the dual, the step and the derivatives of one
+        change none of the others."""
         for s in list(standard_sweep(1, 2, 2))[::5] + list(enumerate_symm(UG, 1, 2, 0)):
             if not s:
                 continue
@@ -379,6 +384,21 @@ class TestIntForm:
             mw_transpose(m)
             assert _snapshot(d) == before
             assert m._ints == {ln: cnt for ln, (cnt, _) in before.items()}
+        groups = {}
+        for s in enumerate_symm(GI, 1, 2, 3):
+            if s:
+                groups.setdefault(id(s._ints[GI][0]), []).append(s)
+        signings = [group for group in groups.values() if len(group) > 1]
+        assert len(signings) > 20
+        for group in signings:
+            before = [_snapshot(s) for s in group]
+            assert len({frozenset(minus) for (_, minus) in (b[GI] for b in before)}) == len(group)
+            for s in group:
+                ad_symm(s)
+                ad_step(s)
+                derivative(s, GI, _h(-2))
+                reduced_report(s)
+            assert [_snapshot(s) for s in group] == before
 
     def test_a_state_of_a_shared_form_builds_no_entries(self):
         """A state built from a dual's ``.m`` reads its lines from the

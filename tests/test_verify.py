@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import azdual.langdata
+import azdual.segments
 import azdual.verify
 from azdual.segments import (
     BAD,
@@ -30,6 +32,7 @@ from azdual.langdata import (
     validate,
 )
 from azdual.ad_core import ad_data, ad_symm
+from azdual.cli import parse_input, render_output
 from azdual.derivatives import derivative
 from azdual.verify import (
     _pair_properties,
@@ -147,6 +150,55 @@ class TestEnumeration:
     def test_unknown_mode_is_refused(self):
         with pytest.raises(DomainError, match="mode"):
             list(enumerate_data(1, 1, 1, [G], mode="lazy"))
+
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda: enumerate_symm(G, -1, 1, 1), "n", id="symm-n"),
+        pytest.param(lambda: enumerate_symm(G, 1, -1, 1), "max_pairs", id="symm-pairs"),
+        pytest.param(lambda: enumerate_symm(G, 1, 1, -1), "max_centered", id="symm-centered"),
+        pytest.param(lambda: enumerate_data(-1, 1, 1, [G]), "n", id="data-n"),
+        pytest.param(lambda: enumerate_data(1, -1, 1, [G]), "k_m", id="data-km"),
+        pytest.param(lambda: enumerate_data(1, 1, -1, [G]), "k_phi", id="data-kphi"),
+        pytest.param(lambda: enumerate_data(1, 1, 1, [G], mode="sampled", count=-1, seed=0),
+                     "count", id="sampled-count"),
+        pytest.param(lambda: standard_sweep(-1, 1, 1), "n", id="sweep-n"),
+        pytest.param(lambda: standard_sweep(1, -1, 1), "max_pairs", id="sweep-pairs"),
+        pytest.param(lambda: [inverse_derivative_search(sym([(-1, 1)]), G, 1, 1, -1)],
+                     "bound", id="inverse-bound"),
+    ])
+    def test_negative_sizes_are_refused(self, call, name):
+        """As on the command line, a negative size is an error, not an
+        empty window."""
+        with pytest.raises(DomainError, match=f"^{name} must not be negative, got -1$"):
+            list(call())
+
+
+GOLDEN_TEXTS = (
+    "[-3,-1]+[-2,0]+[-2,-2]+[-1,0] ; S3", "[-3,-1]@u~+[-2,-1]@u~+[-2,0]@u~ ;",
+    "[-2,-2]@u~+[-1,-1]@u~+[-1,-1]~@u ; S1@u", "[-1,-1]@b! ; 2*S1@b",
+    "[-3,-3] ; 3*S3+3*S5:-+2*S7", "[-2,-2]+[0,0]:-+[-1,1]+[2,2]", "[-2,1]",
+)
+
+
+def test_internal_states_build_no_segment(monkeypatch):
+    """The sweep, the exhaustive data on every kind of line and the parsed
+    goldens, DSL and JSON, are int-built: no Segment or PhiComponent is
+    built and no interned Segment is looked up."""
+    texts = [t for text in GOLDEN_TEXTS for t in (text, render_output(parse_input(text)))]
+    made = []
+    for cls in (Segment, PhiComponent):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=init: made.append(type(self)) or init(self))
+    lookup = azdual.segments._cached_segment
+    for mod in (azdual.segments, azdual.langdata):
+        monkeypatch.setattr(mod, "_cached_segment",
+                            lambda *args: made.append(args) or lookup(*args))
+    lines = [G, GH, B, Line("bh", BAD, GRID_HALF), Line("u", UGLY, GRID_INT)]
+    assert len(list(standard_sweep())) == 6608
+    assert len(list(enumerate_data(2, 2, 3, lines))) > 1000
+    assert len([parse_input(t) for t in texts]) == 14
+    assert made == []
+    assert str(parse_input("[-2,1] ; S3")) == "[-2,1]@rho ; S3@rho:+" and made
 
 
 class TestClosedForms:
