@@ -16,19 +16,20 @@ running degree and sign parity.  The engine starts from a copy of the
 line's counter in the input's int form, and the dual it adds up is the
 result's int form; no ``Segment`` is built.
 
-A step visits only the ends top, top - 2, ...  On good lines it picks at
-each end the first group of the labeled section after the previous pick,
-skipping a centered copy whose sign repeats the previous centered one's,
-and keeps the signs; on bad lines it picks the largest beginning below the
-previous one, where a copy joins beside its own dual only when it has a
-second copy.  The checks are local to the entries a step touched: the
-degree the cut copies lose must equal the emitted piece's degree, and the
-sign parity before the step must equal the piece's plus that of the new
-minus set, summed while the set is built.  A mirror line is the GL
-transpose of its primary side (0), mirrored onto the partner side (1): its
-chains come from the chain extractor of :mod:`mw_gl` over the side-0
-copies, and the step cuts each chain copy and its mirror copy as on a bad
-line.
+One step path, ``_Engine.step``, serves every line class, which chooses
+only the chain (and on good lines the cuts and signs).  A step visits only
+the ends top, top - 2, ...  On good lines it picks at each end the first
+group of the labeled section after the previous pick, skipping a centered
+copy whose sign repeats the previous centered one's, and keeps the signs;
+on bad lines it picks the largest beginning below the previous one, where
+a copy joins beside its own dual only when it has a second copy.  The
+checks are local to the entries a step touched: the degree the cut copies
+lose must equal the emitted piece's degree, and the sign parity before the
+step must equal the piece's plus that of the new minus set, summed while
+the set is built.  A mirror line is the GL transpose of its primary side
+(0), mirrored onto the partner side (1): its chains come from the chain
+extractor of :mod:`mw_gl` over the side-0 copies, and the step cuts each
+chain copy and its mirror copy as on a bad line.
 """
 from __future__ import annotations
 
@@ -86,14 +87,16 @@ class _Engine:
     ``cnt`` is the line's counter, changed in place, and ``degree`` its
     degree.  ``ends`` maps each end 2e to the sorted beginnings 2b of the
     pairs ending there.  ``minus`` is the set of centered pairs signed -1,
-    ``centered`` the centered pairs present, ``n0`` their number of copies
-    and ``parity`` that of the sign product (0 for +1).  The emitted pieces
-    add up in ``dual`` and ``dual_minus``.  A mirror line has no ``ends``:
-    ``chains`` extracts its GL chains from buckets of its side-0 copies.
+    ``centered`` the centered pairs present and ``parity`` that of the sign
+    product (0 for +1).  :meth:`step` is the one step path for every line
+    class, and the pieces it emits add up in ``dual`` and ``dual_minus``.
+    A mirror line has no ``ends``: ``chains`` extracts its GL chains from
+    buckets of its side-0 copies.  ``sides`` holds the key suffixes of a
+    piece's pair and of its dual: (0,) and (1,) on a mirror line, else empty.
     """
 
     __slots__ = ("cls", "same_type", "cnt", "degree", "ends", "chains", "minus",
-                 "centered", "n0", "parity", "dual", "dual_minus")
+                 "centered", "parity", "sides", "dual", "dual_minus")
 
     def __init__(self, ln: Line, cnt, minus):
         self.cls = ln.cls
@@ -103,40 +106,66 @@ class _Engine:
         if self.cls == UGLY:
             self.ends = None
             self.chains = _chains(_buckets(_copies(_sides(ln, cnt).get((0,), {}))))
+            self.sides = (0,), (1,)
         else:
             self.ends = _buckets(cnt)
+            self.sides = (), ()
         self.minus = minus
         self.centered = {v for v in cnt if v[0] + v[1] == 0} if self.cls == GOOD else set()
-        self.n0 = sum(cnt[v] for v in self.centered)
         self.parity = _parity(cnt, minus)
         self.dual = {}
         self.dual_minus = set()
 
     def step(self):
         """One extraction step, in place; the piece joins the dual.  Returns
-        the chain and its sign eps0."""
-        if self.cls == GOOD:
+        the chain and its sign eps0.  The line class chooses the chain and,
+        on good lines, the cut plan and the sign carry; the piece is [-e1, e1]
+        on a terminal chain, else [el, e1] and its dual (the chain's ends)."""
+        good = self.cls == GOOD
+        if good:
             chain, eps0 = self._good_chain()
-            self._good_piece(chain, eps0)
-            return chain, eps0
-        if self.cls == UGLY:
-            chain = next(self.chains, None)
-            if chain is None:
-                raise InvariantError("ugly step with an empty primary side")
-            chain = [v + (0,) for v in chain]
+            first, last = chain[0][0], chain[-1][0]
+            if eps0 == 1 and first[1] + last[1] == 0:
+                raise InvariantError("open chain produced a centered initial pair")
+            before = set(self.centered)
+            cuts = self._good_cuts(chain)
         else:
-            chain = self._bad_chain()
-        e1, el = chain[0][1], chain[-1][1]
-        lost = self._cut([(v, 1) for v in chain] + [(_dual(v), 2) for v in chain])[1]
+            if self.cls == UGLY:
+                chain = next(self.chains, None)
+                if chain is None:
+                    raise InvariantError("ugly step with an empty primary side")
+                chain = [v + (0,) for v in chain]
+            else:
+                chain = self._bad_chain()
+            first, last, eps0 = chain[0], chain[-1], 1
+            cuts = [(v, 1) for v in chain] + [(_dual(v), 2) for v in chain]
+        e1, el = first[1], last[1]
+        if eps0 == -1:
+            # The terminal piece's sign, n0 being the centered copies before
+            # the step: (-1)^n0 on a half-integral line, (-1)^(n0 + 1) times
+            # the sign of [0,0] on an integral one.
+            n0 = sum(map(self.cnt.__getitem__, before))
+            minus_piece = n0 % 2 != (self.same_type and (0, 0) not in self.minus)
+            piece, piece_degree = [(-e1, e1)], e1 + 1
+        else:
+            minus_piece = False
+            side, dual_side = self.sides
+            piece, piece_degree = [(el, e1) + side, (-e1, -el) + dual_side], e1 - el + 2
+        shortened, lost = self._cut(cuts)
         # The degree the cut copies lost, against the piece's own degree.
-        if lost != e1 - el + 2:
+        if lost != piece_degree:
             raise InvariantError("degree not preserved across the step")
         self.degree -= lost
-        top = (el, e1) + chain[0][2:]
+        if good:
+            self._signs(chain, shortened, before, eps0, minus_piece)
         dual = self.dual
-        for v in (top, _dual(top)):
+        for v in piece:
             dual[v] = dual.get(v, 0) + 1
-        return chain, 1
+        if minus_piece:
+            self.dual_minus.add(piece[0])
+        if lost <= 0:
+            raise InvariantError("degree failed to decrease across a step")
+        return chain, eps0
 
     def _good_chain(self):
         """One copy per end, top end first, each the first group after the
@@ -200,26 +229,12 @@ class _Engine:
                 return chain, -1
         return chain, 1
 
-    def _good_piece(self, chain, eps0):
-        """Emit the piece of a good chain into the dual, cut the chain and
-        dual copies, and carry the signs over."""
-        cnt, minus = self.cnt, self.minus
+    def _good_cuts(self, chain):
+        """The cuts of a good chain's copies and of their dual copies, for
+        :meth:`_cut`: a chain into the corner must be a staircase, and each
+        dual copy must be in the section."""
+        cnt = self.cnt
         e1 = chain[0][0][1]
-        el = chain[-1][0][1]
-        if eps0 == -1:
-            if self.same_type:
-                s1 = (1 if self.n0 % 2 else -1) * (-1 if (0, 0) in minus else 1)
-            else:
-                s1 = -1 if self.n0 % 2 else 1
-            piece = [(-e1, e1)]
-            piece_degree = e1 + 1
-        else:
-            if e1 + el == 0:
-                raise InvariantError("open chain produced a centered initial pair")
-            s1 = 1
-            piece = [(el, e1), (-e1, -el)]
-            piece_degree = e1 - el + 2
-
         last, last_lab = chain[-1]
         if (last == (0, 0) and last_lab == 1) or last == (1, 1):
             for j, (pair, _) in enumerate(chain):
@@ -250,18 +265,7 @@ class _Engine:
                 raise InvariantError(
                     f"dual copy (2b, 2e, label) = {((-e2, -b2), -lab)} missing from the section"
                 )
-        before = set(self.centered)
-        shortened, lost = self._cut(cuts + duals)
-        # The degree the cut copies lost, against the piece's own degree.
-        if lost != piece_degree:
-            raise InvariantError("degree not preserved across the step")
-        self.degree -= lost
-        self._signs(chain, shortened, before, eps0, 1 if s1 == -1 else 0)
-        dual = self.dual
-        for v in piece:
-            dual[v] = dual.get(v, 0) + 1
-        if s1 == -1:
-            self.dual_minus.add(piece[0])
+        return cuts + duals
 
     def _bad_chain(self):
         """Top end first, the largest beginning below the one before at each
@@ -354,10 +358,8 @@ class _Engine:
                 source[t] = pair
         cnt, minus = self.cnt, self.minus
         new_minus = set()
-        parity = n0 = 0
+        parity = 0
         for v in self.centered:
-            k = cnt[v]
-            n0 += k
             dj = source.get(v)
             if dj is None:
                 if v not in before:
@@ -375,10 +377,10 @@ class _Engine:
                 )
             if s == -1:
                 new_minus.add(v)
-                parity += k
+                parity += cnt[v]
         if self.parity != (piece_parity + parity) % 2:
             raise InvariantError("sign product not preserved across the step")
-        self.minus, self.parity, self.n0 = new_minus, parity % 2, n0
+        self.minus, self.parity = new_minus, parity % 2
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +447,7 @@ def ad_symm(s: SignedSymMultisegment) -> SignedSymMultisegment:
         cnt, minus = s._ints[ln]
         eng = _Engine(ln, dict(cnt), minus)
         while eng.cnt:
-            degree = eng.degree
             eng.step()
-            if eng.degree >= degree:
-                raise InvariantError("degree failed to decrease across a step")
         parts.append((ln, eng.dual, eng.dual_minus))
     result = _signed(parts)
     report = validate(result)

@@ -158,9 +158,12 @@ def _digits(text: str, pos: int | None = None) -> str:
 
 
 def _dsl_lines(all_items):
-    """Infer each mentioned line's class and grid from its items."""
+    """Infer each mentioned line's class and grid from its items.  Returns
+    the lines by id and each item's first number, read once: 2b of a
+    segment, a - 1 of a block S<a>."""
     cls_by_id: dict = {}
     grid_by_id: dict = {}
+    firsts = []
     for m, pos in all_items:
         ident = m.group("ident") or "rho"
         cls = _CLASS_MARK[m.group("cls") or ""]
@@ -175,18 +178,19 @@ def _dsl_lines(all_items):
             t = HalfInt.parse(_digits(m.group("b"), pos)).twice
         else:
             t = int(_digits(m.group("a"), pos)) - 1
+        firsts.append(t)
         grid = GRID_INT if t % 2 == 0 else GRID_HALF
         if cls_by_id[ident] == UGLY and grid != GRID_INT:
             raise ParseError(f"half-integral coefficient on the {ident} line", pos)
         if grid_by_id.setdefault(ident, grid) != grid:
             raise ParseError(f"mixed integral and half-integral coefficients on {ident}", pos)
-    return {ident: Line(ident, cls, grid_by_id[ident]) for ident, cls in cls_by_id.items()}
+    lines = {ident: Line(ident, cls, grid_by_id[ident]) for ident, cls in cls_by_id.items()}
+    return lines, firsts
 
 
-def _dsl_key(m, pos, lines):
-    """The line and int key of a segment term."""
+def _dsl_key(m, pos, lines, b2):
+    """The line and int key of a segment term that begins at b2 / 2."""
     ln = lines[m.group("ident") or "rho"]
-    b2 = HalfInt.parse(_digits(m.group("b"), pos)).twice
     e2 = HalfInt.parse(_digits(m.group("e"), pos)).twice
     side = (1 if m.group("mirror") else 0) if ln.cls == UGLY else None
     try:
@@ -240,13 +244,13 @@ def parse_dsl(text: str):
     for m, pos in phi_items:
         if m.group("a") is None:
             raise ParseError("only S<a> blocks may follow ';'", pos)
-    lines = _dsl_lines(m_items + phi_items)
+    lines, firsts = _dsl_lines(m_items + phi_items)
     form, signs, blocks, etas = {}, {}, {}, {}
-    for m, pos in m_items:
-        _term(form, signs, *_dsl_key(m, pos, lines), _mult(m, pos),
+    for (m, pos), b2 in zip(m_items, firsts):
+        _term(form, signs, *_dsl_key(m, pos, lines, b2), _mult(m, pos),
               _SIGN_MARK.get(m.group("sign")), pos)
-    for m, pos in phi_items:
-        ln, a = lines[m.group("ident") or "rho"], int(m.group("a"))
+    for (m, pos), t in zip(phi_items, firsts[len(m_items):]):
+        ln, a = lines[m.group("ident") or "rho"], t + 1
         try:
             _check_block(ln, a)
         except DomainError as err:

@@ -27,7 +27,6 @@ from .segments import (
     Segment,
     _cached_segment,
     _check_block,
-    seg_sort_key,
 )
 
 
@@ -51,7 +50,7 @@ class Multisegment:
         for d in items:
             if not isinstance(d, Segment):
                 raise TypeError(f"multisegment entry {d!r} is not a Segment")
-        items.sort(key=seg_sort_key)
+        items.sort(key=lambda d: _sort_key(d.line, d._key))
         for d in items:
             if d.is_empty:
                 raise DomainError(f"empty segment {d} cannot join a multisegment")
@@ -63,7 +62,7 @@ class Multisegment:
             self._entries = tuple(sorted(
                 (_segment(ln, v) for ln, cnt in self._form.items()
                  for v, k in cnt.items() for _ in range(k)),
-                key=seg_sort_key))
+                key=lambda d: _sort_key(d.line, d._key)))
         return self._entries
 
     @property
@@ -225,7 +224,7 @@ def _fill(s: SignedSymMultisegment, ints) -> SignedSymMultisegment:
 
 
 def _sort_key(ln: Line, v):
-    """seg_sort_key of the segment of int key v on ln:
+    """The canonical descending order of the segment of int key v on ln:
     (line id, side or -1, -2b, 2e)."""
     return (ln.id, v[2] if len(v) == 3 else -1, -v[0], v[1])
 
@@ -605,6 +604,8 @@ def untransfer(s: SignedSymMultisegment) -> LanglandsData:
 
 def line_project(x, ln: Line):
     """Restrict to one line (both sides of an ugly pair), same kind out."""
+    if not isinstance(ln, Line):
+        raise TypeError(f"expected a Line, got {type(ln).__name__}")
     if isinstance(x, (Multisegment, SignedSymMultisegment)):
         return x.restrict(ln)
     if isinstance(x, LanglandsData):

@@ -175,17 +175,13 @@ class Segment:
     def __post_init__(self):
         if not isinstance(self.b, HalfInt) or not isinstance(self.e, HalfInt):
             raise TypeError("segment endpoints must be HalfInt")
-        object.__setattr__(self, "_key", _segment_key(self.line, self.b.twice, self.e.twice,
-                                                      self.side))
-        ident = (
-            self.line.id, self.line.cls, self.line.grid,
-            self.b.twice, self.e.twice, self.side,
-        )
-        object.__setattr__(self, "_ident", ident)
-        object.__setattr__(self, "_hash", hash(ident))
+        key = _segment_key(self.line, self.b.twice, self.e.twice, self.side)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((self.line, key)))
 
     def __eq__(self, other):
-        return isinstance(other, Segment) and self._ident == other._ident
+        return (isinstance(other, Segment) and self.line == other.line
+                and self._key == other._key)
 
     def __hash__(self):
         return self._hash
@@ -212,7 +208,8 @@ class Segment:
 def _segment_key(ln: Line, b2: int, e2: int, side) -> tuple:
     """The int key ``(2b, 2e[, side])`` of the segment [b2/2, e2/2] on ln,
     once its rules hold: ends on the line's grid, empty at the least, and a
-    side 0 or 1 exactly on mirror lines.  Segments and the parsers share it."""
+    side the int 0 or 1 exactly on mirror lines.  Segments and the parsers
+    share it."""
     par = 0 if ln.grid == GRID_INT else 1
     off_grid = b2 % 2 != par or e2 % 2 != par
     if off_grid or e2 < b2 - 2:
@@ -220,7 +217,7 @@ def _segment_key(ln: Line, b2: int, e2: int, side) -> tuple:
         raise DomainError(f"endpoints {ends} off the {ln.grid} grid of {ln.id}" if off_grid
                           else f"degenerate segment {ends}")
     if ln.cls == UGLY:
-        if side not in (0, 1):
+        if type(side) is not int or side not in (0, 1):
             raise DomainError("segments on ugly lines need side 0 or 1")
         return b2, e2, side
     if side is not None:
@@ -259,8 +256,3 @@ def seg_dual(d: Segment) -> Segment:
     """The contragredient segment [-e, -b]; flips the side on ugly lines."""
     side = d.side if d.side is None else 1 - d.side
     return _cached_segment(d.line, -d.e.twice, -d.b.twice, side)
-
-
-def seg_sort_key(d: Segment):
-    """Canonical descending storage key (used by multiset containers)."""
-    return (d.line.id, d.side if d.side is not None else -1, -d.b.twice, d.e.twice)

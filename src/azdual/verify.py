@@ -741,7 +741,7 @@ def _corruptions(d: SignedSymMultisegment):
         _, _, ln, v = min(centered, key=lambda c: c[:2])
         out.append(("sign_flip", rebuilt(ln, ints[ln][0], set(ints[ln][1]) ^ {v})))
     if d:
-        # the first copy in seg_sort_key order
+        # the first copy in canonical (_sort_key) order
         ln, v = min(((ln, v) for ln, (cnt, _) in ints.items() for v in cnt),
                     key=lambda c: _sort_key(*c))
         cnt, minus = ints[ln]

@@ -288,6 +288,12 @@ class TestProjections:
         s = transfer(d)
         assert line_project(s, BI).m == transfer(line_project(d, BI)).m
 
+    def test_line_project_needs_a_line(self):
+        d = LanglandsData(Multisegment([seg(GI, -1, 0)]), [PhiComponent(GI, 1)])
+        for x in (d.n, transfer(d), d):
+            with pytest.raises(TypeError, match="expected a Line, got str"):
+                line_project(x, "rho")
+
     def test_sign_products(self):
         s = sym((0, 0), (-1, 1), minus=[(0, 0)])
         assert sign_product(s, GI) == -1

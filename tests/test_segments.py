@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from azdual.langdata import Multisegment
 from azdual.segments import (
     GOOD,
     GRID_HALF,
@@ -9,11 +10,11 @@ from azdual.segments import (
     DomainError,
     HalfInt,
     Line,
+    Segment,
     half,
     line,
     seg,
     seg_dual,
-    seg_sort_key,
 )
 
 halves = st.integers(-40, 40).map(HalfInt.from_twice)
@@ -103,6 +104,11 @@ class TestSegment:
             seg(UG, 0, 1)
         assert seg(UG, 0, 1, side=1).side == 1
 
+    @pytest.mark.parametrize("side", [1.0, True])
+    def test_side_must_be_the_int_0_or_1(self, side):
+        with pytest.raises(DomainError, match="need side 0 or 1"):
+            Segment(UG, HalfInt(-1), HalfInt(0), side)
+
     def test_centered(self):
         assert seg(GI, -2, 2).is_centered
         assert seg(GH, "-1/2", "1/2").is_centered
@@ -127,5 +133,5 @@ class TestDualAndTrunc:
 class TestOrders:
     def test_sort_key_descends(self):
         ds = [seg(GI, 1, 1), seg(GI, 0, 2), seg(GI, -1, 1), seg(GI, 0, 1)]
-        got = sorted(ds, key=seg_sort_key)
-        assert got == [seg(GI, 1, 1), seg(GI, 0, 1), seg(GI, 0, 2), seg(GI, -1, 1)]
+        assert Multisegment(ds).entries == (seg(GI, 1, 1), seg(GI, 0, 1), seg(GI, 0, 2),
+                                            seg(GI, -1, 1))
