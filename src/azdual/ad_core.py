@@ -88,8 +88,12 @@ class _Engine:
     degree.  ``ends`` maps each end 2e to the sorted beginnings 2b of the
     pairs ending there.  ``minus`` is the set of centered pairs signed -1,
     ``centered`` the centered pairs present and ``parity`` that of the sign
-    product (0 for +1).  :meth:`step` is the one step path for every line
-    class, and the pieces it emits add up in ``dual`` and ``dual_minus``.
+    product (0 for +1).  :meth:`_cut` keeps ``ends`` and ``centered`` in
+    place, for the pairs a step takes to or from multiplicity 0, and counts
+    the degree lost from its cut bits; :meth:`_signs` rebuilds ``minus`` and
+    ``parity`` from the centered pairs the chain cuts left.  :meth:`step` is
+    the one step path for every line class, and the pieces it emits add up
+    in ``dual`` and ``dual_minus``.
     A mirror line has no ``ends``: ``chains`` extracts its GL chains from
     buckets of its side-0 copies.  ``sides`` holds the key suffixes of a
     piece's pair and of its dual: (0,) and (1,) on a mirror line, else empty.
@@ -151,13 +155,13 @@ class _Engine:
             minus_piece = False
             side, dual_side = self.sides
             piece, piece_degree = [(el, e1) + side, (-e1, -el) + dual_side], e1 - el + 2
-        shortened, lost = self._cut(cuts)
+        lost, sources = self._cut(cuts)
         # The degree the cut copies lost, against the piece's own degree.
         if lost != piece_degree:
             raise InvariantError("degree not preserved across the step")
         self.degree -= lost
         if good:
-            self._signs(chain, shortened, before, eps0, minus_piece)
+            self._signs(sources, before, eps0, minus_piece)
         dual = self.dual
         for v in piece:
             dual[v] = dual.get(v, 0) + 1
@@ -177,48 +181,44 @@ class _Engine:
         copies labeled +1 (beginning above -e), the groups of the centered
         pair (-e, e) labeled +1, 0 and -1 that its multiplicity has, and the
         copies labeled -1.  A bisection skips the copies that come before
-        the previous pick; the centered groups are compared with it by
-        their section keys."""
+        the previous pick, of beginning pb and label plab.  Of the centered
+        groups, +1 comes after it only when plab is +1 and pb > -e, 0 when
+        plab is not -1, and -1 always (after a -1 pick the bisection keeps
+        only beginnings below pb).  The top end starts as if after a +1 pick
+        beginning above every copy."""
         ends, cnt, minus = self.ends, self.cnt, self.minus
         chain = []
         e = max(ends)
-        prev = prev_key = None
+        pb, plab, psign = e + 2, 1, None  # psign: the minus flag of a centered pick
         while e in ends:
             bucket = ends[e]
             c = -e
-            if prev is None:
-                i = len(bucket)
-            else:
-                # After a pick labeled +1: the +1 copies below its beginning,
-                # then everything from the centered pair down; after label 0:
-                # from the centered pair down; after -1: below its beginning.
-                (pb, _), plab = prev
-                bound = max(pb, c + 1) if plab > 0 else c + 1 if plab == 0 else pb
-                i = bisect_left(bucket, bound)
-            pick = None
-            while i and pick is None:
+            # After a pick labeled +1: the +1 copies below its beginning,
+            # then everything from the centered pair down; after label 0:
+            # from the centered pair down; after -1: below its beginning.
+            i = bisect_left(bucket, pb if plab < 0 or plab and pb > c else c + 1)
+            while i:
                 i -= 1
                 b2 = bucket[i]
                 if b2 != c:
-                    pick = ((b2, e), 1 if b2 > c else -1)
-                    key = (-pick[1], -b2, e)
+                    lab = 1 if b2 > c else -1
                     break
-                pair = (c, e)
-                if prev is not None and prev[0][0] + prev[0][1] == 0 and (
-                    (pair in minus) == (prev[0] in minus)
-                ):
+                if psign is not None and ((c, e) in minus) == psign:
                     continue
-                k = cnt[pair]
-                for lab, key in ((1, (-1, e, e)), (0, (0, c, 0)), (-1, (1, e, e))):
-                    if (k % 2 if lab == 0 else k > 1) and (prev is None or key > prev_key):
-                        pick = (pair, lab)
-                        break
-            if pick is None:
+                k = cnt[(c, e)]
+                if k > 1 and plab > 0 and pb > c:
+                    lab = 1
+                elif k % 2 and plab >= 0:
+                    lab = 0
+                elif k > 1:
+                    lab = -1
+                else:
+                    continue
                 break
-            chain.append(pick)
-            prev, prev_key = pick, key
-            pair, lab = pick
-            e -= 2
+            else:
+                break
+            pair = (b2, e)
+            chain.append((pair, lab))
             if self.same_type:
                 terminal = pair == (0, 0) and lab >= 0
             else:
@@ -227,6 +227,8 @@ class _Engine:
                 )
             if terminal:
                 return chain, -1
+            pb, plab, psign = b2, lab, (pair in minus if b2 == c else None)
+            e -= 2
         return chain, 1
 
     def _good_cuts(self, chain):
@@ -235,6 +237,7 @@ class _Engine:
         dual copy must be in the section."""
         cnt = self.cnt
         e1 = chain[0][0][1]
+        n = len(chain)
         last, last_lab = chain[-1]
         if (last == (0, 0) and last_lab == 1) or last == (1, 1):
             for j, (pair, _) in enumerate(chain):
@@ -245,8 +248,9 @@ class _Engine:
         # copy of each dual group its beginning (bit 2), the chain copies
         # first.  A copy is cut once when it is its own dual (a centered
         # group labeled 0 or +1) or the dual of another chain copy; the dual
-        # of a centered group labeled -1 is the one labeled +1.
-        pairs = {pair for pair, _ in chain}
+        # of a centered group labeled -1 is the one labeled +1.  The chain
+        # copy at index j ends at e1 - 2j, so the dual of (2b, 2e) can sit in
+        # the chain only at index (e1 + 2b) / 2.
         cuts, duals = [], []
         for pair, lab in chain:
             b2, e2 = pair
@@ -256,16 +260,20 @@ class _Engine:
                     duals.append((pair, 2))
                 else:
                     cuts.append((pair, 3))
-            elif (-e2, -b2) in pairs:
+                continue
+            dual = (-e2, -b2)
+            j = (e1 + b2) // 2
+            if 0 <= j < n and chain[j][0] == dual:
                 cuts.append((pair, 3))
-            elif cnt.get((-e2, -b2)):
+            elif cnt.get(dual):
                 cuts.append((pair, 1))
-                duals.append(((-e2, -b2), 2))
+                duals.append((dual, 2))
             else:
                 raise InvariantError(
-                    f"dual copy (2b, 2e, label) = {((-e2, -b2), -lab)} missing from the section"
+                    f"dual copy (2b, 2e, label) = {(dual, -lab)} missing from the section"
                 )
-        return cuts + duals
+        cuts += duals
+        return cuts
 
     def _bad_chain(self):
         """Top end first, the largest beginning below the one before at each
@@ -293,14 +301,17 @@ class _Engine:
 
     def _cut(self, cuts):
         """Take out one copy of each cut pair, then put each back with its end
-        (bit 1) and its beginning (bit 2) cut off.  Returns the shortened
-        pairs (None when nothing is left) and the degree the copies lost.
-        The end index follows the pairs that reach or leave multiplicity 0;
-        a mirror line has none, its chain extractor cuts its own buckets."""
+        (bit 1) and its beginning (bit 2) cut off.  Returns the degree the
+        copies lost, counted from the bits (2 for a copy of more than one
+        point cut at both ends, else 1), and on a good line the centered
+        pairs that the chain cuts (bit 1) left, each with the copy it came
+        from, in cut order.  The end index follows the pairs that reach or
+        leave multiplicity 0; a mirror line has none, its chain extractor
+        cuts its own buckets."""
         cnt, ends = self.cnt, self.ends
         centered = self.centered if self.cls == GOOD else None
-        lost = 0
-        for pair, _ in cuts:
+        lost = len(cuts)
+        for pair, bits in cuts:
             k = cnt.get(pair, 0)
             if k > 1:
                 cnt[pair] = k - 1
@@ -319,43 +330,52 @@ class _Engine:
                 raise InvariantError("mirror copies missing on the partner side")
             else:
                 raise InvariantError("chain consumed more copies than available")
-            lost += (pair[1] - pair[0]) // 2 + 1
-        shortened = []
+            if bits == 3 and pair[0] != pair[1]:
+                lost += 1
+        sources = []
+        if ends is None:
+            for (b2, e2, side), bits in cuts:
+                b2 += bits & 2
+                e2 -= 2 * (bits & 1)
+                if b2 <= e2:
+                    t = (b2, e2, side)
+                    cnt[t] = cnt.get(t, 0) + 1
+            return lost, sources
         for pair, bits in cuts:
             b2 = pair[0] + (bits & 2)
             e2 = pair[1] - 2 * (bits & 1)
             if b2 > e2:
-                shortened.append(None)
                 continue
-            t = (b2, e2) + pair[2:]
+            t = (b2, e2)
             k = cnt.get(t, 0)
             cnt[t] = k + 1
-            if not k and ends is not None:
+            if not k:
                 lst = ends.get(e2)
                 if lst is None:
                     ends[e2] = [b2]
                 else:
                     insort(lst, b2)
-                if centered is not None and b2 + e2 == 0:
+            if centered is not None and b2 + e2 == 0:
+                if not k:
                     centered.add(t)
-            lost -= (e2 - b2) // 2 + 1
-            shortened.append(t)
-        return shortened, lost
+                if bits & 1:
+                    sources.append((t, pair))
+        return lost, sources
 
-    def _signs(self, chain, shortened, before, eps0, piece_parity):
+    def _signs(self, sources, before, eps0, piece_parity):
         """The signs after a good step, ``before`` being the centered pairs
-        present before it.  A centered copy cut out of a chain copy takes its
-        sign from that copy; every other centered value keeps its sign times
-        eps0.  The parity of the new minus set is summed as the set is
+        present before it and ``sources`` the (centered pair, chain copy)
+        pairs of :meth:`_cut`.  A centered copy cut out of a chain copy takes
+        its sign from that copy; every other centered value keeps its sign
+        times eps0.  The parity of the new minus set is summed as the set is
         built, and with the piece's it must give the parity before."""
         source = {}
-        for (pair, _), t in zip(chain, shortened):
-            if t is not None and t[0] + t[1] == 0:
-                if t in source:
-                    raise InvariantError(
-                        f"two chain copies collapsed onto centered (2b, 2e) = {t}"
-                    )
-                source[t] = pair
+        for t, pair in sources:
+            if t in source:
+                raise InvariantError(
+                    f"two chain copies collapsed onto centered (2b, 2e) = {t}"
+                )
+            source[t] = pair
         cnt, minus = self.cnt, self.minus
         new_minus = set()
         parity = 0

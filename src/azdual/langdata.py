@@ -617,6 +617,8 @@ def line_project(x, ln: Line):
 def sign_product(s: SignedSymMultisegment, ln: Line) -> int:
     """Product of the signs of all centered segments on a good line,
     counted with multiplicity."""
+    if not isinstance(ln, Line):
+        raise TypeError(f"expected a Line, got {type(ln).__name__}")
     if ln.cls != GOOD:
         raise DomainError(f"sign_product needs a good line, got {ln.id} ({ln.cls})")
     entry = s._ints.get(ln)

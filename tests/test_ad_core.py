@@ -17,9 +17,13 @@ from azdual.langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
+    _degree,
+    _parity,
     transfer,
 )
+from azdual.mw_gl import _buckets
 from azdual.ad_core import _Engine, ad_data, ad_initial_sequence, ad_step, ad_symm
+from azdual.verify import standard_sweep
 
 G = Line("rho", GOOD, GRID_INT)
 GH = Line("rho", GOOD, GRID_HALF)
@@ -238,3 +242,24 @@ class TestEngineChecks:
         eng.step()
         assert (eng.cnt, eng.minus, eng.parity) == ({(-1, 1): 1}, {(-1, 1)}, 1)
         assert (eng.dual, eng.dual_minus, eng.degree) == ({(3, 3): 1, (-3, -3): 1}, set(), 2)
+
+
+class TestEngineState:
+    def test_indexes_follow_the_counter_after_every_step(self):
+        """The end index, the centered set, the parity and the degree, which
+        each step updates in place, equal their values recomputed from the
+        counter and the minus set after every step of the standard sweep."""
+        steps = 0
+        for s in standard_sweep():
+            for ln, (cnt, minus) in s._ints.items():
+                eng = _Engine(ln, dict(cnt), minus)
+                while eng.cnt:
+                    eng.step()
+                    steps += 1
+                    assert eng.ends == _buckets(eng.cnt)
+                    if ln.cls == GOOD:
+                        assert eng.centered == {v for v in eng.cnt if v[0] + v[1] == 0}
+                        assert eng.minus <= eng.centered
+                    assert eng.parity == _parity(eng.cnt, eng.minus)
+                    assert eng.degree == _degree(eng.cnt)
+        assert steps == 45945

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import azdual.cli
 import azdual.langdata
 import azdual.segments
 from azdual.segments import (
@@ -534,13 +535,30 @@ class TestCommands:
 
     @pytest.mark.parametrize("name", ["rows.jsonl", "rows.csv"])
     def test_dataset_reads_each_degree_once(self, tmp_path, monkeypatch, name):
-        """A row reads the degree of its state and of its dual once each."""
-        seen = []
+        """A row takes the degree of its state and of its dual once each, in
+        one walk over each that also gives the top end and the first start;
+        it reads no degree or top end apart."""
+        walked, read = [], []
+        walk = azdual.cli._row_stats
+        monkeypatch.setattr(azdual.cli, "_row_stats", lambda s: walked.append(s) or walk(s))
         degree = SignedSymMultisegment.degree
         monkeypatch.setattr(SignedSymMultisegment, "degree",
-                            property(lambda s: seen.append(s) or degree.fget(s)))
+                            property(lambda s: read.append(s) or degree.fget(s)))
+        monkeypatch.setattr(SignedSymMultisegment, "max_end", lambda s: read.append(s))
         code, _, _ = run(["dataset", "--count", "50", "--out", str(tmp_path / name)])
-        assert code == 0 and len(seen) == 100
+        assert code == 0 and read == []
+        assert len(walked) == 100 and len({id(s) for s in walked}) == 100
+
+    def test_dataset_summary_counts_violations(self, tmp_path, monkeypatch):
+        """A wrong dual shows in all three summary counts."""
+        wrong = parse_input("[-7,7]:+")
+        monkeypatch.setattr(azdual.cli, "ad_symm", lambda s: wrong)
+        code, out, _ = run(["dataset", "--count", "20", "--seed", "3",
+                            "--out", str(tmp_path / "rows.jsonl")])
+        summary = json.loads(out)
+        assert code == 0 and summary["count"] == 20
+        assert summary["emax_violations"] > 0 and summary["degree_violations"] > 0
+        assert summary["first_start_agreement"] < 1
 
     def test_dataset_csv_header(self, tmp_path):
         p = tmp_path / "rows.csv"

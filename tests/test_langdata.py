@@ -301,6 +301,11 @@ class TestProjections:
         with pytest.raises(DomainError):
             sign_product(s, BI)
 
+    def test_sign_product_needs_a_line(self):
+        s = sym((0, 0), (-1, 1), minus=[(0, 0)])
+        with pytest.raises(TypeError, match="expected a Line, got str"):
+            sign_product(s, "rho")
+
     def test_sign_product_counts_multiplicity(self):
         s = SignedSymMultisegment(
             Multisegment([seg(GI, 0, 0)] * 2), minus={seg(GI, 0, 0)}
