@@ -37,7 +37,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .segments import GOOD, GRID_INT, UGLY, DomainError, InvariantError, Line
-from .mw_gl import _buckets, _chains, _copies
+from .mw_gl import _buckets, _chains
 from .langdata import (
     LabeledSeg,
     LanglandsData,
@@ -109,10 +109,14 @@ class _Engine:
         self.degree = _degree(cnt)
         if self.cls == UGLY:
             self.ends = None
-            self.chains = _chains(_buckets(_copies(_sides(ln, cnt).get((0,), {}))))
+            self.chains = _chains(_buckets(_sides(ln, cnt).get((0,), {})))
             self.sides = (0,), (1,)
         else:
-            self.ends = _buckets(cnt)
+            ends = self.ends = {}
+            for b2, e2 in cnt:
+                ends.setdefault(e2, []).append(b2)
+            for lst in ends.values():
+                lst.sort()
             self.sides = (), ()
         self.minus = minus
         self.centered = {v for v in cnt if v[0] + v[1] == 0} if self.cls == GOOD else set()

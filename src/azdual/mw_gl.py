@@ -7,14 +7,17 @@ multiplicity}}`` with keys ``(2b, 2e, side)`` on mirror lines, read one GL
 line at a time through ``_sides``.  Results are built as that form and
 wrapped by ``_plain``, so no ``Segment`` is made until a caller reads
 ``entries``.  The public API speaks Segment / Multisegment.
+
+One chain generator, ``_chains`` over ``_buckets`` of a GL line's counter,
+serves the transpose, the single step and the dual's mirror lines.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from heapq import heapify, heappop, heappush
 
-from .segments import DomainError, Segment
+from .segments import UGLY, DomainError, Segment
 from .langdata import (
     Multisegment,
     SignedSymMultisegment,
@@ -26,95 +29,81 @@ from .langdata import (
 )
 
 
+def _typed(x, kind):
+    """x itself when it is a ``kind``; a TypeError naming both kinds else."""
+    if not isinstance(x, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
 def _form(m) -> dict:
     """The int form of a plain multisegment; a TypeError for anything else."""
-    if not isinstance(m, Multisegment):
-        raise TypeError(f"expected a Multisegment, got {type(m).__name__}")
-    return m._ints
+    return _typed(m, Multisegment)._ints
 
 
-def _buckets(pairs) -> dict:
-    """For each end 2e, the sorted beginnings 2b of the copies ending there."""
+def _buckets(cnt) -> dict:
+    """For each end 2e, the sorted beginnings 2b of the copies ending there,
+    out of a GL line's counter ``{(2b, 2e): multiplicity}``."""
     buckets: dict = {}
-    for b2, e2 in pairs:
-        buckets.setdefault(e2, []).append(b2)
+    for (b2, e2), k in cnt.items():
+        buckets.setdefault(e2, []).extend([b2] * k)
     for lst in buckets.values():
         lst.sort()
     return buckets
 
 
-def _copies(cnt):
-    """The pairs of a counter, each repeated by its multiplicity."""
-    return (v for v, k in cnt.items() for _ in range(k))
-
-
-def _counter(pairs) -> dict:
-    """The counter {(2b, 2e): multiplicity} of a list of pairs."""
-    cnt: dict = {}
-    for v in pairs:
-        cnt[v] = cnt.get(v, 0) + 1
-    return cnt
-
-
-def _extract(buckets, e, tops) -> list:
-    """Pop one chain of strictly descending ends from the top end e and put
-    its copies back with their final coefficient cut off; returns the
-    chain, top first.
-
-    The chain starts from the biggest copy at end e and goes on with the
-    biggest copy one end lower whose beginning strictly drops.  Each cut
-    happens in place: when the chain picks (b', e - 2) below a copy (b, e),
-    the cut copy (b, e - 2) takes the picked copy's slot, since everything
-    before the slot is at most b' < b and everything after it at least b;
-    a copy of length 1 frees the slot instead.  The last copy's cut goes
-    first in the bucket one end lower, where every beginning is at least
-    its own.  A bucket the chain empties is deleted, and the end of a
-    bucket the last cut opens is pushed on the heap ``tops`` of negated
-    ends.
-    """
-    lst = buckets[e]
-    b = lst.pop()
-    if not lst:
-        del buckets[e]
-    chain = [(b, e)]
-    while True:
-        e -= 2
-        lst = buckets.get(e)
-        i = -1 if lst is None else bisect_left(lst, b) - 1
-        if i < 0:
-            break
-        picked = lst[i]
-        if b <= e:
-            lst[i] = b
-        else:
-            del lst[i]
-            if not lst:
-                del buckets[e]
-        b = picked
-        chain.append((b, e))
-    if b <= e:
-        if lst is None:
-            buckets[e] = [b]
-            heappush(tops, -e)
-        else:
-            lst.insert(0, b)
-    return chain
-
-
 def _chains(buckets):
-    """Extract chains until no copy is left, each from the highest end.
+    """Extract chains of strictly descending ends until no copy is left,
+    each from the highest end; yields each chain, top first.
 
-    The heap ``tops`` holds every end that has had a bucket, negated; an
-    end whose bucket is gone is popped when it comes to the top.  So the
-    cost is one heap entry per bucket opened, whatever the gaps between
-    the ends.  Cut copies go back one end lower, so the top only walks
-    down."""
+    A chain starts from the biggest copy at the top end e and goes on with
+    the biggest copy one end lower whose beginning strictly drops.  Each
+    chain copy's final coefficient is cut off in place: when the chain picks
+    (b', e - 2) below a copy (b, e), the cut copy (b, e - 2) takes the
+    picked copy's slot, since everything before the slot is at most b' < b
+    and everything after it at least b; a copy of length 1 frees the slot
+    instead.  The last copy's cut goes first in the bucket one end lower,
+    where every beginning is at least its own.  A bucket the chain empties
+    is deleted.
+
+    The heap ``tops`` holds every end that has had a bucket, negated; an end
+    whose bucket is gone is popped when it comes to the top, and the end of
+    a bucket the last cut opens is pushed.  So the cost is one heap entry
+    per bucket opened, whatever the gaps between the ends.  Cut copies go
+    back one end lower, so the top only walks down."""
     tops = [-e for e in buckets]
     heapify(tops)
     while buckets:
         while -tops[0] not in buckets:
             heappop(tops)
-        yield _extract(buckets, -tops[0], tops)
+        e = -tops[0]
+        lst = buckets[e]
+        b = lst.pop()
+        if not lst:
+            del buckets[e]
+        chain = [(b, e)]
+        while True:
+            e -= 2
+            lst = buckets.get(e)
+            i = -1 if lst is None else bisect_left(lst, b) - 1
+            if i < 0:
+                break
+            picked = lst[i]
+            if b <= e:
+                lst[i] = b
+            else:
+                del lst[i]
+                if not lst:
+                    del buckets[e]
+            b = picked
+            chain.append((b, e))
+        if b <= e:
+            if lst is None:
+                buckets[e] = [b]
+                heappush(tops, -e)
+            else:
+                lst.insert(0, b)
+        yield chain
 
 
 def mw_step(m: Multisegment):
@@ -130,29 +119,37 @@ def mw_step(m: Multisegment):
     if len(parts) != 1:
         raise DomainError("mw_step needs a multisegment on exactly one line")
     ((ln, tail, cnt),) = parts
-    buckets = _buckets(_copies(cnt))
+    buckets = _buckets(cnt)
     chain = next(_chains(buckets))
-    rest = _counter((b2, e2) + tail for e2, lst in buckets.items() for b2 in lst)
+    rest = dict(Counter((b2, e2) + tail for e2, lst in buckets.items() for b2 in lst))
     initial = _segment(ln, (chain[-1][1], chain[0][1]) + tail)
     return initial, _plain({ln: rest} if rest else {})
 
 
-def transpose_pairs(pairs):
-    """Full transpose on (2b, 2e) pairs of one line; returns a list of
-    pairs, one per chain, in chain order."""
-    return [(chain[-1][1], chain[0][1]) for chain in _chains(_buckets(pairs))]
+def transpose_pairs(cnt) -> dict:
+    """Full transpose of one GL line's counter ``{(2b, 2e): multiplicity}``;
+    returns the transposed counter, one copy per chain, counted in chain
+    order."""
+    out: dict = {}
+    for chain in _chains(_buckets(cnt)):
+        v = chain[-1][1], chain[0][1]
+        out[v] = out.get(v, 0) + 1
+    return out
 
 
 def mw_transpose(m: Multisegment) -> Multisegment:
     """Iterate extraction steps per line until exhausted.  Degree-preserving
-    involution; the zero multisegment maps to itself."""
+    involution; the zero multisegment maps to itself.  Only a mirror line's
+    keys are split by side and get their side back."""
     form = {}
     for ln, line_cnt in _form(m).items():
+        if ln.cls != UGLY:
+            form[ln] = transpose_pairs(line_cnt)
+            continue
         cnt = form[ln] = {}
         for tail, side in _sides(ln, line_cnt).items():
-            for pair in transpose_pairs(_copies(side)):
-                v = pair + tail
-                cnt[v] = cnt.get(v, 0) + 1
+            for pair, k in transpose_pairs(side).items():
+                cnt[pair + tail] = k
     return _plain(form)
 
 
@@ -246,9 +243,10 @@ def kz_capacity(m: Multisegment, target: Segment) -> int:
     equals this capacity; an empty target has capacity 0.
     """
     form = _form(m)
-    if target.is_empty:
+    if _typed(target, Segment).is_empty:
         return 0
-    items = list(_copies(_gl_line(form.get(target.line, {}), target)))
+    items = [v for v, k in _gl_line(form.get(target.line, {}), target).items()
+             for _ in range(k)]
     return _capacity_graph(items, target, _juxtaposed)
 
 
@@ -256,7 +254,8 @@ def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
     """Capacity over the labeled section of a signed symmetric multisegment:
     a labeled copy feeds any strictly greater labeled copy at the next
     column, that is any copy before it in the section."""
-    if target.is_empty:
+    _typed(s, SignedSymMultisegment)
+    if _typed(target, Segment).is_empty:
         return 0
     require_valid(s)
     cnt = _gl_line(s._ints.get(target.line, ({},))[0], target)
@@ -267,7 +266,7 @@ def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
 def containment_count(m: Multisegment, target: Segment) -> int:
     """How many segments of m contain the (nonempty) target."""
     form = _form(m)
-    if target.is_empty:
+    if _typed(target, Segment).is_empty:
         raise DomainError("containment of an empty target is not defined")
     tb2, te2 = target.b.twice, target.e.twice
     return sum(k for (b2, e2), k in _gl_line(form.get(target.line, {}), target).items()

@@ -1,6 +1,7 @@
 import itertools
 import random
 from bisect import bisect_left, insort
+from collections import Counter
 from heapq import heapify, heappop, heappush
 
 import pytest
@@ -241,10 +242,10 @@ class TestCapacity:
 
 class TestPairs:
     def test_raw_pairs_roundtrip(self):
-        pairs = [(-4, 2), (-2, 0)]
-        t = sorted(transpose_pairs(pairs))
-        assert t == [(-4, -4), (-2, -2), (-2, -2), (0, 0), (0, 0), (2, 2)]
-        assert sorted(transpose_pairs(t)) == sorted(pairs)
+        cnt = {(-4, 2): 1, (-2, 0): 1}
+        t = transpose_pairs(cnt)
+        assert t == {(-4, -4): 1, (-2, -2): 2, (0, 0): 2, (2, 2): 1}
+        assert transpose_pairs(t) == cnt
 
     def test_chains_jump_the_gaps_between_far_ends(self):
         """The top end jumps from end to end: the bucket probes grow with
@@ -261,11 +262,11 @@ class TestPairs:
                 self.probes += 1
                 return super().get(key, default)
 
-        pairs = [(-1999998, -1999998), (-1999998, -1999996), (0, 0), (0, 2),
-                 (1999998, 1999998)]
-        buckets = Probed(_buckets(pairs))
-        tops = sorted((c[-1][1], c[0][1]) for c in _chains(buckets))
-        assert tops == sorted(transpose_pairs(pairs))
+        cnt = {(-1999998, -1999998): 1, (-1999998, -1999996): 1, (0, 0): 1,
+               (0, 2): 1, (1999998, 1999998): 1}
+        buckets = Probed(_buckets(cnt))
+        tops = Counter((c[-1][1], c[0][1]) for c in _chains(buckets))
+        assert dict(tops) == transpose_pairs(cnt)
         assert not buckets and buckets.probes < 40
 
 
@@ -304,19 +305,22 @@ def _reference_chains(buckets):
 
 
 def test_in_place_cut_gives_the_reference_chains():
-    """Random pair lists with repeated copies, copies of length 1 and ends
-    far apart: the in-place cut extracts the same chains, in the same order,
-    as popping the chain and inserting the cut copies afterwards."""
+    """Random counters with repeated copies, copies of length 1 and ends far
+    apart: the in-place cut extracts the same chains, in the same order, as
+    popping the chain and inserting the cut copies afterwards, and the
+    transpose of the counter's transpose is the counter."""
     rng = random.Random(11)
     for _ in range(3000):
         span = rng.choice([3, 6, 40])
-        pairs = []
+        cnt = {}
         for _ in range(rng.randint(1, 12)):
             b = rng.randint(-span, span)
             e = b + rng.choice([0, 0, 1, 2, rng.randint(0, span)])
-            pairs.extend([(2 * b, 2 * e)] * rng.choice([1, 1, 2, 3]))
-        got = list(_chains(_buckets(pairs)))
-        assert got == list(_reference_chains(_buckets(pairs))), pairs
+            v = (2 * b, 2 * e)
+            cnt[v] = cnt.get(v, 0) + rng.choice([1, 1, 2, 3])
+        got = list(_chains(_buckets(cnt)))
+        assert got == list(_reference_chains(_buckets(cnt))), cnt
+        assert transpose_pairs(transpose_pairs(cnt)) == cnt, cnt
 
 
 _SIGNED = SignedSymMultisegment([seg(-1, 0), seg(0, 1)])
@@ -335,3 +339,25 @@ def test_gl_functions_refuse_a_signed_state(call):
     with pytest.raises(TypeError, match="expected a Multisegment, got SignedSymMultisegment"):
         call()
     assert kz_capacity(_SIGNED.m, seg(0, 0)) == containment_count(_SIGNED.m, seg(0, 0)) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: kz_capacity(mseg((0, 1)), mseg((0, 1))),
+                 "expected a Segment, got Multisegment", id="kz_capacity-multisegment"),
+    pytest.param(lambda: kz_capacity(mseg((0, 1)), "x"),
+                 "expected a Segment, got str", id="kz_capacity-str"),
+    pytest.param(lambda: containment_count(mseg((0, 1)), 3),
+                 "expected a Segment, got int", id="containment_count-int"),
+    pytest.param(lambda: kz_capacity_labeled(_SIGNED, mseg((0, 1))),
+                 "expected a Segment, got Multisegment", id="labeled-multisegment"),
+    pytest.param(lambda: kz_capacity_labeled(mseg((0, 1)), seg(0, 0)),
+                 "expected a SignedSymMultisegment, got Multisegment", id="labeled-plain"),
+    pytest.param(lambda: kz_capacity_labeled(mseg((0, 1)), seg(1, 0)),
+                 "expected a SignedSymMultisegment, got Multisegment",
+                 id="labeled-plain-empty-target"),
+])
+def test_gl_functions_refuse_a_target_of_the_wrong_kind(call, message):
+    """The capacity functions check the kind of the state and of the target
+    before any other check, the empty target's included."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
