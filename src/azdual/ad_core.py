@@ -61,11 +61,14 @@ from .langdata import (
 class InitialSequence:
     """The chain extracted by one step, with its positions and outcome sign.
 
-    ``enumeration`` is the canonical descending list of copies (labeled on
-    good lines, plain elsewhere); ``segments`` the picked entries in chain
-    order; ``idx`` / ``idx_dual`` the 0-based positions of the picked copies
-    and of their dual copies inside ``enumeration``; ``eps0`` is -1 exactly
-    when the chain stopped on a terminal form.
+    ``enumeration`` lists the line's copies: labeled on good lines, in the
+    order of the labeled section; plain elsewhere, by descending beginning,
+    then ascending end, then side, so that on mirror lines the two sides
+    interleave, unlike ``str``, which lists side 0 first.  ``segments`` are
+    the picked entries in chain order; ``idx`` / ``idx_dual`` the 0-based
+    positions of the picked copies and of their dual copies inside
+    ``enumeration``; ``eps0`` is -1 exactly when the chain stopped on a
+    terminal form.
     """
 
     line: Line

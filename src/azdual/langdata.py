@@ -4,13 +4,12 @@ Langlands-style parameter data, plus the transfer between the two pictures.
 Symmetric multisegments carry signs only on centered segments; signs are
 stored sparsely as the set of centered values signed -1, everything else
 being +1 by convention.  Plain and signed multisegments share one per-line
-int form, below: a signed one holds it as its state, read from Segments
-once when built from them, and builds its ``Segment`` view (``.m``) on
-demand; a plain one built from that form holds it and builds its
-``entries`` on demand.  Parameter data hold their ``n`` as a plain
-multisegment and their blocks per line as ``({a: k}, minus set)``, and
-build ``phi`` and ``eta_minus`` on demand.  The package builds its own
-states in the int form, through :func:`_plain`, :func:`_fill` and :func:`_datum`.
+int form, below: each holds it as its state, counted from Segments once
+when built from them, and builds its ``Segment`` view (``entries``, ``.m``)
+on demand.  Parameter data hold their ``n`` as a plain multisegment and
+their blocks per line as ``({a: k}, minus set)``, and build ``phi`` and
+``eta_minus`` on demand.  The package builds its own states in the int
+form, through :func:`_plain`, :func:`_fill` and :func:`_datum`.
 """
 from __future__ import annotations
 
@@ -31,49 +30,35 @@ from .segments import (
 
 
 class Multisegment:
-    """A finite multiset of nonempty segments, stored in canonical order.
+    """A finite multiset of nonempty segments, listed in canonical order.
 
-    An object holds one of two forms.  Built from Segments, it holds
-    ``entries``.  Built through :func:`_plain`, it holds the per-line int
-    form ``{line: {(2b, 2e): multiplicity}}``, keys ``(2b, 2e, side)`` on
-    mirror lines, and builds ``entries`` from it on first access.  ``_ints``
-    is the int form; a Segment-built object computes it on each read and
-    does not keep it, on purpose: it takes about five times the memory of
-    the Segments.  Equality and hash compare the int form.  The views
-    have no setters and the slots are private: the object is immutable.
+    It holds the per-line int form ``{line: {(2b, 2e): multiplicity}}``,
+    keys ``(2b, 2e, side)`` on mirror lines, as ``_ints``, and builds
+    ``entries`` from it on first access.  Equality and hash compare the int
+    form.  The views have no setters and the slots are private: the object
+    is immutable.
     """
 
-    __slots__ = ("_entries", "_form")
+    __slots__ = ("_entries", "_ints")
 
     def __init__(self, entries=()):
-        items = list(entries)
-        for d in items:
+        form = {}
+        for d in entries:
             if not isinstance(d, Segment):
                 raise TypeError(f"multisegment entry {d!r} is not a Segment")
-        items.sort(key=lambda d: _sort_key(d.line, d._key))
-        for d in items:
-            if d.is_empty:
-                raise DomainError(f"empty segment {d} cannot join a multisegment")
-        self._entries, self._form = tuple(items), None
+            cnt = form.setdefault(d.line, {})
+            cnt[d._key] = cnt.get(d._key, 0) + 1
+        _refuse(form)
+        self._entries, self._ints = None, form
 
     @property
     def entries(self) -> tuple:
         if self._entries is None:
             self._entries = tuple(sorted(
-                (_segment(ln, v) for ln, cnt in self._form.items()
+                (_segment(ln, v) for ln, cnt in self._ints.items()
                  for v, k in cnt.items() for _ in range(k)),
                 key=lambda d: _sort_key(d.line, d._key)))
         return self._entries
-
-    @property
-    def _ints(self) -> dict:
-        if self._form is not None:
-            return self._form
-        form = {}
-        for d in self._entries:
-            cnt = form.setdefault(d.line, {})
-            cnt[d._key] = cnt.get(d._key, 0) + 1
-        return form
 
     def __len__(self):
         return len(self.entries)
@@ -82,7 +67,7 @@ class Multisegment:
         return iter(self.entries)
 
     def __bool__(self):
-        return bool(self._entries if self._form is None else self._form)
+        return bool(self._ints)
 
     def __eq__(self, other):
         return isinstance(other, Multisegment) and self._ints == other._ints
@@ -119,7 +104,7 @@ def _plain(form) -> Multisegment:
     """The plain multisegment of a per-line int form ``{line: counter}``,
     kept, not copied; the form holds no zero count and no empty line."""
     m = object.__new__(Multisegment)
-    m._entries, m._form = None, form
+    m._entries, m._ints = None, form
     return m
 
 
@@ -497,7 +482,7 @@ def validate(x) -> list:
         if x._valid:
             return []
         found = []  # (0 for a value or 1 for a sign, line, key, text)
-        for ln, (cnt, minus) in x._ints.items():  # also sets x._conflicts
+        for ln, (cnt, minus) in x._ints.items():
             for v, k in cnt.items():
                 if cnt.get(_dual(v), 0) != k:
                     found.append((0, ln, v, f"symmetry violation at {_segment(ln, v)}"))

@@ -33,7 +33,7 @@ class HalfInt:
     def __init__(self, value: "int | HalfInt" = 0):
         if isinstance(value, HalfInt):
             t = value.twice
-        elif isinstance(value, int):
+        elif type(value) is int:
             t = 2 * value
         else:
             raise TypeError(f"cannot build HalfInt from {type(value).__name__}")
@@ -41,11 +41,13 @@ class HalfInt:
 
     @classmethod
     def from_twice(cls, twice: int) -> "HalfInt":
+        if type(twice) is not int:
+            raise TypeError(f"cannot build HalfInt from {type(twice).__name__}")
         h = _HALF_CACHE.get(twice)
         if h is not None:
             return h
         h = cls.__new__(cls)
-        object.__setattr__(h, "twice", int(twice))
+        object.__setattr__(h, "twice", twice)
         return h
 
     @classmethod
@@ -228,7 +230,7 @@ def _segment_key(ln: Line, b2: int, e2: int, side) -> tuple:
 def _check_block(ln: Line, a) -> None:
     """Refuse a block S<a> on ln unless a is positive with its centered
     segment on the line's grid.  ``PhiComponent`` and the parsers share it."""
-    if not isinstance(a, int) or a < 1:
+    if type(a) is not int or a < 1:
         raise DomainError(f"block size must be a positive int, got {a!r}")
     if (a - 1) % 2 != (0 if ln.grid == GRID_INT else 1):
         raise DomainError(f"block size {a} off the {ln.grid} grid of {ln.id}")

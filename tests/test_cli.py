@@ -2,11 +2,13 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -683,3 +685,32 @@ class TestEntryPoint:
             assert proc.returncode == 1 and proc.stdout == ""
             errs.add(proc.stderr)
         assert errs == {"error: sign attached to non-centered segment [1,2]@rho\n"}
+
+
+def _quick_start():
+    """The ``$ azdual ...`` commands of README's CLI quick start, each with
+    the lines printed under it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    cases = []
+    for chunk in block.strip().split("\n\n"):
+        command, *lines = chunk.splitlines()
+        assert command.startswith("$ azdual ")
+        cases.append((shlex.split(command)[2:], "".join(ln + "\n" for ln in lines)))
+    return cases
+
+
+QUICK_START = _quick_start()
+
+
+def test_readme_quick_start_has_five_commands():
+    assert [argv[0] for argv, _ in QUICK_START] == ["mw", "dual", "derive", "capacity", "validate"]
+
+
+@pytest.mark.parametrize("argv, shown", QUICK_START, ids=[argv[0] for argv, _ in QUICK_START])
+def test_readme_quick_start_output(argv, shown):
+    """Each quick-start command prints what README shows under it; a
+    ``validate`` report other than OK exits 1, every other command 0."""
+    code, out, err = run(argv)
+    assert out == shown and err == ""
+    assert code == (1 if argv[0] == "validate" and shown != "OK\n" else 0)

@@ -1,3 +1,5 @@
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -65,6 +67,19 @@ class TestMultisegment:
     def test_rejects_empty_segments(self):
         with pytest.raises(DomainError):
             Multisegment([seg(GI, 1, 0)])
+        with pytest.raises(DomainError, match=r"^empty segment \[3,2\]@rho cannot join"):
+            Multisegment([seg(GI, 0, 1), seg(GI, 1, 0), seg(GI, 3, 2)])
+
+    def test_holds_the_int_form_and_builds_entries_on_read(self):
+        segs = [seg(UG, 0, 1, 1), seg(GI, -1, 1), seg(UG, -2, 0, 0), seg(GI, 0, 2),
+                seg(GI, -1, 1), seg(UG, 0, 1, 1)]
+        m = Multisegment(segs)
+        held = _plain({GI: {(0, 4): 1, (-2, 2): 2}, UG: {(0, 2, 1): 2, (-4, 0, 0): 1}})
+        assert m._entries is None
+        assert m._ints == held._ints and m == held and hash(m) == hash(held)
+        assert m and m.degree == held.degree and m._entries is None
+        assert str(m) == str(held) == "[0,2]@rho+[-1,1]@rho+[-1,1]@rho+[-2,0]@tau+[0,1]@tau~+[0,1]@tau~"
+        assert m._entries == held.entries
 
     @pytest.mark.parametrize("entry", [1, "[0,1]"])
     def test_rejects_entries_that_are_not_segments(self, entry):
@@ -199,6 +214,13 @@ class TestPhi:
             PhiComponent(GH, 3)
         with pytest.raises(DomainError):
             PhiComponent(GI, 0)
+
+    @pytest.mark.parametrize("a", [True, IntEnum("Size", "ONE TWO THREE").THREE],
+                             ids=["bool", "int-enum"])
+    def test_block_size_is_an_int_exactly(self, a):
+        with pytest.raises(DomainError, match=f"^block size must be a positive int, got {a!r}$"):
+            PhiComponent(GI, a)
+
 
 class TestTransfer:
     def test_simple_datum(self):
@@ -435,7 +457,7 @@ class TestConflicts:
     def test_int_held_and_segment_built_inputs_report_alike(self):
         m = Multisegment(self.SEGS)
         held = _plain(m._ints)
-        assert m._entries is not None and held._entries is None
+        assert held._entries is None
         assert validate(m) == validate(held) == [self.MESSAGE] * 3
         assert validate(SignedSymMultisegment(m))[:3] == [self.MESSAGE] * 3
         assert validate(SignedSymMultisegment(m)) == validate(SignedSymMultisegment(held))

@@ -63,6 +63,20 @@ class TestHalfInt:
         with pytest.raises(TypeError):
             half(1.5)
 
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: HalfInt(True), "bool"),
+        (lambda: HalfInt.from_twice("2"), "str"),
+        (lambda: HalfInt.from_twice(300.5), "float"),
+        (lambda: HalfInt.from_twice(2.0), "float"),
+        (lambda: HalfInt.from_twice(True), "bool"),
+        (lambda: half(True), "bool"),
+        (lambda: seg(line("rho"), True, True), "bool"),
+    ], ids=["init-bool", "twice-str", "twice-float", "twice-cached-float", "twice-bool",
+            "half-bool", "seg-bool"])
+    def test_refuses_what_is_not_an_int(self, build, kind):
+        with pytest.raises(TypeError, match=f"^cannot build HalfInt from {kind}$"):
+            build()
+
 
 class TestLine:
     def test_ugly_grid_normalized(self):
