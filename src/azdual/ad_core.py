@@ -12,9 +12,9 @@ time, in one engine (``_Engine``) that keeps the line's state across its
 steps: the counter ``{(2b, 2e): multiplicity}``, changed in place; an end
 index ``{2e: sorted beginnings 2b}``, updated only for the pairs a step
 takes to or from multiplicity 0; the set of centered pairs signed -1; the
-running degree and sign parity.  The engine starts from a copy of the
-line's counter in the input's int form, and the dual it adds up is the
-result's int form; no ``Segment`` is built.
+sign parity.  The engine starts from a copy of the line's counter in the
+input's int form, and the dual it adds up is the result's int form; no
+``Segment`` is built.
 
 One step path, ``_Engine.step``, serves every line class, which chooses
 only the chain (and on good lines the cuts and signs).  A step visits only
@@ -42,7 +42,6 @@ from .langdata import (
     LabeledSeg,
     LanglandsData,
     SignedSymMultisegment,
-    _degree,
     _dual,
     _labeled_dual,
     _parity,
@@ -87,29 +86,28 @@ class InitialSequence:
 class _Engine:
     """One line's state across the steps of the dual.
 
-    ``cnt`` is the line's counter, changed in place, and ``degree`` its
-    degree.  ``ends`` maps each end 2e to the sorted beginnings 2b of the
-    pairs ending there.  ``minus`` is the set of centered pairs signed -1,
-    ``centered`` the centered pairs present and ``parity`` that of the sign
-    product (0 for +1).  :meth:`_cut` keeps ``ends`` and ``centered`` in
-    place, for the pairs a step takes to or from multiplicity 0, and counts
-    the degree lost from its cut bits; :meth:`_signs` rebuilds ``minus`` and
-    ``parity`` from the centered pairs the chain cuts left.  :meth:`step` is
-    the one step path for every line class, and the pieces it emits add up
-    in ``dual`` and ``dual_minus``.
+    ``cnt`` is the line's counter, changed in place.  ``ends`` maps each end
+    2e to the sorted beginnings 2b of the pairs ending there.  ``minus`` is
+    the set of centered pairs signed -1, ``centered`` the centered pairs
+    present and ``parity`` that of the sign product (0 for +1).
+    :meth:`_cut` keeps ``ends`` and ``centered`` in place, for the pairs a
+    step takes to or from multiplicity 0, and counts the degree lost from
+    its cut bits; :meth:`_signs` rebuilds ``minus`` and ``parity`` from the
+    centered pairs the chain cuts left.  :meth:`step` is the one step path
+    for every line class, and the pieces it emits add up in ``dual`` and
+    ``dual_minus``.
     A mirror line has no ``ends``: ``chains`` extracts its GL chains from
     buckets of its side-0 copies.  ``sides`` holds the key suffixes of a
     piece's pair and of its dual: (0,) and (1,) on a mirror line, else empty.
     """
 
-    __slots__ = ("cls", "same_type", "cnt", "degree", "ends", "chains", "minus",
+    __slots__ = ("cls", "same_type", "cnt", "ends", "chains", "minus",
                  "centered", "parity", "sides", "dual", "dual_minus")
 
     def __init__(self, ln: Line, cnt, minus):
         self.cls = ln.cls
         self.same_type = ln.grid == GRID_INT
         self.cnt = cnt
-        self.degree = _degree(cnt)
         if self.cls == UGLY:
             self.ends = None
             self.chains = _chains(_buckets(_sides(ln, cnt).get((0,), {})))
@@ -166,7 +164,6 @@ class _Engine:
         # The degree the cut copies lost, against the piece's own degree.
         if lost != piece_degree:
             raise InvariantError("degree not preserved across the step")
-        self.degree -= lost
         if good:
             self._signs(sources, before, eps0, minus_piece)
         dual = self.dual
@@ -441,28 +438,27 @@ def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
     ln, eng = _single_line(s, "ad_initial_sequence")
     cnt = dict(eng.cnt)
     chain, eps0 = eng.step()
-    if ln.cls == GOOD:
+    good = ln.cls == GOOD
+    if good:
         enum = [(pair, lab) for _, pair, lab, k in _section(cnt) for _ in range(k)]
-        idx = tuple(enum.index(entry) for entry in chain)
-        idx_dual = tuple(enum.index(_labeled_dual(*entry)) for entry in chain)
-        labeled = tuple(LabeledSeg(_segment(ln, pair), lab) for pair, lab in enum)
-        return InitialSequence(
-            ln, labeled, tuple(labeled[p] for p in idx), idx, idx_dual, eps0
-        )
-    # A value may be picked twice (by the chain and as a dual): each pick
-    # takes the first copy not yet taken.
-    enum = sorted((v for v, k in cnt.items() for _ in range(k)),
-                  key=lambda v: (-v[0],) + v[1:])
-    taken = set()
-
-    def take(v):
-        p = next(p for p, w in enumerate(enum) if w == v and p not in taken)
-        taken.add(p)
-        return p
-
-    idx = tuple(take(v) for v in chain)
-    idx_dual = tuple(take(_dual(v)) for v in chain)
-    segs = tuple(_segment(ln, v) for v in enum)
+        picks = [*chain, *(_labeled_dual(*entry) for entry in chain)]
+        segs = tuple(LabeledSeg(_segment(ln, pair), lab) for pair, lab in enum)
+    else:
+        enum = sorted((v for v, k in cnt.items() for _ in range(k)),
+                      key=lambda v: (-v[0],) + v[1:])
+        picks = [*chain, *map(_dual, chain)]
+        segs = tuple(_segment(ln, v) for v in enum)
+    # Equal values are adjacent in enum.  On good lines a pick names its
+    # group's first copy; elsewhere a value may be picked twice (by the chain
+    # and as a dual), and each pick takes the next copy.
+    free, pos = {}, []
+    for p, v in enumerate(enum):
+        free.setdefault(v, p)
+    for v in picks:
+        pos.append(free[v])
+        if not good:
+            free[v] += 1
+    idx, idx_dual = tuple(pos[:len(chain)]), tuple(pos[len(chain):])
     return InitialSequence(ln, segs, tuple(segs[p] for p in idx), idx, idx_dual, eps0)
 
 

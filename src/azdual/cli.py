@@ -25,6 +25,7 @@ import os
 import random
 import re
 import sys
+from operator import itemgetter
 
 from .segments import (
     BAD,
@@ -49,6 +50,7 @@ from .langdata import (
     _refuse,
     _segment,
     _signed,
+    _sort_key,
     _with_signs,
     sign_product,
     transfer,
@@ -382,57 +384,44 @@ _json_text = functools.lru_cache(maxsize=4096)(json.dumps)
 
 
 @functools.lru_cache(maxsize=4096)
-def _tail(v) -> str:
-    """The fields after ``line`` in the record of the segment of int key v."""
+def _record(ident, v) -> str:
+    """The record of the segment of int key v on the line of id ident,
+    without its closing brace."""
     side = f',"side":{v[2]}' if len(v) == 3 else ""
-    return f',"b":"{HalfInt.from_twice(v[0])}","e":"{HalfInt.from_twice(v[1])}"{side}'
+    return (f'{{"line":{_json_text(ident)},"b":"{HalfInt.from_twice(v[0])}",'
+            f'"e":"{HalfInt.from_twice(v[1])}"{side}')
 
 
-def _records(form, order, write) -> str:
-    """``k`` copies of ``write(JSON id, line, key)`` per ``key: k`` of a form
-    ``{line: {key: k}}``, by line id, then by ``order((line, key, k))``.  A
-    record names its line by id alone, so lines sharing one write together."""
-    by_id: dict = {}
-    for ln, cnt in form.items():
-        by_id.setdefault(ln.id, []).extend((ln, v, k) for v, k in cnt.items())
-    out = []
-    for ident in sorted(by_id):
-        text = _json_text(ident)
-        for ln, v, k in sorted(by_id[ident], key=order):
-            out += [write(text, ln, v)] * k
-    return ",".join(out)
+def _joined(records) -> str:
+    """``k`` copies of ``text`` per ``(sort key, text, k)``, by sort key; the
+    sort is stable, so records of equal keys keep the given order."""
+    records.sort(key=itemgetter(0))
+    return ",".join([text for _, text, k in records for _ in range(k)])
 
 
 def render_output(x) -> str:
     """The canonical JSON text of any of the three kinds, written from its
     int form."""
     if isinstance(x, LanglandsData):
-        blocks, form, kind = x._blocks, x.n._ints, "phi"
-
-        def record(ident, ln, a):
-            eta = f',"eta":{-1 if a in blocks[ln][1] else 1}' if ln.cls == GOOD else ""
-            return f'{{"line":{ident},"a":{a}{eta}}}'
-        more = _records({ln: cnt for ln, (cnt, _) in blocks.items()}, lambda c: c[1], record)
+        form, kind = x.n._ints.items(), "phi"
+        more = [((ln.id, a), f'{{"line":{_json_text(ln.id)},"a":{a}'
+                 + (f',"eta":{-1 if a in minus else 1}}}' if ln.cls == GOOD else "}"), k)
+                for ln, (cnt, minus) in x._blocks.items() for a, k in cnt.items()]
     elif isinstance(x, SignedSymMultisegment):
-        ints = x._ints
-        form, kind = {ln: cnt for ln, (cnt, _) in ints.items() if cnt}, "eps"
-
-        def record(ident, ln, v):
-            return f'{{"line":{ident}{_tail(v)},"sign":{-1 if v in ints[ln][1] else 1}}}'
-        centered = {ln: {v: 1 for v in cnt if v[0] + v[1] == 0}
-                    for ln, cnt in form.items() if ln.cls == GOOD}
-        more = _records(centered, lambda c: c[1][1], record)
+        form, kind = [(ln, cnt) for ln, (cnt, _) in x._ints.items()], "eps"
+        more = [((ln.id, v[1]), f'{_record(ln.id, v)},"sign":{-1 if v in minus else 1}}}', 1)
+                for ln, (cnt, minus) in x._ints.items() if ln.cls == GOOD
+                for v in cnt if v[0] + v[1] == 0]
     elif isinstance(x, Multisegment):
-        form, kind = x._ints, None
+        form, kind = x._ints.items(), None
     else:
         raise DomainError(f"cannot render {type(x).__name__}")
-    # The line id is the same inside a group: the rest of ``_sort_key``.
-    segs = _records(form, lambda c: (c[1][2] if len(c[1]) == 3 else -1, -c[1][0], c[1][1]),
-                    lambda ident, ln, v: f'{{"line":{ident}{_tail(v)}}}')
+    segs = _joined([(_sort_key(ln, v), _record(ln.id, v) + "}", k)
+                    for ln, cnt in form for v, k in cnt.items()])
     lines = ",".join(f'{{"id":{_json_text(ln.id)},"class":"{ln.cls}","grid":"{ln.grid}"}}'
                      for ln in x.lines())
     text = f'{{"lines":[{lines}],"m":[{segs}]'
-    return f'{text},"{kind}":[{more}]}}' if kind else text + "}"
+    return f'{text},"{kind}":[{_joined(more)}]}}' if kind else text + "}"
 
 
 def render_doc(x) -> dict:

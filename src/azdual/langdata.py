@@ -79,7 +79,12 @@ class Multisegment:
     def __add__(self, other):
         if not isinstance(other, Multisegment):
             return NotImplemented
-        return Multisegment(self.entries + other.entries)
+        form = {ln: dict(cnt) for ln, cnt in self._ints.items()}
+        for ln, cnt in other._ints.items():
+            mine = form.setdefault(ln, {})
+            for v, k in cnt.items():
+                mine[v] = mine.get(v, 0) + k
+        return _plain(form)
 
     @property
     def degree(self) -> int:

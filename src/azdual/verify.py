@@ -864,7 +864,7 @@ def run_properties(stream, suites=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def first_start_prediction(d: LanglandsData, dual: LanglandsData = None):
+def first_start_prediction(d: LanglandsData):
     """(observed, predicted) lowest beginning in the dual's symmetric form.
 
     The prediction is the minimum over the datum's own beginnings and the
@@ -874,15 +874,6 @@ def first_start_prediction(d: LanglandsData, dual: LanglandsData = None):
     s = transfer(d)
     if not s:
         return None
-    return first_starts(s, transfer(ad_data(d) if dual is None else dual))
-
-
-def first_starts(s: SignedSymMultisegment, t: SignedSymMultisegment):
-    """(observed, predicted) of :func:`first_start_prediction`, from the
-    symmetric forms ``s`` of a datum and ``t`` of its dual.  None when ``s``
-    is empty."""
-    if not s:
-        return None
-    observed = min(v[0] for cnt, _ in t._ints.values() for v in cnt)
+    observed = min(v[0] for cnt, _ in transfer(ad_data(d))._ints.values() for v in cnt)
     predicted = min(v[0] for cnt, _ in s._ints.values() for v in cnt)
     return HalfInt.from_twice(observed), HalfInt.from_twice(predicted)

@@ -17,7 +17,6 @@ from azdual.langdata import (
     Multisegment,
     PhiComponent,
     SignedSymMultisegment,
-    _degree,
     _parity,
     transfer,
 )
@@ -241,13 +240,13 @@ class TestEngineChecks:
         eng = _Engine(G, {(-3, 3): 1}, {(-3, 3)})
         eng.step()
         assert (eng.cnt, eng.minus, eng.parity) == ({(-1, 1): 1}, {(-1, 1)}, 1)
-        assert (eng.dual, eng.dual_minus, eng.degree) == ({(3, 3): 1, (-3, -3): 1}, set(), 2)
+        assert (eng.dual, eng.dual_minus) == ({(3, 3): 1, (-3, -3): 1}, set())
 
 
 class TestEngineState:
     def test_indexes_follow_the_counter_after_every_step(self):
-        """The end index, the centered set, the parity and the degree, which
-        each step updates in place, equal their values recomputed from the
+        """The end index, the centered set and the parity, which each step
+        updates in place, equal their values recomputed from the
         counter and the minus set after every step of the standard sweep."""
         steps = 0
         for s in standard_sweep():
@@ -261,5 +260,4 @@ class TestEngineState:
                         assert eng.centered == {v for v in eng.cnt if v[0] + v[1] == 0}
                         assert eng.minus <= eng.centered
                     assert eng.parity == _parity(eng.cnt, eng.minus)
-                    assert eng.degree == _degree(eng.cnt)
         assert steps == 45945

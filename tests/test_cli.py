@@ -386,6 +386,30 @@ class TestRender:
         assert [rec["sign"] for rec in doc["eps"]] == [-1, 1, 1]
         assert [rec["e"] for rec in doc["eps"]] == ["0", "1", "2"]
 
+    XG, XB = Line("x", GOOD, GRID_INT), Line("x", BAD, GRID_INT)
+    LINES_X = '{"lines":[{"id":"x","class":"good","grid":"integral"}]'
+    ZERO = '{"line":"x","b":"0","e":"0"}'
+
+    @pytest.mark.parametrize("first, second", [(XG, XB), (XB, XG)], ids=["good-first", "bad-first"])
+    def test_records_sharing_an_id_and_a_key_keep_the_form_order(self, first, second):
+        """Two lines declaring one id may hold the same key (an invalid state,
+        still rendered): their records keep the order of the state's form."""
+        G0 = seg(0, 0, self.XG)
+        pair = [seg(0, 0, first), seg(0, 0, second)]
+        assert render_output(Multisegment(pair)) == f'{self.LINES_X},"m":[{self.ZERO},{self.ZERO}]}}'
+        wide = Multisegment([seg(-1, 1, first), seg(0, 0, second), seg(0, 0, first)])
+        assert render_output(wide) == (f'{self.LINES_X},"m":[{self.ZERO},{self.ZERO},'
+                                       '{"line":"x","b":"-1","e":"1"}]}')
+        lines = [f'{{"id":"x","class":"{ln.cls}","grid":"integral"}}' for ln in (first, second)]
+        assert render_output(SignedSymMultisegment(Multisegment(pair), minus=[G0])) == (
+            f'{{"lines":[{",".join(lines)}],"m":[{self.ZERO},{self.ZERO}],'
+            '"eps":[{"line":"x","b":"0","e":"0","sign":-1}]}')
+        blocks = [PhiComponent(first, 1), PhiComponent(second, 1)]
+        for eta_minus, eta in (((), 1), ((PhiComponent(self.XG, 1),), -1)):
+            recs = {self.XG: f'{{"line":"x","a":1,"eta":{eta}}}', self.XB: '{"line":"x","a":1}'}
+            assert render_output(LanglandsData(phi=blocks, eta_minus=eta_minus)) == (
+                f'{self.LINES_X},"m":[],"phi":[{recs[first]},{recs[second]}]}}')
+
 
 class TestCommands:
     def test_dual_of_the_walkthrough(self):

@@ -91,6 +91,16 @@ class TestMultisegment:
         b = Multisegment([seg(GI, 0, 1), seg(GI, -1, 1)])
         assert a + Multisegment([seg(GI, -1, 1)]) == b
 
+    def test_add_counts_the_two_forms_without_building_entries(self):
+        left = [seg(GI, -1, 1), seg(UG, 0, 1, 1), seg(GI, 0, 2)]
+        right = [seg(GI, -1, 1), seg(BI, 0, 0), seg(UG, -2, 0, 0), seg(UG, 0, 1, 1)]
+        a, b = Multisegment(left), Multisegment(right)
+        total = a + b
+        assert a._entries is None and b._entries is None
+        assert total._ints == Multisegment(left + right)._ints
+        assert all(total._ints[ln] is not cnt for m in (a, b) for ln, cnt in m._ints.items())
+        assert a == Multisegment(left) and b == Multisegment(right)
+
     def test_degree(self):
         assert Multisegment([seg(GI, -2, 2), seg(GI, 0, 1)]).degree == 7
 

@@ -31,7 +31,7 @@ from azdual.langdata import (
     transfer,
     validate,
 )
-from azdual.ad_core import ad_data, ad_symm
+from azdual.ad_core import ad_symm
 from azdual.cli import parse_input, render_output
 from azdual.derivatives import derivative
 from azdual.verify import (
@@ -365,11 +365,6 @@ class TestFirstStart:
         )
         obs, pred = first_start_prediction(d)
         assert obs == pred == half(-3)
-
-    def test_accepts_a_precomputed_dual(self):
-        d = LanglandsData(Multisegment([seg(-1, 0)]))
-        obs, pred = first_start_prediction(d, ad_data(d))
-        assert (obs, pred) == first_start_prediction(d)
 
     def test_empty_datum_has_no_prediction(self):
         assert first_start_prediction(LanglandsData()) is None
