@@ -11,7 +11,10 @@ degree sitting at the origin once all strictly negative twists vanish.
 Both operators run on the int line form of :mod:`langdata`, the one the
 dual's step loop uses: a copy is a ``(2b, 2e)`` pair (``(2b, 2e, side)`` on
 ugly lines) with a multiplicity.  Each is a kernel on one line's counter and
-minus set; callers that need only the order build no derived state.
+minus set; callers that need only the order build no derived state.  The
+protection matching is the greedy one of :func:`best_matching` run on those
+counts: one merge over the distinct beginnings, so its cost does not grow
+with the multiplicities.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .segments import (
     HalfInt,
     InvariantError,
     Line,
+    _typed,
     half,
 )
 from .langdata import (
@@ -76,7 +80,12 @@ def best_matching(xs, ys, rel, drop=None) -> MatchingResult:
                         )
     if drop is not None:
         r = [[ok and (y, x) != drop for y, ok in zip(ys, row)] for x, row in zip(xs, r)]
-    used = _greedy(r)
+    used: dict = {}  # target: source
+    for i in range(len(xs) - 1, -1, -1):
+        for j, ok in enumerate(r[i]):
+            if ok and j not in used:
+                used[j] = i
+                break
     f = {i: j for j, i in used.items()}
     x0 = tuple(xs[i] for i in sorted(f))
     pairs = tuple((xs[i], ys[f[i]]) for i in sorted(f))
@@ -84,18 +93,6 @@ def best_matching(xs, ys, rel, drop=None) -> MatchingResult:
     y0 = tuple(ys[j] for j in sorted(used))
     yc = tuple(ys[j] for j in range(len(ys)) if j not in used)
     return MatchingResult(x0, pairs, xc, y0, yc)
-
-
-def _greedy(r) -> dict:
-    """The greedy matching of :func:`best_matching` as ``{target: source}``,
-    on its relation matrix ``r[source][target]`` with the barred pair out."""
-    used: dict = {}
-    for i in range(len(r) - 1, -1, -1):
-        for j, ok in enumerate(r[i]):
-            if ok and j not in used:
-                used[j] = i
-                break
-    return used
 
 
 @dataclass(frozen=True)
@@ -122,38 +119,48 @@ def _addk(cnt, v, k=1):
     cnt[v] = cnt.get(v, 0) + k
 
 
-def _begin_lt(y, x):
-    """Source copy x (ending one lower) protects target copy y."""
-    return x[0] < y[0]
-
-
-def _unprotected(cnt, x2: int, tail, star=False, drop=None):
+def _unprotected(cnt, x2: int, tail, star=False, drop=False):
     """The copies ending at x2 left unmatched by the best matching against
     the copies ending at x2 - 2, in the ``(2b, 2e)`` counter of one GL line
-    (side 0 of a mirror line), as ``{value + tail: count}``.  A copy is a
-    ``(2b, copy index)`` item.  ``star`` holds back the first copy of
-    [-x, x] and of [-x+1, x-1].
+    (side 0 of a mirror line), as ``{value + tail: count}`` in ascending
+    beginning.  ``star`` holds back one copy of [-x, x] and one of
+    [-x+1, x-1]; ``drop`` bars the last copy of [-x, x-1] to be matched
+    from the last copy of [-x+1, x].
 
-    The matching skips :func:`best_matching`'s staircase check, which
-    :func:`_begin_lt` on lists sorted by beginning cannot fail: a violation
-    needs sources x2 <= x1 and targets y2 <= y1 with y1 pointing at x1 but
-    not at x2, that is x2.b <= x1.b < y1.b <= x2.b.
+    The matching is one merge over the distinct beginnings, in descending
+    order.  A source (ending at x2 - 2) protects the smallest unused target
+    (ending at x2) of strictly larger beginning, so the targets met so far
+    wait on a stack of ``[2b, copies left]``, the smallest on top, and the
+    sources at a beginning take from it before the targets there are pushed.
     """
-
-    def copies(e2):
-        keys = sorted(v for v in cnt if v[1] == e2)
-        return [(v[0], i) for v in keys for i in range(cnt[v])]
-
-    ys, xs = copies(x2), copies(x2 - 2)
+    ys = {v[0]: k for v, k in cnt.items() if v[1] == x2}
+    xs = {v[0]: k for v, k in cnt.items() if v[1] == x2 - 2}
     if star:
-        ys.remove((-x2, 0))
-        xs = [it for it in xs if it != (-x2 + 2, 0)]
-    used = _greedy([[_begin_lt(y, x) and (y, x) != drop for y in ys] for x in xs])
-    unprot: dict = {}
-    for j, (b2, _) in enumerate(ys):
-        if j not in used:
-            _addk(unprot, (b2, x2) + tail)
-    return unprot
+        ys[-x2] -= 1
+        if -x2 + 2 in xs:
+            xs[-x2 + 2] -= 1
+    stack = []
+    for b2 in sorted(ys.keys() | xs.keys(), reverse=True):
+        n = xs.get(b2, 0)
+        if drop and b2 == -x2:
+            # No source of larger beginning takes [-x+1, x], so its toff
+            # copies are on top, free: toff - 1 copies of [-x, x-1] take
+            # them but one, and the last takes the next target below it.
+            stack[-1][1], n = 1, 0
+            if len(stack) > 1:
+                stack[-2][1] -= 1
+                if not stack[-2][1]:
+                    del stack[-2]
+        while n and stack:
+            top = stack[-1]
+            t = min(n, top[1])
+            top[1] -= t
+            n -= t
+            if not top[1]:
+                stack.pop()
+        if ys.get(b2):
+            stack.append([b2, ys[b2]])
+    return {(b2, x2) + tail: k for b2, k in reversed(stack)}
 
 
 def _cut(ln: Line, cnt, unprot):
@@ -192,9 +199,9 @@ def _derive_line(ln: Line, cnt, minus, x2: int):
     star = ln.cls == GOOD and cnt.get(V, 0) > 0 and mW > 0 and eps(W) == -w_sign
     # A copy may not protect its own mirror on a bad line.  The t mirror pairs
     # between the two boundary values can dodge that ban pairwise only when t
-    # is even; for odd t one pair is stuck, and the greedy scan meets it at
-    # the last copy of the upper value against the first copy of the lower one.
-    drop = ((-x2 + 2, toff - 1), (-x2, 0)) if ln.cls == BAD and toff % 2 else None
+    # is even; for odd t one pair is stuck: the last copy of the lower value
+    # to be matched may not take the last copy of the upper one.
+    drop = ln.cls == BAD and toff % 2 == 1
 
     tail = (0,) if ln.cls == UGLY else ()
     unprot = _unprotected(_sides(ln, cnt).get(tail, {}), x2, tail, star=star, drop=drop)
@@ -268,8 +275,8 @@ def derivative(s: SignedSymMultisegment, ln: Line, x) -> DerivativeResult:
     On ugly lines this is the thin GL-style variant: unprotected end removal
     on the primary side mirrored by beginning removal on the partner side.
     """
-    require_valid(s)
-    x2 = _twist(ln, x)
+    require_valid(_typed(s, SignedSymMultisegment))
+    x2 = _twist(_typed(ln, Line), x)
     if ln not in s._ints:
         return DerivativeResult(s, 0)
     return _result(s, ln, *_derive_line(ln, *s._ints[ln], x2), "derivative")
@@ -283,8 +290,8 @@ def derivative_L(s: SignedSymMultisegment, ln: Line) -> DerivativeResult:
     full chunk of two coefficients, and matched chunk pairs through the
     origin are suppressed; signs are untouched.
     """
-    require_valid(s)
-    if ln.cls not in (GOOD, BAD):
+    require_valid(_typed(s, SignedSymMultisegment))
+    if _typed(ln, Line).cls not in (GOOD, BAD):
         raise DomainError("zero-chunk derivative needs a good or bad line")
     if ln.grid != GRID_INT:
         raise DomainError("zero-chunk derivative needs an integral grid")
@@ -341,7 +348,7 @@ def reduced_report(s: SignedSymMultisegment) -> dict:
     hold (None otherwise), and the combined verdict.  Only the orders are
     computed: no derived multisegment is built.
     """
-    require_valid(s)
+    require_valid(_typed(s, SignedSymMultisegment))
     report: dict = {}
     overall = True
     for ln in s.lines():

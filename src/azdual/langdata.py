@@ -26,6 +26,7 @@ from .segments import (
     Segment,
     _cached_segment,
     _check_block,
+    _typed,
 )
 
 
@@ -594,8 +595,7 @@ def untransfer(s: SignedSymMultisegment) -> LanglandsData:
 
 def line_project(x, ln: Line):
     """Restrict to one line (both sides of an ugly pair), same kind out."""
-    if not isinstance(ln, Line):
-        raise TypeError(f"expected a Line, got {type(ln).__name__}")
+    _typed(ln, Line)
     if isinstance(x, (Multisegment, SignedSymMultisegment)):
         return x.restrict(ln)
     if isinstance(x, LanglandsData):
@@ -607,9 +607,8 @@ def line_project(x, ln: Line):
 def sign_product(s: SignedSymMultisegment, ln: Line) -> int:
     """Product of the signs of all centered segments on a good line,
     counted with multiplicity."""
-    if not isinstance(ln, Line):
-        raise TypeError(f"expected a Line, got {type(ln).__name__}")
-    if ln.cls != GOOD:
+    _typed(s, SignedSymMultisegment)
+    if _typed(ln, Line).cls != GOOD:
         raise DomainError(f"sign_product needs a good line, got {ln.id} ({ln.cls})")
     entry = s._ints.get(ln)
     return -1 if entry and _parity(*entry) else 1

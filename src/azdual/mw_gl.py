@@ -17,7 +17,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from heapq import heapify, heappop, heappush
 
-from .segments import UGLY, DomainError, Segment
+from .segments import UGLY, DomainError, Segment, _typed
 from .langdata import (
     Multisegment,
     SignedSymMultisegment,
@@ -27,13 +27,6 @@ from .langdata import (
     _sides,
     require_valid,
 )
-
-
-def _typed(x, kind):
-    """x itself when it is a ``kind``; a TypeError naming both kinds else."""
-    if not isinstance(x, kind):
-        raise TypeError(f"expected a {kind.__name__}, got {type(x).__name__}")
-    return x
 
 
 def _form(m) -> dict:
@@ -158,71 +151,64 @@ def mw_transpose(m: Multisegment) -> Multisegment:
 # ---------------------------------------------------------------------------
 
 
-def _max_vertex_disjoint(n_nodes, edges, sources, sinks):
-    """Maximum number of vertex-disjoint paths (unit node capacities) via
-    node splitting and unit-capacity augmenting paths."""
-    adj: dict = {}
-
-    def add(u, v):
-        adj.setdefault(u, set()).add(v)
-
-    S, T = 2 * n_nodes, 2 * n_nodes + 1
-    for i in range(n_nodes):
-        add(2 * i, 2 * i + 1)
-    for u, v in edges:
-        add(2 * u + 1, 2 * v)
-    for v in sources:
-        add(S, 2 * v)
-    for v in sinks:
-        add(2 * v + 1, T)
+def _max_flow(cap, s, t) -> int:
+    """Maximum s-t flow over the integer capacities ``cap[u][w]``, each edge
+    with a reverse entry, augmenting along shortest paths by the bottleneck;
+    ``cap`` is left as the residual graph."""
     flow = 0
     while True:
-        parent = {S: None}
-        q = deque([S])
-        while q:
+        parent = {s: None}
+        q = deque([s])
+        while q and t not in parent:
             u = q.popleft()
-            if u == T:
-                break
-            for w in adj.get(u, ()):
-                if w not in parent:
+            for w, c in cap[u].items():
+                if c and w not in parent:
                     parent[w] = u
                     q.append(w)
-        if T not in parent:
+        if t not in parent:
             return flow
-        w = T
-        while w != S:
-            u = parent[w]
-            adj[u].discard(w)
-            add(w, u)
-            w = u
-        flow += 1
+        path, w = [], t
+        while w != s:
+            path.append((parent[w], w))
+            w = parent[w]
+        push = min(cap[u][w] for u, w in path)
+        for u, w in path:
+            cap[u][w] -= push
+            cap[w][u] += push
+        flow += push
 
 
-def _capacity_graph(items, target: Segment, less):
+def _capacity_graph(values, target: Segment, less):
     """Shared capacity computation over a nonempty target window.
 
-    ``items``: one tuple per copy, starting with its (2b, 2e);
-    ``less(x, y)``: strict comparability allowing copy x at one column to
-    feed copy y at the next column.  No copy feeds itself.
+    ``values``: one (value, copies) per distinct value, the value starting
+    with its (2b, 2e); ``less(x, y)``: strict comparability allowing value x
+    at one column to feed value y at the next column.  Each (value, column)
+    is a split node whose capacity is the value's copies.  The copies of a
+    value have the same neighbours and, ``less`` being strict, none feeds
+    another, so the flow equals the number of vertex-disjoint paths through
+    single copies.
     """
     tb2, te2 = target.b.twice, target.e.twice
-    node_id = {}
-    for i, x in enumerate(items):
-        for col in range(max(x[0], tb2), min(x[1], te2) + 2, 2):
-            node_id[(i, col)] = len(node_id)
-    edges = []
-    for i, x in enumerate(items):
-        for j, y in enumerate(items):
-            if i == j or not less(x, y):
-                continue
-            for col in range(max(x[0], tb2), min(x[1], te2 - 2) + 2, 2):
-                a = node_id.get((i, col))
-                b = node_id.get((j, col + 2))
-                if a is not None and b is not None:
-                    edges.append((a, b))
-    sources = [node_id[(i, tb2)] for i in range(len(items)) if (i, tb2) in node_id]
-    sinks = [node_id[(i, te2)] for i in range(len(items)) if (i, te2) in node_id]
-    return _max_vertex_disjoint(len(node_id), edges, sources, sinks)
+    cap: dict = {"S": {}, "T": {}}
+
+    def add(u, w, c):
+        cap.setdefault(u, {})[w] = c
+        cap.setdefault(w, {})[u] = 0
+
+    for x, k in values:
+        lo, hi = max(x[0], tb2), min(x[1], te2)
+        for col in range(lo, hi + 2, 2):
+            add((x, col), (x, col, 1), k)
+        if lo == tb2 <= hi:
+            add("S", (x, tb2), k)
+        if lo <= hi == te2:
+            add((x, te2, 1), "T", k)
+        for y, _ in values:
+            if less(x, y):
+                for col in range(max(lo, y[0] - 2), min(hi + 2, y[1], te2), 2):
+                    add((x, col, 1), (y, col + 2), k)
+    return _max_flow(cap, "S", "T")
 
 
 def _gl_line(cnt, target: Segment) -> dict:
@@ -245,9 +231,8 @@ def kz_capacity(m: Multisegment, target: Segment) -> int:
     form = _form(m)
     if _typed(target, Segment).is_empty:
         return 0
-    items = [v for v, k in _gl_line(form.get(target.line, {}), target).items()
-             for _ in range(k)]
-    return _capacity_graph(items, target, _juxtaposed)
+    return _capacity_graph(_gl_line(form.get(target.line, {}), target).items(),
+                           target, _juxtaposed)
 
 
 def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
@@ -259,8 +244,8 @@ def kz_capacity_labeled(s: SignedSymMultisegment, target: Segment) -> int:
         return 0
     require_valid(s)
     cnt = _gl_line(s._ints.get(target.line, ({},))[0], target)
-    items = [pair + (key,) for key, pair, _, k in _section(cnt) for _ in range(k)]
-    return _capacity_graph(items, target, lambda x, y: x[2] > y[2])
+    values = [(pair + (key,), k) for key, pair, _, k in _section(cnt)]
+    return _capacity_graph(values, target, lambda x, y: x[2] > y[2])
 
 
 def containment_count(m: Multisegment, target: Segment) -> int:

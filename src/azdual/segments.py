@@ -18,6 +18,13 @@ class InvariantError(RuntimeError):
     """Internal consistency check failed.  Valid inputs must never raise this."""
 
 
+def _typed(x, kind):
+    """x itself when it is a ``kind``; a TypeError naming both kinds else."""
+    if not isinstance(x, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(x).__name__}")
+    return x
+
+
 _HALF_RE = re.compile(r"^([+-]?\d+)(?:/2)?$")
 
 

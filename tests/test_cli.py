@@ -305,6 +305,38 @@ class TestInputSize:
         assert str(info.value) == f"total degree 10000000 above the cap of {MAX_DEGREE}"
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("argv, head, peak_mb", [
+        pytest.param(["derive", "10000*[1,2]+10000*[-2,-1]+10000*[0,1]+10000*[-1,0]",
+                      "--x=2"], '{"k":0,', 20, id="derive-good"),
+        pytest.param(["derive", "+".join(
+            [f"7999*{t}@r!" for t in ("[1,2]", "[-2,-1]", "[0,1]", "[-1,0]")]
+            + [f"7998*{t}@r!" for t in ("[0,0]", "[-1,1]")]), "--x=1"],
+            '{"k":7999,', 20, id="derive-bad-drop"),
+        pytest.param(["capacity", "10000*[0,1]+10000*[-1,0]+10000*[1,2]+10000*[-2,-1]",
+                      "--target", "[0,1]"], "20000\n", 2, id="capacity"),
+        pytest.param(["capacity", "--labeled",
+                      "10000*[0,1]+10000*[-1,0]+10000*[1,2]+10000*[-2,-1]",
+                      "--target", "[0,1]"], "20000\n", 2, id="capacity-labeled"),
+    ])
+    def test_commands_at_the_cap_run_on_counts(self, argv, head, peak_mb):
+        """Four values at about the multiplicity cap: the derivative's
+        matching and the capacities run on the counts, not on one item per
+        copy (the bad-line case has an odd boundary count, so its matching
+        bars one pair).  The time is taken without tracemalloc, which slows
+        ``derive``'s 40,000 output records tenfold; derive's peak is its
+        JSON text and document, which list every copy."""
+        t0 = time.perf_counter()
+        code, out, err = run(argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, err) == (0, "") and out.startswith(head)
+        tracemalloc.start()
+        try:
+            run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_mb * 1_000_000
+
     def test_json_degree_above_the_cap_is_refused(self):
         doc = {"lines": LINES_DOC, "m": [],
                "phi": [{"line": "rho", "a": MAX_DEGREE + 1}]}

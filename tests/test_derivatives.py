@@ -19,7 +19,7 @@ from azdual.segments import (
     Segment,
     half,
 )
-from azdual.langdata import Multisegment, SignedSymMultisegment, validate
+from azdual.langdata import Multisegment, SignedSymMultisegment, sign_product, validate
 from azdual.derivatives import (
     best_matching,
     derivative,
@@ -103,18 +103,45 @@ class TestBestMatching:
         with pytest.raises(DomainError, match="staircase"):
             best_matching(xs, ys, rel)
 
-    def test_begin_lt_meets_the_staircase_condition(self):
-        """The derivatives match copies by beginning without the staircase
-        check, which _begin_lt on copy lists sorted by beginning cannot
-        fail."""
-        rng = random.Random(5)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_count_kernel_agrees_with_the_per_copy_matching(self, data):
+        """_unprotected's merge over distinct beginnings leaves the targets
+        that best_matching leaves on the per-copy lists, ordered by
+        beginning, where it matches by ``x[0] < y[0]``: a relation that
+        passes the staircase check on such lists."""
+        x2 = data.draw(st.sampled_from([-2, 1, 2, 3, 4]), label="x2")
+        mult = st.integers(1, 50)
+        begins = st.integers(-3, 3).map(lambda b: 2 * b + x2 % 2)
+        ys = data.draw(st.dictionaries(begins.filter(lambda b2: b2 <= x2), mult, max_size=2))
+        xs = data.draw(st.dictionaries(begins.filter(lambda b2: b2 <= x2 - 2), mult, max_size=2))
+        kind = data.draw(st.sampled_from(["plain", "star", "drop"]))
+        star = kind == "star" and x2 > 0
+        drop = kind == "drop" and x2 > 0
+        if star:
+            ys[-x2] = data.draw(mult)
+        if drop:
+            # the symmetric counts _derive_line fires drop on: toff odd
+            # copies of [-x, x-1] and as many of its dual [-x+1, x]
+            ys[-x2 + 2] = xs[-x2] = data.draw(mult.filter(lambda t: t % 2))
+        cnt = {(b2, x2): k for b2, k in ys.items()}
+        cnt.update({(b2, x2 - 2): k for b2, k in xs.items()})
 
-        def copies():
-            bs = [2 * rng.randint(-4, 4) for _ in range(rng.randint(0, 7))]
-            return sorted((b2, i) for b2 in set(bs) for i in range(bs.count(b2)))
+        def copies(e2):
+            return [(v[0], i) for v in sorted(cnt) if v[1] == e2 for i in range(cnt[v])]
 
-        for _ in range(400):
-            best_matching(copies(), copies(), azdual.derivatives._begin_lt)
+        targets, sources = copies(x2), copies(x2 - 2)
+        if star:
+            targets.remove((-x2, 0))
+            sources = [c for c in sources if c != (-x2 + 2, 0)]
+        toff = xs.get(-x2, 0)
+        barred = ((-x2 + 2, toff - 1), (-x2, 0)) if drop else None
+        r = best_matching(sources, targets, lambda y, x: x[0] < y[0], drop=barred)
+        left: dict = {}
+        for b2, _ in r.yc:
+            left[(b2, x2)] = left.get((b2, x2), 0) + 1
+        got = azdual.derivatives._unprotected(cnt, x2, (), star=star, drop=drop)
+        assert list(got.items()) == list(left.items())
 
     def test_matches_brute_force_maximum(self):
         rng = random.Random(11)
@@ -410,3 +437,31 @@ class TestReducedReport:
         for s in standard_sweep(2, 3, 3):
             reduced_report(s)
         assert built == []
+
+
+PLAIN = Multisegment([seg(-1, 0), seg(0, 1)])
+ELSEWHERE = Multisegment([seg(-1, 0, Line("sig", GOOD, GRID_INT))])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: derivative(PLAIN, G, 1), "SignedSymMultisegment, got Multisegment",
+                 id="derivative-holds-line"),
+    pytest.param(lambda: derivative(ELSEWHERE, G, 1), "SignedSymMultisegment, got Multisegment",
+                 id="derivative-lacks-line"),
+    pytest.param(lambda: derivative_L(ELSEWHERE, G), "SignedSymMultisegment, got Multisegment",
+                 id="derivative_L"),
+    pytest.param(lambda: reduced_report(PLAIN), "SignedSymMultisegment, got Multisegment",
+                 id="reduced_report"),
+    pytest.param(lambda: sign_product(ELSEWHERE, G), "SignedSymMultisegment, got Multisegment",
+                 id="sign_product"),
+    pytest.param(lambda: derivative(sym([(0, 0)]), "rho", 1), "Line, got str",
+                 id="derivative-line"),
+    pytest.param(lambda: derivative_L(sym([(0, 0)]), "rho"), "Line, got str",
+                 id="derivative_L-line"),
+])
+def test_derivatives_refuse_the_wrong_kind(call, message):
+    """A plain multisegment is refused, not read as a state that lacks the
+    line and answered for with order 0 or sign +1."""
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == f"expected a {message}"

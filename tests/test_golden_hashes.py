@@ -14,7 +14,8 @@ closed-form digest before the closed forms read the int form; the
 enumeration digest before the exhaustive enumerators shared one multiset
 walk; the dataset CSV digest before parameter data held an int form and
 one text writer rendered all three kinds; the parse digest before the
-parsers built int forms.
+parsers built int forms; the capacity digest at multiplicity before the
+capacities ran on distinct values.
 """
 import hashlib
 import io
@@ -41,6 +42,7 @@ from azdual.segments import (
 from azdual.langdata import (
     LanglandsData,
     Multisegment,
+    PhiComponent,
     SignedSymMultisegment,
     transfer,
     validate,
@@ -81,6 +83,7 @@ CLOSED_FORMS_SHA256 = "7e64d0f920395e15c34f3004b53b7bcdb91d0f01b54739d4460d9f052
 ENUMERATIONS_SHA256 = "c5b3f734123419ed99655546b1daf8bf3b6ffc26fee25b1fbb51ae9dd611631f"
 DATASET_CSV_SHA256 = "c1860f33e2bf54ff1f4b11a5dfb774f692255e55ef3b2e0940455a0a7d12e024"
 PARSE_SHA256 = "bab42db56326772aa3ed80c89d70b26068a3ce9f1ef7667e64cfc407b41cb3a2"
+CAPACITY_MULT_SHA256 = "f6c1224b8541e58308f64a9d15e782b72ad4a9a7987e1f9fd2ab6e291ab2f2d5"
 
 
 def _samples():
@@ -365,6 +368,45 @@ def test_gl_transpose_steps_and_capacities_are_byte_identical():
         (r for m in _gl_inputs() for r in _gl_records(m)),
     )
     assert _digest(records) == GL_SHA256
+
+
+def _capacity_mult_states():
+    """200 seeded valid states on one line each, every value at a
+    multiplicity of 1 to 12: up to three dual pairs and two block sizes."""
+    rng = random.Random(2226)
+    for _ in range(200):
+        ln = rng.choice(LINES)
+        odd = ln.grid == GRID_HALF
+        segs, phi, minus = {}, [], []
+        for _ in range(rng.randint(1, 3)):
+            b2 = 2 * rng.randint(-3, -1) + odd
+            e2 = rng.randrange(b2, -b2, 2)
+            side = rng.randint(0, 1) if ln.cls == UGLY else None
+            segs[_gl_seg(ln, b2, e2, side)] = rng.randint(1, 12)
+        for a in rng.sample(range(2 if odd else 1, 6, 2), rng.randint(0, 2)):
+            k = rng.randint(1, 12)
+            phi += [PhiComponent(ln, a)] * (k - k % 2 if ln.cls == BAD else k)
+            if ln.cls == GOOD and rng.random() < 0.5:
+                minus.append(PhiComponent(ln, a))
+        n = Multisegment(d for d, k in segs.items() for _ in range(k))
+        yield transfer(LanglandsData(n, phi, eta_minus=minus))
+
+
+def _capacity_mult_records(s):
+    yield str(s)
+    (ln,) = s.lines()
+    emax2 = max(d.e.twice for d in s.m)
+    for side in (0, 1) if ln.cls == UGLY else (None,):
+        for t in _gl_targets(ln, side, -emax2, emax2):
+            yield f"{t} {kz_capacity(s.m, t)} {kz_capacity_labeled(s, t)}"
+
+
+def test_capacities_at_multiplicity_are_byte_identical():
+    """kz_capacity and kz_capacity_labeled at every target within the end
+    range of 200 seeded states whose values have multiplicities of 1 to 12;
+    recorded before the capacities ran on distinct values."""
+    records = (r for s in _capacity_mult_states() for r in _capacity_mult_records(s))
+    assert _digest(records) == CAPACITY_MULT_SHA256
 
 
 def test_capacity_compares_the_whole_line():

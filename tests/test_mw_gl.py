@@ -223,6 +223,20 @@ class TestCapacity:
                 target = seg(tb, te)
                 assert containment_count(t, target) == kz_capacity(m, target)
 
+    @given(st.dictionaries(pair_st, st.integers(1, 50), min_size=1, max_size=5),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_identity_at_multiplicity(self, cnt, data):
+        """The capacity on distinct values counts as many paths as the
+        transpose has segments containing the target, at up to 50 copies
+        of a value."""
+        m = mseg(*(p for p, k in cnt.items() for _ in range(k)))
+        lo = min(b for b, _ in cnt)
+        hi = max(e for _, e in cnt)
+        tb = data.draw(st.integers(lo, hi), label="tb")
+        target = seg(tb, data.draw(st.integers(tb, hi), label="te"))
+        assert kz_capacity(m, target) == containment_count(mw_transpose(m), target)
+
     def test_labeled_two_disjoint_paths(self):
         # large mixed-sign fixture whose dual multiplicity at [-3,-1] is 1
         # while the labeled graph still carries two disjoint paths over [1,3]
