@@ -28,8 +28,9 @@ lose must equal the emitted piece's degree, and the sign parity before the
 step must equal the piece's plus that of the new minus set, summed while
 the set is built.  A mirror line is the GL transpose of its primary side
 (0), mirrored onto the partner side (1): its chains come from the chain
-extractor of :mod:`mw_gl` over the side-0 copies, and the step cuts each
-chain copy and its mirror copy as on a bad line.
+walk of :mod:`mw_gl` over the side-0 copies, which refills a list with each
+chain's copies, and the step cuts each chain copy and its mirror copy as on
+a bad line.
 """
 from __future__ import annotations
 
@@ -96,12 +97,13 @@ class _Engine:
     centered pairs the chain cuts left.  :meth:`step` is the one step path
     for every line class, and the pieces it emits add up in ``dual`` and
     ``dual_minus``.
-    A mirror line has no ``ends``: ``chains`` extracts its GL chains from
-    buckets of its side-0 copies.  ``sides`` holds the key suffixes of a
-    piece's pair and of its dual: (0,) and (1,) on a mirror line, else empty.
+    A mirror line has no ``ends``: ``chains`` walks its GL chains over
+    buckets of its side-0 copies and refills ``copies`` with each chain's
+    copies.  ``sides`` holds the key suffixes of a piece's pair and of its
+    dual: (0,) and (1,) on a mirror line, else empty.
     """
 
-    __slots__ = ("cls", "same_type", "cnt", "ends", "chains", "minus",
+    __slots__ = ("cls", "same_type", "cnt", "ends", "chains", "copies", "minus",
                  "centered", "parity", "sides", "dual", "dual_minus")
 
     def __init__(self, ln: Line, cnt, minus):
@@ -110,7 +112,8 @@ class _Engine:
         self.cnt = cnt
         if self.cls == UGLY:
             self.ends = None
-            self.chains = _chains(_buckets(_sides(ln, cnt).get((0,), {})))
+            self.copies = []
+            self.chains = _chains(_buckets(_sides(ln, cnt).get((0,), {})), self.copies)
             self.sides = (0,), (1,)
         else:
             ends = self.ends = {}
@@ -140,10 +143,9 @@ class _Engine:
             cuts = self._good_cuts(chain)
         else:
             if self.cls == UGLY:
-                chain = next(self.chains, None)
-                if chain is None:
+                if next(self.chains, None) is None:
                     raise InvariantError("ugly step with an empty primary side")
-                chain = [v + (0,) for v in chain]
+                chain = [v + (0,) for v in self.copies]
             else:
                 chain = self._bad_chain()
             first, last, eps0 = chain[0], chain[-1], 1
@@ -310,8 +312,8 @@ class _Engine:
         point cut at both ends, else 1), and on a good line the centered
         pairs that the chain cuts (bit 1) left, each with the copy it came
         from, in cut order.  The end index follows the pairs that reach or
-        leave multiplicity 0; a mirror line has none, its chain extractor
-        cuts its own buckets."""
+        leave multiplicity 0; a mirror line has none, its chain walk cuts
+        its own buckets."""
         cnt, ends = self.cnt, self.ends
         centered = self.centered if self.cls == GOOD else None
         lost = len(cuts)

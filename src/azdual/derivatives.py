@@ -70,14 +70,15 @@ def best_matching(xs, ys, rel, drop=None) -> MatchingResult:
     xs = list(xs)
     ys = list(ys)
     r = [[bool(rel(y, x)) for y in ys] for x in xs]
-    for i1 in range(len(xs)):
-        for i2 in range(i1 + 1):
-            for j1 in range(len(ys)):
-                for j2 in range(j1 + 1):
-                    if r[i1][j1] and r[i1][j2] and r[i2][j2] and not r[i2][j1]:
-                        raise DomainError(
-                            "matching relation violates the staircase condition"
-                        )
+    # Row i as a bitmask of the targets pointing at xs[i].  Rows i2 < i1
+    # violate the condition when some target of both rows lies below a
+    # target of row i1 alone: c's lowest bit under a bit of r1 & ~r2.
+    rows = [sum(1 << j for j, ok in enumerate(row) if ok) for row in r]
+    for i1, r1 in enumerate(rows):
+        for r2 in rows[:i1]:
+            c = r1 & r2
+            if c and r1 & ~r2 >= c & -c:
+                raise DomainError("matching relation violates the staircase condition")
     if drop is not None:
         r = [[ok and (y, x) != drop for y, ok in zip(ys, row)] for x, row in zip(xs, r)]
     used: dict = {}  # target: source

@@ -8,8 +8,10 @@ line at a time through ``_sides``.  Results are built as that form and
 wrapped by ``_plain``, so no ``Segment`` is made until a caller reads
 ``entries``.  The public API speaks Segment / Multisegment.
 
-One chain generator, ``_chains`` over ``_buckets`` of a GL line's counter,
-serves the transpose, the single step and the dual's mirror lines.
+One chain walk, ``_chains`` over ``_buckets`` of a GL line's counter,
+serves the transpose, the single step and the dual's mirror lines.  It
+yields each chain's two ends, all that the transpose and the step read;
+only the dual's mirror-line step asks it for the chain's copies too.
 """
 from __future__ import annotations
 
@@ -39,15 +41,23 @@ def _buckets(cnt) -> dict:
     out of a GL line's counter ``{(2b, 2e): multiplicity}``."""
     buckets: dict = {}
     for (b2, e2), k in cnt.items():
-        buckets.setdefault(e2, []).extend([b2] * k)
+        lst = buckets.get(e2)
+        if lst is None:
+            buckets[e2] = [b2] * k
+        else:
+            lst += [b2] * k
     for lst in buckets.values():
-        lst.sort()
+        if len(lst) > 1:
+            lst.sort()
     return buckets
 
 
-def _chains(buckets):
+def _chains(buckets, copies=None):
     """Extract chains of strictly descending ends until no copy is left,
-    each from the highest end; yields each chain, top first.
+    each from the highest end; yields each chain's ends ``(last end, top
+    end)``, the ends of its initial segment.  A caller that passes a list
+    ``copies`` finds it refilled, at each yield, with the chain's copies
+    ``(2b, 2e)``, top first; without one no per-copy tuple is made.
 
     A chain starts from the biggest copy at the top end e and goes on with
     the biggest copy one end lower whose beginning strictly drops.  Each
@@ -69,12 +79,13 @@ def _chains(buckets):
     while buckets:
         while -tops[0] not in buckets:
             heappop(tops)
-        e = -tops[0]
+        top = e = -tops[0]
         lst = buckets[e]
         b = lst.pop()
         if not lst:
             del buckets[e]
-        chain = [(b, e)]
+        if copies is not None:
+            copies[:] = [(b, e)]
         while True:
             e -= 2
             lst = buckets.get(e)
@@ -89,14 +100,15 @@ def _chains(buckets):
                 if not lst:
                     del buckets[e]
             b = picked
-            chain.append((b, e))
+            if copies is not None:
+                copies.append((b, e))
         if b <= e:
             if lst is None:
                 buckets[e] = [b]
                 heappush(tops, -e)
             else:
                 lst.insert(0, b)
-        yield chain
+        yield e + 2, top
 
 
 def mw_step(m: Multisegment):
@@ -113,9 +125,9 @@ def mw_step(m: Multisegment):
         raise DomainError("mw_step needs a multisegment on exactly one line")
     ((ln, tail, cnt),) = parts
     buckets = _buckets(cnt)
-    chain = next(_chains(buckets))
+    ends = next(_chains(buckets))
     rest = dict(Counter((b2, e2) + tail for e2, lst in buckets.items() for b2 in lst))
-    initial = _segment(ln, (chain[-1][1], chain[0][1]) + tail)
+    initial = _segment(ln, ends + tail)
     return initial, _plain({ln: rest} if rest else {})
 
 
@@ -124,8 +136,7 @@ def transpose_pairs(cnt) -> dict:
     returns the transposed counter, one copy per chain, counted in chain
     order."""
     out: dict = {}
-    for chain in _chains(_buckets(cnt)):
-        v = chain[-1][1], chain[0][1]
+    for v in _chains(_buckets(cnt)):
         out[v] = out.get(v, 0) + 1
     return out
 

@@ -317,14 +317,22 @@ class TestInputSize:
         pytest.param(["capacity", "--labeled",
                       "10000*[0,1]+10000*[-1,0]+10000*[1,2]+10000*[-2,-1]",
                       "--target", "[0,1]"], "20000\n", 2, id="capacity-labeled"),
+        pytest.param(["mw", "10000*[0,1]+10000*[1,2]+10000*[-1,0]+10000*[2,3]"],
+                     "[-1,2]+", 4, id="mw"),
+        pytest.param(["dual", "10000*[0,1]@r~+10000*[-1,0]~@r~"
+                      "+10000*[1,2]@r~+10000*[-2,-1]~@r~"],
+                     '{"lines":[{"id":"r","class":"ugly",', 10, id="dual-mirror"),
+        pytest.param(["validate", "10000*[1,2]+10000*[-2,-1]+10000*[0,1]+10000*[-1,0]"],
+                     "OK\n", 1, id="validate"),
     ])
     def test_commands_at_the_cap_run_on_counts(self, argv, head, peak_mb):
         """Four values at about the multiplicity cap: the derivative's
-        matching and the capacities run on the counts, not on one item per
-        copy (the bad-line case has an odd boundary count, so its matching
-        bars one pair).  The time is taken without tracemalloc, which slows
-        ``derive``'s 40,000 output records tenfold; derive's peak is its
-        JSON text and document, which list every copy."""
+        matching, the capacities, the transpose, a mirror-line dual and the
+        validation run on the counts, not on one item per copy (the bad-line
+        case has an odd boundary count, so its matching bars one pair).  The
+        time is taken without tracemalloc, which slows ``derive``'s 40,000
+        output records tenfold; the peaks of ``derive``, ``mw`` and ``dual``
+        are their output text, which lists every copy."""
         t0 = time.perf_counter()
         code, out, err = run(argv)
         assert time.perf_counter() - t0 < 1.0

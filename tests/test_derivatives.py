@@ -68,6 +68,14 @@ def max_matching_size(r):
     return sum(1 for i in range(len(r)) if augment(i, set()))
 
 
+def staircase_violated(r):
+    """The staircase condition's violation by its definition, four nested
+    loops over rows x2 <= x1 and columns y2 <= y1 of the bool matrix r."""
+    return any(r[i1][j1] and r[i1][j2] and r[i2][j2] and not r[i2][j1]
+               for i1 in range(len(r)) for i2 in range(i1 + 1)
+               for j1 in range(len(r[i1])) for j2 in range(j1 + 1))
+
+
 class TestBestMatching:
     def test_no_sources(self):
         r = best_matching([], [(0, 2), (2, 2)], prod_le)
@@ -103,6 +111,25 @@ class TestBestMatching:
         with pytest.raises(DomainError, match="staircase"):
             best_matching(xs, ys, rel)
 
+    def test_staircase_check_matches_the_loop_form(self):
+        """The bitmask check raises exactly on the relations that the four
+        nested loops find a violation in, with the same error."""
+        rng = random.Random(5)
+        violated = 0
+        for _ in range(5000):
+            nx, ny = rng.randint(0, 5), rng.randint(0, 5)
+            p = rng.random()
+            r = [[rng.random() < p for _ in range(ny)] for _ in range(nx)]
+            rel = lambda y, x: r[x][y]
+            if staircase_violated(r):
+                violated += 1
+                with pytest.raises(DomainError) as info:
+                    best_matching(range(nx), range(ny), rel)
+                assert str(info.value) == "matching relation violates the staircase condition"
+            else:
+                best_matching(range(nx), range(ny), rel)
+        assert 500 < violated < 4500
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_count_kernel_agrees_with_the_per_copy_matching(self, data):
@@ -111,7 +138,7 @@ class TestBestMatching:
         beginning, where it matches by ``x[0] < y[0]``: a relation that
         passes the staircase check on such lists."""
         x2 = data.draw(st.sampled_from([-2, 1, 2, 3, 4]), label="x2")
-        mult = st.integers(1, 50)
+        mult = st.integers(1, 300)
         begins = st.integers(-3, 3).map(lambda b: 2 * b + x2 % 2)
         ys = data.draw(st.dictionaries(begins.filter(lambda b2: b2 <= x2), mult, max_size=2))
         xs = data.draw(st.dictionaries(begins.filter(lambda b2: b2 <= x2 - 2), mult, max_size=2))

@@ -279,7 +279,11 @@ class TestPairs:
         cnt = {(-1999998, -1999998): 1, (-1999998, -1999996): 1, (0, 0): 1,
                (0, 2): 1, (1999998, 1999998): 1}
         buckets = Probed(_buckets(cnt))
-        tops = Counter((c[-1][1], c[0][1]) for c in _chains(buckets))
+        copies = []
+        tops = Counter()
+        for ends in _chains(buckets, copies):
+            assert ends == (copies[-1][1], copies[0][1])
+            tops[ends] += 1
         assert dict(tops) == transpose_pairs(cnt)
         assert not buckets and buckets.probes < 40
 
@@ -321,8 +325,9 @@ def _reference_chains(buckets):
 def test_in_place_cut_gives_the_reference_chains():
     """Random counters with repeated copies, copies of length 1 and ends far
     apart: the in-place cut extracts the same chains, in the same order, as
-    popping the chain and inserting the cut copies afterwards, and the
-    transpose of the counter's transpose is the counter."""
+    popping the chain and inserting the cut copies afterwards, each yield
+    gives the ends of the copies it refilled, and the transpose of the
+    counter's transpose is the counter."""
     rng = random.Random(11)
     for _ in range(3000):
         span = rng.choice([3, 6, 40])
@@ -332,7 +337,10 @@ def test_in_place_cut_gives_the_reference_chains():
             e = b + rng.choice([0, 0, 1, 2, rng.randint(0, span)])
             v = (2 * b, 2 * e)
             cnt[v] = cnt.get(v, 0) + rng.choice([1, 1, 2, 3])
-        got = list(_chains(_buckets(cnt)))
+        copies, got = [], []
+        for ends in _chains(_buckets(cnt), copies):
+            assert ends == (copies[-1][1], copies[0][1]), cnt
+            got.append(list(copies))
         assert got == list(_reference_chains(_buckets(cnt))), cnt
         assert transpose_pairs(transpose_pairs(cnt)) == cnt, cnt
 
