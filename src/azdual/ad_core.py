@@ -8,21 +8,22 @@ left computes the dual; conjugating by the data transfer computes the dual
 of parameter data.
 
 The step loop runs on the int line form of :mod:`langdata`, one line at a
-time, in one engine (``_Engine``) that keeps the line's state across its
-steps: the counter ``{(2b, 2e): multiplicity}``, changed in place; an end
-index ``{2e: sorted beginnings 2b}``, updated only for the pairs a step
-takes to or from multiplicity 0; the set of centered pairs signed -1; the
-sign parity.  The engine starts from a copy of the line's counter in the
-input's int form, and the dual it adds up is the result's int form; no
-``Segment`` is built.
+time, in one generator (``_steps``) whose frame locals hold the line's state
+across its steps: the counter ``{(2b, 2e): multiplicity}``, changed in
+place; an end index ``{2e: sorted beginnings 2b}``, updated only for the
+pairs a step takes to or from multiplicity 0; the centered pairs present;
+the set of centered pairs signed -1; the sign parity.  It runs one step per
+iteration and yields the chain, its sign eps0 and the minus set after the
+step.  It starts from a copy of the line's counter in the input's int form,
+and the dual it adds up is the result's int form; no ``Segment`` is built.
 
-One step path, ``_Engine.step``, serves every line class, which chooses
-only the chain (and on good lines the cuts and signs).  A step visits only
-the ends top, top - 2, ...  On good lines it picks at each end the first
-group of the labeled section after the previous pick, skipping a centered
-copy whose sign repeats the previous centered one's, and keeps the signs;
-on bad lines it picks the largest beginning below the previous one, where
-a copy joins beside its own dual only when it has a second copy.  The
+One step path, the body of ``_steps``, serves every line class, which
+chooses only the chain (and on good lines the cuts and signs).  A step
+visits only the ends top, top - 2, ...  On good lines it picks at each end
+the first group of the labeled section after the previous pick, skipping a
+centered copy whose sign repeats the previous centered one's, and keeps the
+signs; on bad lines it picks the largest beginning below the previous one,
+where a copy joins beside its own dual only when it has a second copy.  The
 checks are local to the entries a step touched: the degree the cut copies
 lose must equal the emitted piece's degree, and the sign parity before the
 step must equal the piece's plus that of the new minus set, summed while
@@ -35,15 +36,17 @@ a bad line.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 
-from .segments import GOOD, GRID_INT, UGLY, DomainError, InvariantError, Line
+from .segments import GOOD, GRID_INT, UGLY, DomainError, InvariantError, Line, _typed
 from .mw_gl import _buckets, _chains
 from .langdata import (
     LabeledSeg,
     LanglandsData,
     SignedSymMultisegment,
     _dual,
+    _fill,
     _labeled_dual,
     _parity,
     _section,
@@ -80,243 +83,181 @@ class InitialSequence:
 
 
 # ---------------------------------------------------------------------------
-# The per-line engine
+# The per-line step loop
 # ---------------------------------------------------------------------------
 
 
-class _Engine:
-    """One line's state across the steps of the dual.
+def _steps(ln: Line, cnt, minus, dual, dual_minus):
+    """The extraction steps of one line, one per iteration: each cuts
+    ``cnt`` in place, adds its piece to ``dual`` and ``dual_minus``, and
+    yields ``(chain, eps0, minus)``, ``minus`` being the centered pairs
+    signed -1 after the step.  It stops when ``cnt`` is empty.
 
-    ``cnt`` is the line's counter, changed in place.  ``ends`` maps each end
-    2e to the sorted beginnings 2b of the pairs ending there.  ``minus`` is
-    the set of centered pairs signed -1, ``centered`` the centered pairs
-    present and ``parity`` that of the sign product (0 for +1).
-    :meth:`_cut` keeps ``ends`` and ``centered`` in place, for the pairs a
-    step takes to or from multiplicity 0, and counts the degree lost from
-    its cut bits; :meth:`_signs` rebuilds ``minus`` and ``parity`` from the
-    centered pairs the chain cuts left.  :meth:`step` is the one step path
-    for every line class, and the pieces it emits add up in ``dual`` and
-    ``dual_minus``.
-    A mirror line has no ``ends``: ``chains`` walks its GL chains over
-    buckets of its side-0 copies and refills ``copies`` with each chain's
-    copies.  ``sides`` holds the key suffixes of a piece's pair and of its
-    dual: (0,) and (1,) on a mirror line, else empty.
-    """
+    The line's state lives in the generator's locals: ``ends`` maps each end
+    2e to the sorted beginnings 2b of the pairs ending there, ``centered``
+    holds the centered pairs present (good lines only) and ``parity`` is that
+    of the sign product (0 for +1).  The cut keeps ``ends`` and ``centered``
+    in place, for the pairs a step takes to or from multiplicity 0, and the
+    degree lost is counted from the cut bits; on a good line the signs are
+    then rebuilt from the centered pairs the chain cuts left.  A mirror line
+    has no ``ends``: ``chains`` walks its GL chains over buckets of its
+    side-0 copies and refills ``copies`` with each chain's copies.  ``side``
+    and ``dual_side`` are the key suffixes of a piece's pair and of its dual:
+    (0,) and (1,) on a mirror line, else empty.
 
-    __slots__ = ("cls", "same_type", "cnt", "ends", "chains", "copies", "minus",
-                 "centered", "parity", "sides", "dual", "dual_minus")
-
-    def __init__(self, ln: Line, cnt, minus):
-        self.cls = ln.cls
-        self.same_type = ln.grid == GRID_INT
-        self.cnt = cnt
-        if self.cls == UGLY:
-            self.ends = None
-            self.copies = []
-            self.chains = _chains(_buckets(_sides(ln, cnt).get((0,), {})), self.copies)
-            self.sides = (0,), (1,)
-        else:
-            ends = self.ends = {}
-            for b2, e2 in cnt:
-                ends.setdefault(e2, []).append(b2)
-            for lst in ends.values():
-                lst.sort()
-            self.sides = (), ()
-        self.minus = minus
-        self.centered = {v for v in cnt if v[0] + v[1] == 0} if self.cls == GOOD else set()
-        self.parity = _parity(cnt, minus)
-        self.dual = {}
-        self.dual_minus = set()
-
-    def step(self):
-        """One extraction step, in place; the piece joins the dual.  Returns
-        the chain and its sign eps0.  The line class chooses the chain and,
-        on good lines, the cut plan and the sign carry; the piece is [-e1, e1]
-        on a terminal chain, else [el, e1] and its dual (the chain's ends)."""
-        good = self.cls == GOOD
+    The line class chooses the chain and, on good lines, the cut plan and
+    the sign carry; the piece is [-e1, e1] on a terminal chain, else [el, e1]
+    and its dual (the chain's ends)."""
+    good = ln.cls == GOOD
+    same_type = ln.grid == GRID_INT
+    if ln.cls == UGLY:
+        ends = centered = None
+        copies = []
+        chains = _chains(_buckets(_sides(ln, cnt).get((0,), {})), copies)
+        side, dual_side = (0,), (1,)
+    else:
+        # One beginning per distinct pair: this loop over the keys takes
+        # about half the time of mw_gl._buckets on a C8 counter.
+        ends = {}
+        for b2, e2 in cnt:
+            ends.setdefault(e2, []).append(b2)
+        for lst in ends.values():
+            lst.sort()
+        centered = {v for v in cnt if v[0] + v[1] == 0} if good else None
+        side = dual_side = ()
+    parity = _parity(cnt, minus)
+    while cnt:
         if good:
-            chain, eps0 = self._good_chain()
-            first, last = chain[0][0], chain[-1][0]
-            if eps0 == 1 and first[1] + last[1] == 0:
+            # The chain: one copy per end, top end first, each the first group
+            # after the one before in the section; consecutive centered copies
+            # must carry opposite signs.  eps0 is -1 exactly when the chain
+            # stops on a terminal form.  At end e the section runs through the
+            # beginnings downward: the copies labeled +1 (beginning above -e),
+            # the groups of the centered pair (-e, e) labeled +1, 0 and -1 that
+            # its multiplicity has, and the copies labeled -1.  A bisection
+            # skips the copies that come before the previous pick, of beginning
+            # pb and label plab.  Of the centered groups, +1 comes after it only
+            # when plab is +1 and pb > -e, 0 when plab is not -1, and -1 always
+            # (after a -1 pick the bisection keeps only beginnings below pb).
+            # The top end starts as if after a +1 pick beginning above every
+            # copy; psign is the minus flag of a centered pick.
+            chain = []
+            e = max(ends)
+            pb, plab, psign, eps0 = e + 2, 1, None, 1
+            bucket = ends.get(e)
+            while bucket:
+                c = -e
+                # After a pick labeled +1: the +1 copies below its beginning,
+                # then everything from the centered pair down; after label 0:
+                # from the centered pair down; after -1: below its beginning.
+                i = bisect_left(bucket, pb if plab < 0 or plab and pb > c else c + 1)
+                while i:
+                    i -= 1
+                    b2 = bucket[i]
+                    if b2 != c:
+                        lab = 1 if b2 > c else -1
+                        break
+                    if psign is not None and ((c, e) in minus) == psign:
+                        continue
+                    k = cnt[(c, e)]
+                    if k > 1 and plab > 0 and pb > c:
+                        lab = 1
+                    elif k % 2 and plab >= 0:
+                        lab = 0
+                    elif k > 1:
+                        lab = -1
+                    else:
+                        continue
+                    break
+                else:
+                    break
+                pair = (b2, e)
+                chain.append((pair, lab))
+                if e < 2:  # a terminal form ends at 0 or 1/2
+                    if same_type:
+                        terminal = pair == (0, 0) and lab >= 0
+                    else:
+                        terminal = pair == (1, 1) or (
+                            pair == (-1, 1) and lab >= 0 and pair in minus
+                        )
+                    if terminal:
+                        eps0 = -1
+                        break
+                pb, plab, psign = b2, lab, (pair in minus if b2 == c else None)
+                e -= 2
+                bucket = ends.get(e)
+            first, (last, last_lab) = chain[0][0], chain[-1]
+            e1, el = first[1], last[1]
+            if eps0 == 1 and e1 + el == 0:
                 raise InvariantError("open chain produced a centered initial pair")
-            before = set(self.centered)
-            cuts = self._good_cuts(chain)
+            before = set(centered)
+            if (last == (0, 0) and last_lab == 1) or last == (1, 1):
+                for j, (pair, _) in enumerate(chain):
+                    if pair != (e1 - 2 * j, e1 - 2 * j):
+                        raise InvariantError("chain into the corner is not a staircase")
+            # The first copy of each chain group loses its end (bit 1), the
+            # first copy of each dual group its beginning (bit 2), the chain
+            # copies first.  A copy is cut once when it is its own dual (a
+            # centered group labeled 0 or +1) or the dual of another chain
+            # copy; the dual of a centered group labeled -1 is the one labeled
+            # +1.  The chain copy at index j ends at e1 - 2j, so the dual of
+            # (2b, 2e) can sit in the chain only at index (e1 + 2b) / 2.  A
+            # copy of more than one point cut at both ends loses 2, every other
+            # cut copy 1.
+            n = len(chain)
+            cuts, duals = [], []
+            lost = 0
+            for pair, lab in chain:
+                b2, e2 = pair
+                if b2 + e2 == 0:
+                    if lab < 0:
+                        cuts.append((pair, 1))
+                        duals.append((pair, 2))
+                    else:
+                        cuts.append((pair, 3))
+                        lost += b2 != e2
+                    continue
+                dj = (-e2, -b2)
+                j = (e1 + b2) // 2
+                if 0 <= j < n and chain[j][0] == dj:
+                    cuts.append((pair, 3))
+                    lost += b2 != e2
+                elif cnt.get(dj):
+                    cuts.append((pair, 1))
+                    duals.append((dj, 2))
+                else:
+                    raise InvariantError(
+                        f"dual copy (2b, 2e, label) = {(dj, -lab)} missing from the section"
+                    )
+            cuts += duals
         else:
-            if self.cls == UGLY:
-                if next(self.chains, None) is None:
+            if ends is None:
+                if next(chains, None) is None:
                     raise InvariantError("ugly step with an empty primary side")
-                chain = [v + (0,) for v in self.copies]
+                chain = [v + (0,) for v in copies]
+                cuts = [(v, 1) for v in chain]
+                cuts += [((-e2, -b2, 1), 2) for b2, e2 in copies]
             else:
-                chain = self._bad_chain()
-            first, last, eps0 = chain[0], chain[-1], 1
-            cuts = [(v, 1) for v in chain] + [(_dual(v), 2) for v in chain]
-        e1, el = first[1], last[1]
+                chain = _bad_chain(ends, cnt)
+                cuts = [(v, 1) for v in chain]
+                cuts += [((-e2, -b2), 2) for b2, e2 in chain]
+            e1, el, eps0, lost = chain[0][1], chain[-1][1], 1, 0
         if eps0 == -1:
             # The terminal piece's sign, n0 being the centered copies before
             # the step: (-1)^n0 on a half-integral line, (-1)^(n0 + 1) times
             # the sign of [0,0] on an integral one.
-            n0 = sum(map(self.cnt.__getitem__, before))
-            minus_piece = n0 % 2 != (self.same_type and (0, 0) not in self.minus)
+            n0 = sum(map(cnt.__getitem__, before))
+            minus_piece = n0 % 2 != (same_type and (0, 0) not in minus)
             piece, piece_degree = [(-e1, e1)], e1 + 1
         else:
             minus_piece = False
-            side, dual_side = self.sides
             piece, piece_degree = [(el, e1) + side, (-e1, -el) + dual_side], e1 - el + 2
-        lost, sources = self._cut(cuts)
-        # The degree the cut copies lost, against the piece's own degree.
-        if lost != piece_degree:
-            raise InvariantError("degree not preserved across the step")
-        if good:
-            self._signs(sources, before, eps0, minus_piece)
-        dual = self.dual
-        for v in piece:
-            dual[v] = dual.get(v, 0) + 1
-        if minus_piece:
-            self.dual_minus.add(piece[0])
-        if lost <= 0:
-            raise InvariantError("degree failed to decrease across a step")
-        return chain, eps0
 
-    def _good_chain(self):
-        """One copy per end, top end first, each the first group after the
-        one before in the section; consecutive centered copies must carry
-        opposite signs.  Returns the chain of (pair, label) and eps0, which
-        is -1 exactly when the chain stopped on a terminal form.
-
-        At end e the section runs through the beginnings downward: the
-        copies labeled +1 (beginning above -e), the groups of the centered
-        pair (-e, e) labeled +1, 0 and -1 that its multiplicity has, and the
-        copies labeled -1.  A bisection skips the copies that come before
-        the previous pick, of beginning pb and label plab.  Of the centered
-        groups, +1 comes after it only when plab is +1 and pb > -e, 0 when
-        plab is not -1, and -1 always (after a -1 pick the bisection keeps
-        only beginnings below pb).  The top end starts as if after a +1 pick
-        beginning above every copy."""
-        ends, cnt, minus = self.ends, self.cnt, self.minus
-        chain = []
-        e = max(ends)
-        pb, plab, psign = e + 2, 1, None  # psign: the minus flag of a centered pick
-        while e in ends:
-            bucket = ends[e]
-            c = -e
-            # After a pick labeled +1: the +1 copies below its beginning,
-            # then everything from the centered pair down; after label 0:
-            # from the centered pair down; after -1: below its beginning.
-            i = bisect_left(bucket, pb if plab < 0 or plab and pb > c else c + 1)
-            while i:
-                i -= 1
-                b2 = bucket[i]
-                if b2 != c:
-                    lab = 1 if b2 > c else -1
-                    break
-                if psign is not None and ((c, e) in minus) == psign:
-                    continue
-                k = cnt[(c, e)]
-                if k > 1 and plab > 0 and pb > c:
-                    lab = 1
-                elif k % 2 and plab >= 0:
-                    lab = 0
-                elif k > 1:
-                    lab = -1
-                else:
-                    continue
-                break
-            else:
-                break
-            pair = (b2, e)
-            chain.append((pair, lab))
-            if self.same_type:
-                terminal = pair == (0, 0) and lab >= 0
-            else:
-                terminal = pair == (1, 1) or (
-                    pair == (-1, 1) and lab >= 0 and pair in minus
-                )
-            if terminal:
-                return chain, -1
-            pb, plab, psign = b2, lab, (pair in minus if b2 == c else None)
-            e -= 2
-        return chain, 1
-
-    def _good_cuts(self, chain):
-        """The cuts of a good chain's copies and of their dual copies, for
-        :meth:`_cut`: a chain into the corner must be a staircase, and each
-        dual copy must be in the section."""
-        cnt = self.cnt
-        e1 = chain[0][0][1]
-        n = len(chain)
-        last, last_lab = chain[-1]
-        if (last == (0, 0) and last_lab == 1) or last == (1, 1):
-            for j, (pair, _) in enumerate(chain):
-                if pair != (e1 - 2 * j, e1 - 2 * j):
-                    raise InvariantError("chain into the corner is not a staircase")
-
-        # The first copy of each chain group loses its end (bit 1), the first
-        # copy of each dual group its beginning (bit 2), the chain copies
-        # first.  A copy is cut once when it is its own dual (a centered
-        # group labeled 0 or +1) or the dual of another chain copy; the dual
-        # of a centered group labeled -1 is the one labeled +1.  The chain
-        # copy at index j ends at e1 - 2j, so the dual of (2b, 2e) can sit in
-        # the chain only at index (e1 + 2b) / 2.
-        cuts, duals = [], []
-        for pair, lab in chain:
-            b2, e2 = pair
-            if b2 + e2 == 0:
-                if lab < 0:
-                    cuts.append((pair, 1))
-                    duals.append((pair, 2))
-                else:
-                    cuts.append((pair, 3))
-                continue
-            dual = (-e2, -b2)
-            j = (e1 + b2) // 2
-            if 0 <= j < n and chain[j][0] == dual:
-                cuts.append((pair, 3))
-            elif cnt.get(dual):
-                cuts.append((pair, 1))
-                duals.append((dual, 2))
-            else:
-                raise InvariantError(
-                    f"dual copy (2b, 2e, label) = {(dual, -lab)} missing from the section"
-                )
-        cuts += duals
-        return cuts
-
-    def _bad_chain(self):
-        """Top end first, the largest beginning below the one before at each
-        end.  A value joins beside its own dual only when it has a second
-        copy."""
-        ends, cnt = self.ends, self.cnt
-        chain = []
-        picked = set()
-        target = max(ends)
-        prev_b = None
-        while target in ends:
-            bucket = ends[target]
-            top = len(bucket) if prev_b is None else bisect_left(bucket, prev_b)
-            for i in range(top - 1, -1, -1):
-                v = (bucket[i], target)
-                if cnt[v] > 1 or _dual(v) not in picked:
-                    break
-            else:
-                break
-            chain.append(v)
-            picked.add(v)
-            prev_b = v[0]
-            target -= 2
-        return chain
-
-    def _cut(self, cuts):
-        """Take out one copy of each cut pair, then put each back with its end
-        (bit 1) and its beginning (bit 2) cut off.  Returns the degree the
-        copies lost, counted from the bits (2 for a copy of more than one
-        point cut at both ends, else 1), and on a good line the centered
-        pairs that the chain cuts (bit 1) left, each with the copy it came
-        from, in cut order.  The end index follows the pairs that reach or
-        leave multiplicity 0; a mirror line has none, its chain walk cuts
-        its own buckets."""
-        cnt, ends = self.cnt, self.ends
-        centered = self.centered if self.cls == GOOD else None
-        lost = len(cuts)
+        # The cut: take out one copy of each cut pair, then put each back with
+        # its end (bit 1) and its beginning (bit 2) cut off.  The end index
+        # follows the pairs that reach or leave multiplicity 0; a mirror line
+        # has none, its chain walk cuts its own buckets.
+        lost += len(cuts)
         for pair, bits in cuts:
             k = cnt.get(pair, 0)
             if k > 1:
@@ -330,83 +271,109 @@ class _Engine:
                         del ends[e2]
                     else:
                         del lst[bisect_left(lst, b2)]
-                    if centered is not None and b2 + e2 == 0:
+                    if good and b2 + e2 == 0:
                         centered.discard(pair)
             elif ends is None:
                 raise InvariantError("mirror copies missing on the partner side")
             else:
                 raise InvariantError("chain consumed more copies than available")
-            if bits == 3 and pair[0] != pair[1]:
-                lost += 1
-        sources = []
+        # The degree the cut copies lost, against the piece's own degree.
+        if lost != piece_degree:
+            raise InvariantError("degree not preserved across the step")
+        # On a good line, the centered pairs the chain cuts (bit 1) left,
+        # each with the copy it came from.
+        source = {}
         if ends is None:
-            for (b2, e2, side), bits in cuts:
+            for (b2, e2, sd), bits in cuts:
                 b2 += bits & 2
                 e2 -= 2 * (bits & 1)
                 if b2 <= e2:
-                    t = (b2, e2, side)
+                    t = (b2, e2, sd)
                     cnt[t] = cnt.get(t, 0) + 1
-            return lost, sources
-        for pair, bits in cuts:
-            b2 = pair[0] + (bits & 2)
-            e2 = pair[1] - 2 * (bits & 1)
-            if b2 > e2:
-                continue
-            t = (b2, e2)
-            k = cnt.get(t, 0)
-            cnt[t] = k + 1
-            if not k:
-                lst = ends.get(e2)
-                if lst is None:
-                    ends[e2] = [b2]
-                else:
-                    insort(lst, b2)
-            if centered is not None and b2 + e2 == 0:
+        else:
+            for pair, bits in cuts:
+                b2 = pair[0] + (bits & 2)
+                e2 = pair[1] - 2 * (bits & 1)
+                if b2 > e2:
+                    continue
+                t = (b2, e2)
+                k = cnt.get(t, 0)
+                cnt[t] = k + 1
                 if not k:
-                    centered.add(t)
-                if bits & 1:
-                    sources.append((t, pair))
-        return lost, sources
-
-    def _signs(self, sources, before, eps0, piece_parity):
-        """The signs after a good step, ``before`` being the centered pairs
-        present before it and ``sources`` the (centered pair, chain copy)
-        pairs of :meth:`_cut`.  A centered copy cut out of a chain copy takes
-        its sign from that copy; every other centered value keeps its sign
-        times eps0.  The parity of the new minus set is summed as the set is
-        built, and with the piece's it must give the parity before."""
-        source = {}
-        for t, pair in sources:
-            if t in source:
-                raise InvariantError(
-                    f"two chain copies collapsed onto centered (2b, 2e) = {t}"
-                )
-            source[t] = pair
-        cnt, minus = self.cnt, self.minus
-        new_minus = set()
-        parity = 0
-        for v in self.centered:
-            dj = source.get(v)
-            if dj is None:
-                if v not in before:
+                    lst = ends.get(e2)
+                    if lst is None:
+                        ends[e2] = [b2]
+                    else:
+                        insort(lst, b2)
+                if good and b2 + e2 == 0:
+                    if not k:
+                        centered.add(t)
+                    if bits & 1:
+                        if t in source:
+                            raise InvariantError(
+                                f"two chain copies collapsed onto centered (2b, 2e) = {t}"
+                            )
+                        source[t] = pair
+        if good:
+            # A centered copy cut out of a chain copy takes its sign from that
+            # copy; every other centered value keeps its sign times eps0.  The
+            # parity of the new minus set is summed as the set is built, and
+            # with the piece's it must give the parity before.
+            new_minus = set()
+            new_parity = 0
+            for v in centered:
+                dj = source.get(v)
+                if dj is None:
+                    if v not in before:
+                        raise InvariantError(
+                            f"centered (2b, 2e) = {v} appeared without a chain source"
+                        )
+                    s = -eps0 if v in minus else eps0
+                elif dj[0] + dj[1] == 0:
+                    s = -eps0 if dj in minus else eps0
+                elif dj[0] + dj[1] == 2:
+                    s = (eps0 if v in minus else -eps0) if v in before else eps0
+                else:
                     raise InvariantError(
-                        f"centered (2b, 2e) = {v} appeared without a chain source"
+                        f"chain copy with center {dj[0] + dj[1]}/2 became centered"
                     )
-                s = -eps0 if v in minus else eps0
-            elif dj[0] + dj[1] == 0:
-                s = -eps0 if dj in minus else eps0
-            elif dj[0] + dj[1] == 2:
-                s = (eps0 if v in minus else -eps0) if v in before else eps0
-            else:
-                raise InvariantError(
-                    f"chain copy with center {dj[0] + dj[1]}/2 became centered"
-                )
-            if s == -1:
-                new_minus.add(v)
-                parity += cnt[v]
-        if self.parity != (piece_parity + parity) % 2:
-            raise InvariantError("sign product not preserved across the step")
-        self.minus, self.parity = new_minus, parity % 2
+                if s == -1:
+                    new_minus.add(v)
+                    new_parity += cnt[v]
+            if parity != (minus_piece + new_parity) % 2:
+                raise InvariantError("sign product not preserved across the step")
+            minus, parity = new_minus, new_parity % 2
+        for v in piece:
+            dual[v] = dual.get(v, 0) + 1
+        if minus_piece:
+            dual_minus.add(piece[0])
+        if lost <= 0:
+            raise InvariantError("degree failed to decrease across a step")
+        yield chain, eps0, minus
+
+
+def _bad_chain(ends, cnt):
+    """Top end first, the largest beginning below the one before at each
+    end.  A value joins beside its own dual only when it has a second
+    copy."""
+    chain = []
+    picked = set()
+    target = max(ends)
+    prev_b = None
+    while target in ends:
+        bucket = ends[target]
+        top = len(bucket) if prev_b is None else bisect_left(bucket, prev_b)
+        for i in range(top - 1, -1, -1):
+            v = (bucket[i], target)
+            if cnt[v] > 1 or (-target, -v[0]) not in picked:
+                break
+        else:
+            break
+        chain.append(v)
+        picked.add(v)
+        prev_b = v[0]
+        target -= 2
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +382,30 @@ class _Engine:
 
 
 def _single_line(s: SignedSymMultisegment, what: str):
-    """The line of a single-line input and its engine before the first step."""
-    require_valid(s)
+    """The line of a single-line input, its counter and its minus set."""
+    require_valid(_typed(s, SignedSymMultisegment))
     if not s:
         raise DomainError(f"{what} on the zero multisegment")
     lines = s.lines()
     if len(lines) != 1:
         raise DomainError("this operation needs data supported on exactly one line")
     ln = lines[0]
-    cnt, minus = s._ints[ln]
-    return ln, _Engine(ln, dict(cnt), minus)
+    return (ln, *s._ints[ln])
 
 
 def ad_step(s: SignedSymMultisegment):
     """One extraction step on a single-line signed symmetric multisegment.
     Returns (initial part, remaining part) as signed symmetric multisegments."""
-    ln, eng = _single_line(s, "ad_step")
-    eng.step()
-    return _signed([(ln, eng.dual, eng.dual_minus)]), _signed([(ln, eng.cnt, eng.minus)])
+    ln, cnt, minus = _single_line(s, "ad_step")
+    rest, dual, dual_minus = dict(cnt), {}, set()
+    _, _, minus = next(_steps(ln, rest, minus, dual, dual_minus))
+    return _signed([(ln, dual, dual_minus)]), _signed([(ln, rest, minus)])
 
 
 def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
     """The chain data of the first step on a single-line input."""
-    ln, eng = _single_line(s, "ad_initial_sequence")
-    cnt = dict(eng.cnt)
-    chain, eps0 = eng.step()
+    ln, cnt, minus = _single_line(s, "ad_initial_sequence")
+    chain, eps0, _ = next(_steps(ln, dict(cnt), minus, {}, set()))
     good = ln.cls == GOOD
     if good:
         enum = [(pair, lab) for _, pair, lab, k in _section(cnt) for _ in range(k)]
@@ -466,15 +432,13 @@ def ad_initial_sequence(s: SignedSymMultisegment) -> InitialSequence:
 
 def ad_symm(s: SignedSymMultisegment) -> SignedSymMultisegment:
     """The dual of a signed symmetric multisegment (an involution)."""
-    require_valid(s)
-    parts = []
+    require_valid(_typed(s, SignedSymMultisegment))
+    ints = {}
     for ln in s.lines():
         cnt, minus = s._ints[ln]
-        eng = _Engine(ln, dict(cnt), minus)
-        while eng.cnt:
-            eng.step()
-        parts.append((ln, eng.dual, eng.dual_minus))
-    result = _signed(parts)
+        dual, dual_minus = ints[ln] = {}, set()
+        deque(_steps(ln, dict(cnt), minus, dual, dual_minus), maxlen=0)
+    result = _fill(object.__new__(SignedSymMultisegment), ints)
     report = validate(result)
     if report:
         raise InvariantError("dual left the symmetric class:\n  " + "\n  ".join(report))

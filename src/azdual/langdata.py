@@ -552,7 +552,7 @@ def transfer(d: LanglandsData) -> SignedSymMultisegment:
     on the partner side, since centered segments there are not self-dual).
     Block signs become segment signs.
     """
-    require_valid(d)
+    require_valid(_typed(d, LanglandsData))
     ints = {}
     for ln, ncnt in d.n._ints.items():
         cnt = ints.setdefault(ln, ({}, set()))[0]
@@ -572,7 +572,7 @@ def transfer(d: LanglandsData) -> SignedSymMultisegment:
 def untransfer(s: SignedSymMultisegment) -> LanglandsData:
     """Inverse of :func:`transfer`: centered segments become tempered blocks,
     each non-centered dual pair contributes its negative-center member."""
-    require_valid(s)
+    require_valid(_typed(s, SignedSymMultisegment))
     n, blocks = {}, {}
     for ln, (cnt, minus) in s._ints.items():
         for v, k in cnt.items():

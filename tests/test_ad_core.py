@@ -1,3 +1,6 @@
+import inspect
+from collections import deque
+
 import pytest
 
 from azdual.segments import (
@@ -19,9 +22,10 @@ from azdual.langdata import (
     SignedSymMultisegment,
     _parity,
     transfer,
+    untransfer,
 )
 from azdual.mw_gl import _buckets
-from azdual.ad_core import _Engine, ad_data, ad_initial_sequence, ad_step, ad_symm
+from azdual.ad_core import _steps, ad_data, ad_initial_sequence, ad_step, ad_symm
 from azdual.verify import standard_sweep
 
 G = Line("rho", GOOD, GRID_INT)
@@ -205,9 +209,38 @@ class TestSymm:
         )
 
 
+PLAIN = Multisegment([seg(-1, 0), seg(0, 1)])
+STATE = SignedSymMultisegment(PLAIN)
+DATUM = data([(-1, 0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ad_symm(PLAIN), "SignedSymMultisegment, got Multisegment",
+                 id="ad_symm-plain"),
+    pytest.param(lambda: ad_symm(DATUM), "SignedSymMultisegment, got LanglandsData",
+                 id="ad_symm-datum"),
+    pytest.param(lambda: ad_step(PLAIN), "SignedSymMultisegment, got Multisegment",
+                 id="ad_step"),
+    pytest.param(lambda: ad_initial_sequence(PLAIN), "SignedSymMultisegment, got Multisegment",
+                 id="ad_initial_sequence"),
+    pytest.param(lambda: untransfer(PLAIN), "SignedSymMultisegment, got Multisegment",
+                 id="untransfer"),
+    pytest.param(lambda: ad_data(STATE), "LanglandsData, got SignedSymMultisegment",
+                 id="ad_data"),
+    pytest.param(lambda: transfer(STATE), "LanglandsData, got SignedSymMultisegment",
+                 id="transfer"),
+])
+def test_the_dual_and_transfer_refuse_the_wrong_kind(call, message):
+    """Each entry names the kind it expects, instead of failing inside on
+    an attribute or an unpacking that the given kind lacks."""
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == f"expected a {message}"
+
+
 class TestEngineChecks:
     """Hand-built line states that no valid input gives, fed straight to the
-    engine, so that each check a state can reach raises."""
+    step loop, so that each check a state can reach raises."""
 
     @pytest.mark.parametrize("ln, cnt, minus, msg", [
         # Integral pairs on a half-integral line: the copy [0,0] is its own
@@ -230,17 +263,19 @@ class TestEngineChecks:
                      "ugly step with an empty primary side", id="ugly-primary"),
     ])
     def test_check_fires(self, ln, cnt, minus, msg):
-        eng = _Engine(ln, dict(cnt), set(minus))
+        steps = _steps(ln, dict(cnt), set(minus), {}, set())
         with pytest.raises(InvariantError, match=msg):
-            while eng.cnt:
-                eng.step()
+            deque(steps, maxlen=0)
 
     def test_the_parity_state_passes_its_first_step(self):
         """The parity check fires on the second step, not on the first."""
-        eng = _Engine(G, {(-3, 3): 1}, {(-3, 3)})
-        eng.step()
-        assert (eng.cnt, eng.minus, eng.parity) == ({(-1, 1): 1}, {(-1, 1)}, 1)
-        assert (eng.dual, eng.dual_minus) == ({(3, 3): 1, (-3, -3): 1}, set())
+        cnt, dual, dual_minus = {(-3, 3): 1}, {}, set()
+        steps = _steps(G, cnt, {(-3, 3)}, dual, dual_minus)
+        _, _, minus = next(steps)
+        state = inspect.getgeneratorlocals(steps)
+        assert (cnt, minus, state["parity"]) == ({(-1, 1): 1}, {(-1, 1)}, 1)
+        assert state["minus"] is minus
+        assert (dual, dual_minus) == ({(3, 3): 1, (-3, -3): 1}, set())
 
 
 class TestEngineState:
@@ -251,13 +286,17 @@ class TestEngineState:
         steps = 0
         for s in standard_sweep():
             for ln, (cnt, minus) in s._ints.items():
-                eng = _Engine(ln, dict(cnt), minus)
-                while eng.cnt:
-                    eng.step()
+                cnt = dict(cnt)
+                gen = _steps(ln, cnt, minus, {}, set())
+                for _, _, minus in gen:
                     steps += 1
-                    assert eng.ends == _buckets(dict.fromkeys(eng.cnt, 1))
+                    state = inspect.getgeneratorlocals(gen)
+                    assert state["minus"] is minus
+                    assert state["ends"] == _buckets(dict.fromkeys(cnt, 1))
                     if ln.cls == GOOD:
-                        assert eng.centered == {v for v in eng.cnt if v[0] + v[1] == 0}
-                        assert eng.minus <= eng.centered
-                    assert eng.parity == _parity(eng.cnt, eng.minus)
+                        centered = state["centered"]
+                        assert centered == {v for v in cnt if v[0] + v[1] == 0}
+                        assert minus <= centered
+                    assert state["parity"] == _parity(cnt, minus)
+                assert not cnt
         assert steps == 45945

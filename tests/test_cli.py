@@ -322,17 +322,23 @@ class TestInputSize:
         pytest.param(["dual", "10000*[0,1]@r~+10000*[-1,0]~@r~"
                       "+10000*[1,2]@r~+10000*[-2,-1]~@r~"],
                      '{"lines":[{"id":"r","class":"ugly",', 10, id="dual-mirror"),
+        pytest.param(["dual", "4000*[-5,-1]+3000*[-3,2]+2000*[-4,0]+1000*[-2,-2]"
+                      " ; 999*S1+200*S3"],
+                     '{"lines":[{"id":"rho","class":"good",', 4, id="dual-good"),
+        pytest.param(["dual", "4000*[-5,-1]@r!+3000*[-3,2]@r!+2000*[-4,0]@r!+1000*[-2,-2]@r!"
+                      " ; 998*S1@r!+200*S3@r!"],
+                     '{"lines":[{"id":"r","class":"bad",', 4, id="dual-bad"),
         pytest.param(["validate", "10000*[1,2]+10000*[-2,-1]+10000*[0,1]+10000*[-1,0]"],
                      "OK\n", 1, id="validate"),
     ])
     def test_commands_at_the_cap_run_on_counts(self, argv, head, peak_mb):
         """Four values at about the multiplicity cap: the derivative's
-        matching, the capacities, the transpose, a mirror-line dual and the
-        validation run on the counts, not on one item per copy (the bad-line
-        case has an odd boundary count, so its matching bars one pair).  The
-        time is taken without tracemalloc, which slows ``derive``'s 40,000
-        output records tenfold; the peaks of ``derive``, ``mw`` and ``dual``
-        are their output text, which lists every copy."""
+        matching, the capacities, the transpose, the dual on each line class
+        and the validation run on the counts, not on one item per copy (the
+        bad-line ``derive`` has an odd boundary count, so its matching bars
+        one pair).  The time is taken without tracemalloc, which slows
+        ``derive``'s 40,000 output records tenfold; the peaks of ``derive``,
+        ``mw`` and ``dual`` are their output text, which lists every copy."""
         t0 = time.perf_counter()
         code, out, err = run(argv)
         assert time.perf_counter() - t0 < 1.0
